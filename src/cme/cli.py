@@ -224,7 +224,6 @@ def _training_config(ctx: RunContext) -> wemodel.TrainingConfig:
         min_count=ctx.getint("train_we", "min_count", 5),
         subsample_threshold=ctx.getfloat("train_we", "subsample_threshold", 1e-4),
         seed=ctx.seed + ctx.getint("train_we", "seed_offset", 0),
-        workers=ctx.getint("train_we", "workers", 1),
     )
 
 
@@ -312,11 +311,8 @@ def cmd_netembed(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
     dimension = ctx.getint("train_we", "dimension", 300)
     mode = ctx.get("netembed", "mode", "paper")
-    normalize = ctx.getbool("netembed", "normalize_before_cosine", True)
     k = ctx.getint("netembed", "k", 0) or None
-    view, embedding = pipeline.build_network_view(
-        dataset, dimension, mode=mode, normalize_before_cosine=normalize, k=k
-    )
+    view, embedding = pipeline.build_network_view(dataset, dimension, mode=mode, k=k)
     out = ctx.stage_dir("netembed")
     _save_view(view, out / "Network.txt")
     _write_json(
@@ -326,7 +322,6 @@ def cmd_netembed(ctx: RunContext) -> None:
             "rows": len(embedding.row_ids),
             "components": embedding.k,
             "zero_rows": len(embedding.zero_rows),
-            "normalize_before_cosine": normalize,
         },
     )
     print(f"[netembed] embedded {len(embedding.row_ids)} users, {embedding.k} components, mode={mode}")

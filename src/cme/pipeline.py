@@ -123,7 +123,6 @@ def build_network_view(
     dataset: LabeledDataset,
     dimension: int,
     mode: str = "paper",
-    normalize_before_cosine: bool = True,
     k: Optional[int] = None,
 ) -> tuple[compose.ViewEmbeddingSet, netembed.NetworkEmbedding]:
     """Network view over users with outgoing interactions.
@@ -141,12 +140,12 @@ def build_network_view(
     if not rows or not cols:
         empty = compose.ViewEmbeddingSet("Network", {u.user_id: None for u in dataset.users})
         return empty, netembed.NetworkEmbedding(
-            matrix=np.zeros((0, dimension)), row_ids=[], mode=mode
+            matrix=np.zeros((0, 0)), row_ids=[], mode=mode
         )
 
-    adjacency = netembed.build_adjacency(dataset.interactions, rows, cols)
-    if normalize_before_cosine:
-        adjacency = netembed.row_normalize(adjacency)
+    adjacency = netembed.row_normalize(
+        netembed.build_adjacency(dataset.interactions, rows, cols)
+    )
     cosine = netembed.cosine_similarity_matrix(adjacency)
     want = k if k is not None else min(dimension, len(rows))
     factors = netembed.truncated_svd(cosine, want)

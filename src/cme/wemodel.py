@@ -2,9 +2,8 @@
 
 The trainer is plain SGD over (center, context) pairs drawn with a
 shrinking window, contrasting each true context against noise words drawn
-from the unigram distribution raised to 3/4. Single-threaded training with
-a fixed seed is bit-identical across runs; the optional multi-worker mode
-trades that determinism for lock-free approximate updates.
+from the unigram distribution raised to 3/4. Training is single-threaded,
+so a fixed seed gives bit-identical vectors across runs.
 
 A trained model is a vocabulary plus a |V| x d float64 matrix. Averaging
 those rows over a token list gives the view embedding used everywhere
@@ -14,7 +13,6 @@ empty-view sentinel.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -37,7 +35,6 @@ class TrainingConfig:
     min_count: int = 5
     subsample_threshold: float = 1e-4
     seed: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -152,31 +149,7 @@ def train_skipgram(sentences: Sequence[Sequence[str]], config: Optional[Training
     words_per_epoch = sum(int(e.size) for e in encoded)
     total_words = max(1, words_per_epoch * config.epochs)
 
-    if config.workers <= 1:
-        _train_pass(
-            encoded, vecs_in, vecs_out, noise_cdf, keep_prob, rng, config, total_words
-        )
-    else:
-        # lock-free approximate updates; races change values, not safety
-        chunks = [encoded[i :: config.workers] for i in range(config.workers)]
-        chunks = [c for c in chunks if c]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(
-                    _train_pass,
-                    chunk,
-                    vecs_in,
-                    vecs_out,
-                    noise_cdf,
-                    keep_prob,
-                    np.random.default_rng(config.seed + worker_id + 1),
-                    config,
-                    total_words,
-                )
-                for worker_id, chunk in enumerate(chunks)
-            ]
-            for fut in futures:
-                fut.result()
+    _train_pass(encoded, vecs_in, vecs_out, noise_cdf, keep_prob, rng, config, total_words)
 
     if not np.all(np.isfinite(vecs_in)):
         raise TrainingError("training diverged: non-finite vectors")

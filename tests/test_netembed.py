@@ -151,19 +151,25 @@ class TestTruncatedSVD:
         with pytest.raises(ValueError, match="symmetric"):
             truncated_svd(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
 
-    def test_random_psd_matches_dense_eigensolver(self):
+    @pytest.mark.parametrize(
+        "m, k", [pytest.param(8, 8, id="m8-k8"), pytest.param(450, 20, id="m450-k20")]
+    )
+    def test_random_psd_matches_dense_eigensolver(self, m, k):
         rng = np.random.default_rng(8)
-        b = rng.standard_normal((8, 8))
-        m = b @ b.T
-        f = truncated_svd(m, 8)
-        ref = np.linalg.eigvalsh(m)[::-1]
+        b = rng.standard_normal((m, m))
+        mat = b @ b.T
+        f = truncated_svd(mat, k)
+        ref = np.linalg.eigvalsh(mat)[::-1][:k]
         np.testing.assert_allclose(f.sigma, np.maximum(ref, 0.0), atol=1e-8)
 
-    def test_orthonormal_columns(self):
+    @pytest.mark.parametrize(
+        "m, k", [pytest.param(12, 5, id="m12-k5"), pytest.param(450, 20, id="m450-k20")]
+    )
+    def test_orthonormal_columns(self, m, k):
         rng = np.random.default_rng(9)
-        b = rng.standard_normal((12, 12))
-        f = truncated_svd(b @ b.T, 5)
-        np.testing.assert_allclose(f.u.T @ f.u, np.eye(5), atol=1e-8)
+        b = rng.standard_normal((m, m))
+        f = truncated_svd(b @ b.T, k)
+        np.testing.assert_allclose(f.u.T @ f.u, np.eye(k), atol=1e-8)
 
     def test_reconstruction_at_full_rank(self):
         rng = np.random.default_rng(10)
@@ -181,9 +187,11 @@ class TestTruncatedSVD:
     def test_deterministic(self):
         rng = np.random.default_rng(11)
         b = rng.standard_normal((15, 15))
-        m = b @ b.T
-        f1, f2 = truncated_svd(m, 6), truncated_svd(m, 6)
-        assert np.array_equal(f1.u, f2.u) and np.array_equal(f1.sigma, f2.sigma)
+        # cosine of five unit rows, each repeated: eigenvalue 2 and 0, five times each
+        rows = np.repeat(np.eye(5), 2, axis=0)
+        for m in (b @ b.T, rows @ rows.T):
+            f1, f2 = truncated_svd(m, 6), truncated_svd(m, 6)
+            assert np.array_equal(f1.u, f2.u) and np.array_equal(f1.sigma, f2.sigma)
 
 
 class TestNetworkEmbedding:

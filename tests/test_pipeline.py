@@ -92,6 +92,7 @@ class TestNetworkView:
         view, embedding = pipeline.build_network_view(bare, 20)
         assert all(v is None for v in view.vectors.values())
         assert embedding.matrix.shape[0] == 0
+        assert embedding.k == 0
 
 
 class TestExperiments:

@@ -161,13 +161,6 @@ class TestTraining:
         assert np.all(np.isfinite(model.vectors))
         assert np.all(norms > 0)
 
-    def test_parallel_mode_trains(self):
-        sentences = [["a", "b", "c", "d"]] * 300
-        config = TrainingConfig(dimension=8, min_count=1, epochs=2, seed=1, workers=3)
-        model = train_skipgram(sentences, config)
-        assert np.all(np.isfinite(model.vectors))
-        assert set(model.vocabulary) == {"a", "b", "c", "d"}
-
 
 class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path, toy_model):

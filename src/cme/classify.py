@@ -53,6 +53,8 @@ class ClassifierModel:
     classes: list
     weights: np.ndarray  # classes x (d + 1); last column is the bias
     loss_history: list[float] = field(default_factory=list)
+    epochs: int = 0  # training steps taken
+    converged: bool = False  # the loss change met the tolerance before the budget ran out
 
     @property
     def dimension(self) -> int:
@@ -196,7 +198,9 @@ def train_classifier(
 
     Logistic training uses gradient descent with step halving, so the
     recorded loss history is non-increasing; training stops when the loss
-    change drops below tolerance or the epoch budget runs out.
+    change drops below tolerance (converged) or the epoch budget runs out.
+    The linear-margin family has no tolerance test and always runs its
+    budget, so it never reports converged.
     """
     config = config or ClassifierConfig()
     feats = np.asarray(features, dtype=np.float64)
@@ -212,6 +216,7 @@ def train_classifier(
 
     weights = np.zeros((len(classes), x_aug.shape[1]), dtype=np.float64)
     history: list[float] = []
+    converged = False
 
     if config.family == "multinomial-logistic":
         loss, grad = logistic_loss_and_gradient(weights, x_aug, onehot, config.l2_penalty)
@@ -253,8 +258,14 @@ def train_classifier(
 
     if not np.all(np.isfinite(weights)):
         raise ClassifierError("training produced non-finite weights")
+    epochs = len(history) - 1 if config.family == "multinomial-logistic" else config.epochs
     return ClassifierModel(
-        family=config.family, classes=classes, weights=weights, loss_history=history
+        family=config.family,
+        classes=classes,
+        weights=weights,
+        loss_history=history,
+        epochs=epochs,
+        converged=converged,
     )
 
 

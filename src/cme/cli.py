@@ -9,8 +9,16 @@ directory derived from the config contents and the effective seed, so a
 changed config never overwrites a previous run, and rerunning the same
 config reproduces the same bytes.
 
+Per-user matrices (the skip-gram models, the six views, the Network view and
+each composition) are written with wemodel.save_model as binary pairs:
+"<stem>.npy" holds the float64 matrix and "<stem>.words" the row labels, so
+the next stage reads back exactly the bits that were written. Each stage
+also writes a meta.json summary. The one text model the CLI reads is an
+optional external [views] emoji_background_model in word2vec text layout.
+
 The config file is flat INI with one section per stage; every key has a
-default, so a minimal config can be empty. See README for the key list.
+default, so a minimal config can be empty. CONFIG_KEYS lists every key the
+stages read; any other section or key is an error before anything runs.
 """
 
 from __future__ import annotations
@@ -48,19 +56,59 @@ STAGE_ORDER = [
 ]
 
 
+_SYNTH_CLASSES = ("personal", "informed_agency", "retail")
+
+# section -> keys read by the stage commands below
+CONFIG_KEYS = {
+    "global": {"seed", "out_dir"},
+    "corpus": {"directory"},
+    "synth": {"seed_offset", "users_per_class"}
+    | {f"{cls}_{suffix}" for cls in _SYNTH_CLASSES for suffix in ("rates", "class_word_prob")},
+    "preprocess": {"stopwords", "lemmas", "keep_hashtag_body"},
+    "train_we": {
+        "dimension", "window", "negatives", "epochs", "learning_rate", "min_count",
+        "subsample_threshold", "seed_offset",
+    },
+    "views": {
+        "emoji_lexicon", "emoji_background_model", "profile_images", "image_fixture",
+        "image_mode", "image_endpoint", "image_retries", "image_confidence_threshold",
+        "image_cache_dir",
+    },
+    "netembed": {"mode", "k"},
+    "correlate": {"pairs", "alpha", "method"},
+    "compose": {"tags"},
+    "classify": {
+        "suite_a_tags", "suite_b_tags", "seed_offset", "smote_k", "smote_duplicate_singletons",
+        "family", "learning_rate", "l2_penalty", "epochs", "split_ratio",
+    },
+}
+
+
 class RunContext:
     """Parsed config plus the content-addressed run directory."""
 
     def __init__(self, config_path: str, seed: int | None, out_dir: str | None):
         self.parser = configparser.ConfigParser()
-        read = self.parser.read(config_path)
+        try:
+            read = self.parser.read(config_path)
+        except configparser.Error as exc:
+            raise CLIError(f"malformed config {config_path}: {exc}") from None
         if not read:
             raise CLIError(f"config file not found: {config_path}")
+        self._check_keys()
         self.seed = seed if seed is not None else self.getint("global", "seed", 7)
         out = out_dir or self.get("global", "out_dir", "cme-out")
         digest = self._fingerprint()
         self.run_dir = Path(out) / f"run-{digest}"
         self.run_dir.mkdir(parents=True, exist_ok=True)
+
+    def _check_keys(self) -> None:
+        unknown = [f"DEFAULT.{key}" for key in self.parser.defaults()]
+        for section in self.parser.sections():
+            known = CONFIG_KEYS.get(section, set())
+            unknown += [f"{section}.{key}" for key in self.parser[section] if key not in known]
+        if unknown:
+            raise CLIError(f"unknown config key(s): {', '.join(unknown)}")
 
     def _fingerprint(self) -> str:
         # canonical serialization: section and key order do not matter
@@ -71,17 +119,22 @@ class RunContext:
         parts.append(f"seed={self.seed}")
         return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:12]
 
+    def _read(self, section: str, key: str) -> tuple[str, str]:
+        if key not in CONFIG_KEYS[section]:
+            raise KeyError(f"{section}.{key} is read but missing from CONFIG_KEYS")
+        return section, key
+
     def get(self, section: str, key: str, fallback=None):
-        return self.parser.get(section, key, fallback=fallback)
+        return self.parser.get(*self._read(section, key), fallback=fallback)
 
     def getint(self, section: str, key: str, fallback: int) -> int:
-        return self.parser.getint(section, key, fallback=fallback)
+        return self.parser.getint(*self._read(section, key), fallback=fallback)
 
     def getfloat(self, section: str, key: str, fallback: float) -> float:
-        return self.parser.getfloat(section, key, fallback=fallback)
+        return self.parser.getfloat(*self._read(section, key), fallback=fallback)
 
     def getbool(self, section: str, key: str, fallback: bool) -> bool:
-        return self.parser.getboolean(section, key, fallback=fallback)
+        return self.parser.getboolean(*self._read(section, key), fallback=fallback)
 
     def getlist(self, section: str, key: str, fallback: str) -> list[str]:
         raw = self.get(section, key, fallback)
@@ -129,7 +182,7 @@ def _load_view(path: Path, name: str) -> compose.ViewEmbeddingSet:
 
 
 def _view_filename(tag: str) -> str:
-    return tag.replace("+", "_") + ".txt"
+    return tag.replace("+", "_") + ".npy"
 
 
 # ---- stage commands -----------------------------------------------------
@@ -144,7 +197,7 @@ def cmd_synth(ctx: RunContext) -> None:
     order = [corpus.ClassLabel.PERSONAL, corpus.ClassLabel.INFORMED_AGENCY, corpus.ClassLabel.RETAIL]
     for cls, count in zip(order, sizes):
         profiles[cls] = replace(profiles[cls], users=int(count))
-    for cls, key in zip(order, ("personal", "informed_agency", "retail")):
+    for cls, key in zip(order, _SYNTH_CLASSES):
         rates = ctx.get("synth", f"{key}_rates")
         if rates:
             retweet, mention = (float(x) for x in rates.split("/"))
@@ -232,8 +285,8 @@ def cmd_train_we(ctx: RunContext) -> None:
     config = _training_config(ctx)
     content, people = pipeline.train_view_models(prepared, config)
     out = ctx.stage_dir("models")
-    wemodel.save_model(content, out / "content.txt")
-    wemodel.save_model(people, out / "people.txt")
+    wemodel.save_model(content, out / "content.npy")
+    wemodel.save_model(people, out / "people.npy")
     _write_json(
         out / "meta.json",
         {
@@ -251,8 +304,8 @@ def cmd_train_we(ctx: RunContext) -> None:
 
 
 def _load_models(ctx: RunContext) -> tuple[wemodel.WEModel, wemodel.WEModel]:
-    content_path = ctx.require(ctx.run_dir / "models" / "content.txt", "train-we")
-    people_path = ctx.require(ctx.run_dir / "models" / "people.txt", "train-we")
+    content_path = ctx.require(ctx.run_dir / "models" / "content.npy", "train-we")
+    people_path = ctx.require(ctx.run_dir / "models" / "people.npy", "train-we")
     return wemodel.load_model(content_path), wemodel.load_model(people_path)
 
 
@@ -262,7 +315,7 @@ def cmd_views(ctx: RunContext) -> None:
     content, people = _load_models(ctx)
     lexicon = load_emoji_lexicon(ctx.get("views", "emoji_lexicon"))
     background_path = ctx.get("views", "emoji_background_model")
-    background = wemodel.load_model(background_path) if background_path else None
+    background = wemodel.load_text_model(background_path) if background_path else None
 
     views = pipeline.build_text_views(prepared, content, people, lexicon, background)
 
@@ -286,7 +339,7 @@ def cmd_views(ctx: RunContext) -> None:
     out = ctx.stage_dir("views")
     meta = {}
     for name, view in views.items():
-        _save_view(view, out / f"{name}.txt")
+        _save_view(view, out / _view_filename(name))
         meta[name] = {
             "dimension": view.dimension,
             "users": len(view.vectors),
@@ -300,9 +353,9 @@ def _load_views(ctx: RunContext, names: list[str]) -> dict[str, compose.ViewEmbe
     views = {}
     for name in names:
         if name == "Network":
-            path = ctx.require(ctx.run_dir / "netembed" / "Network.txt", "netembed")
+            path = ctx.require(ctx.run_dir / "netembed" / _view_filename(name), "netembed")
         else:
-            path = ctx.require(ctx.run_dir / "views" / f"{name}.txt", "views")
+            path = ctx.require(ctx.run_dir / "views" / _view_filename(name), "views")
         views[name] = _load_view(path, name)
     return views
 
@@ -314,7 +367,7 @@ def cmd_netembed(ctx: RunContext) -> None:
     k = ctx.getint("netembed", "k", 0) or None
     view, embedding = pipeline.build_network_view(dataset, dimension, mode=mode, k=k)
     out = ctx.stage_dir("netembed")
-    _save_view(view, out / "Network.txt")
+    _save_view(view, out / _view_filename("Network"))
     _write_json(
         out / "meta.json",
         {
@@ -439,6 +492,8 @@ def _result_dict(res: pipeline.ExperimentResult) -> dict:
         "n_train": res.n_train,
         "n_test": res.n_test,
         "zero_filled": res.zero_filled,
+        "converged": res.converged,
+        "epochs": res.epochs,
     }
 
 

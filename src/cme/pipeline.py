@@ -183,6 +183,8 @@ class ExperimentResult:
     n_train: int
     n_test: int
     zero_filled: int
+    epochs: int
+    converged: bool
 
 
 def run_experiment(
@@ -221,6 +223,8 @@ def run_experiment(
         n_train=len(y_train),
         n_test=len(y_test),
         zero_filled=len(matrix.zero_filled),
+        epochs=model.epochs,
+        converged=model.converged,
     )
 
 

@@ -9,6 +9,13 @@ A trained model is a vocabulary plus a |V| x d float64 matrix. Averaging
 those rows over a token list gives the view embedding used everywhere
 downstream; a token list with no in-vocabulary word yields None, the
 empty-view sentinel.
+
+Models, and every per-user matrix the pipeline passes between stages, are
+stored as a binary pair: "<stem>.npy" holds the float64 matrix and
+"<stem>.words" the row labels, one per line (save_model / load_model).
+Float64 round-trips exactly, so a reloaded matrix is bit-identical.
+load_text_model reads the word2vec text layout of external models, such
+as an emoji background model; the pipeline never writes that layout.
 """
 
 from __future__ import annotations
@@ -210,18 +217,53 @@ def _train_pass(encoded, vecs_in, vecs_out, noise_cdf, keep_prob, rng, config, t
 
 
 def save_model(model: WEModel, path) -> None:
-    """Write the standard text layout: "<vocab> <dim>" then one word per line."""
+    """Write the binary pair: the matrix at path, the row labels beside it.
+
+    path is conventionally "<stem>.npy"; it receives the C-order float64
+    matrix (np.save, no pickling) and "<stem>.words" the row labels in row
+    order, one UTF-8 label per line. Equal models give equal bytes.
+    """
     path = Path(path)
+    vectors = np.ascontiguousarray(model.vectors, dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[0] != len(model.words):
+        raise ValueError(
+            f"{path}: need a 2-D matrix with one row per label, got shape "
+            f"{vectors.shape} for {len(model.words)} labels"
+        )
+    if any("\n" in word for word in model.words):
+        raise ValueError(f"{path}: a row label contains a newline")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(model.vocabulary)} {model.dimension}\n")
-        for idx, word in enumerate(model.words):
-            values = " ".join(repr(float(x)) for x in model.vectors[idx])
-            fh.write(f"{word} {values}\n")
+    with open(path, "wb") as fh:
+        np.save(fh, vectors, allow_pickle=False)
+    path.with_suffix(".words").write_bytes("".join(f"{w}\n" for w in model.words).encode("utf-8"))
 
 
 def load_model(path) -> WEModel:
-    """Read the text layout written by save_model (or any compatible file)."""
+    """Read the pair written by save_model.
+
+    Raises ValueError naming the path when the matrix is not a 2-D float64
+    .npy array or the label count differs from the row count.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        try:
+            vectors = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if vectors.ndim != 2 or vectors.dtype != np.float64:
+        raise ValueError(f"{path}: expected a 2-D float64 matrix, got {vectors.dtype} {vectors.shape}")
+    text = path.with_suffix(".words").read_bytes().decode("utf-8")
+    words = text.split("\n")[:-1]
+    if len(words) != vectors.shape[0]:
+        raise ValueError(f"{path}: {len(words)} labels for {vectors.shape[0]} rows")
+    vocab = {word: idx for idx, word in enumerate(words)}
+    if len(vocab) != len(words):
+        raise ValueError(f"{path}: duplicate row labels")
+    return WEModel(vocabulary=vocab, vectors=vectors, words=words)
+
+
+def load_text_model(path) -> WEModel:
+    """Read an external word2vec text model: "<vocab> <dim>", then "<word> <values>" rows."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:

@@ -119,6 +119,19 @@ class TestClassifier:
         model = train_classifier(X, y, ClassifierConfig(epochs=500))
         assert predict(model, X) == y
 
+    def test_convergence_reported(self):
+        X, y = self._separable()
+        model = train_classifier(X, y, ClassifierConfig(epochs=100_000))
+        assert model.converged
+        assert 1 < model.epochs < 100_000
+        assert model.epochs == len(model.loss_history) - 1
+
+    def test_budget_exhaustion_not_converged(self):
+        X, y = self._separable()
+        model = train_classifier(X, y, ClassifierConfig(epochs=1))
+        assert not model.converged
+        assert model.epochs == 1
+
     def test_identical_features_give_uniform_probabilities(self):
         X = np.ones((10, 3))
         y = ["a"] * 5 + ["b"] * 5

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cme.cli import main
+from cme.emoji import load_emoji_lexicon
 
 
 def _config(tmp_path, seed=11, extra=""):
@@ -72,6 +74,35 @@ class TestFullChain:
         assert main(["synth", "--config", str(tmp_path / "absent.ini")]) == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("train_we", "workers = 4"),
+            ("netembed", "normalize_before_cosine = false"),
+            ("classify", "epoch = 3"),
+        ],
+        ids=["removed-key", "removed-knob", "misspelt-key"],
+    )
+    def test_unknown_config_key_is_error(self, tmp_path, capsys, section, line):
+        cfg = Path(_config(tmp_path))
+        cfg.write_text(
+            cfg.read_text(encoding="utf-8").replace(f"[{section}]\n", f"[{section}]\n{line}\n"),
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"{section}.{line.split()[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_config_section_is_error(self, tmp_path, capsys):
+        cfg = _config(tmp_path, extra="[clasify]\nepochs = 3\n")
+        assert main(["run", "--config", cfg]) == 1
+        assert "clasify.epochs" in capsys.readouterr().err
+
+    def test_malformed_config_is_error(self, tmp_path, capsys):
+        cfg = _config(tmp_path, extra="[netembed]\nk = 3\n")
+        assert main(["run", "--config", cfg]) == 1
+        assert "netembed" in capsys.readouterr().err
+
 
 class TestDeterminismAndAddressing:
     def test_rerun_same_seed_bit_identical_report(self, tmp_path):
@@ -81,6 +112,18 @@ class TestDeterminismAndAddressing:
         first = report.read_bytes()
         assert main(["run", "--config", cfg]) == 0
         assert report.read_bytes() == first
+
+    def test_two_runs_write_identical_artifacts(self, tmp_path):
+        cfg = _config(tmp_path)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        first, second = _run_dir(tmp_path, "a"), _run_dir(tmp_path, "b")
+        for stage in ("models", "views", "netembed", "compose"):
+            names = sorted(p.name for p in (first / stage).iterdir())
+            assert names == sorted(p.name for p in (second / stage).iterdir())
+            assert any(name.endswith(".npy") for name in names)
+            for name in names:
+                assert (first / stage / name).read_bytes() == (second / stage / name).read_bytes(), name
 
     def test_different_seed_different_run_dir(self, tmp_path):
         cfg = _config(tmp_path)
@@ -102,13 +145,16 @@ class TestArtifacts:
         run_dir = _run_dir(tmp_path)
         assert (run_dir / "synth" / "users.jsonl").exists()
         assert (run_dir / "preprocess" / "tokens.json").exists()
-        assert (run_dir / "models" / "content.txt").exists()
-        assert (run_dir / "views" / "Tweet.txt").exists()
-        assert (run_dir / "netembed" / "Network.txt").exists()
+        assert (run_dir / "models" / "content.npy").exists()
+        assert (run_dir / "views" / "Tweet.npy").exists()
+        assert (run_dir / "netembed" / "Network.npy").exists()
         assert (run_dir / "correlate" / "correlations.tsv").exists()
-        assert (run_dir / "compose" / "N_T_E.txt").exists()
+        assert (run_dir / "compose" / "N_T_E.npy").exists()
         results = json.loads((run_dir / "classify" / "results.json").read_text())
         assert "suite_a" in results and "suite_b" in results
+        for res in [*results["suite_a"].values(), *results["suite_b"].values()]:
+            assert isinstance(res["converged"], bool)
+            assert 1 <= res["epochs"] <= 150
 
     def test_correlation_table_has_pairs(self, tmp_path):
         cfg = _config(tmp_path)
@@ -121,4 +167,16 @@ class TestArtifacts:
         cfg = _config(tmp_path, extra="[views]\nprofile_images = true\n")
         for stage in ("synth", "preprocess", "train-we", "views"):
             assert main([stage, "--config", cfg]) == 0
-        assert (_run_dir(tmp_path) / "views" / "ProfileImage.txt").exists()
+        assert (_run_dir(tmp_path) / "views" / "ProfileImage.npy").exists()
+
+    def test_external_text_background_model(self, tmp_path):
+        keywords = sorted({k for e in load_emoji_lexicon().values() for k in e.keywords})
+        background = tmp_path / "background.txt"
+        rows = "".join(f"{word} {' '.join(['0.25'] * 16)}\n" for word in keywords)
+        background.write_text(f"{len(keywords)} 16\n{rows}", encoding="utf-8")
+        cfg = _config(tmp_path, extra=f"[views]\nemoji_background_model = {background}\n")
+        for stage in ("synth", "preprocess", "train-we", "views"):
+            assert main([stage, "--config", cfg]) == 0
+        emoji_view = np.load(_run_dir(tmp_path) / "views" / "TweetEmoji.npy")
+        assert emoji_view.shape[0] > 0
+        assert np.all(emoji_view == 0.25)

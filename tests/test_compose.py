@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from cme.compose import (
+    _average_ranks,
     COMPOSITION_TAGS,
     CompositionError,
     UndefinedCorrelationError,
@@ -73,6 +75,20 @@ class TestSpearman:
             if len(set(x)) < 2 or len(set(y)) < 2:
                 continue
             assert spearman(x, y).rho == pytest.approx(bruteforce_spearman(x, y), abs=1e-12)
+
+    @pytest.mark.parametrize("ties", [0, 3, 500], ids=["distinct", "heavy-ties", "some-ties"])
+    def test_average_ranks_match_scipy(self, ties):
+        rng = np.random.default_rng(25)
+        values = rng.standard_normal(5000)
+        if ties:
+            values = rng.integers(0, ties, 5000).astype(np.float64)
+        assert np.array_equal(_average_ranks(values), rankdata(values, method="average"))
+
+    def test_average_ranks_edge_cases(self):
+        assert _average_ranks(np.array([])).size == 0
+        assert np.array_equal(_average_ranks(np.array([7.0])), [1.0])
+        assert np.array_equal(_average_ranks(np.array([2.0, 2.0, 2.0])), [2.0, 2.0, 2.0])
+        assert np.array_equal(_average_ranks(np.array([3.0, -0.0, 0.0, 1.0])), [4.0, 1.5, 1.5, 3.0])
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(22)

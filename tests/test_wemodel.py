@@ -8,6 +8,7 @@ from cme.wemodel import (
     TrainingError,
     WEModel,
     load_model,
+    load_text_model,
     save_model,
     train_skipgram,
     vector,
@@ -164,22 +165,85 @@ class TestTraining:
 
 class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path, toy_model):
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.npy"
         save_model(toy_model, path)
         loaded = load_model(path)
         assert loaded.vocabulary == toy_model.vocabulary
+        assert loaded.words == toy_model.words
         assert np.array_equal(loaded.vectors, toy_model.vectors)
 
+    def test_roundtrip_keeps_every_bit(self, tmp_path):
+        rng = np.random.default_rng(3)
+        vectors = np.concatenate(
+            [rng.standard_normal((5, 7)) * 1e-300, rng.standard_normal((5, 7)) * 1e300]
+        )
+        vectors[0, 0] = -0.0
+        vectors[1, 1] = np.nextafter(1.0, 2.0)
+        words = ["u1", "ü", "a b", "tab\tx", "cr\rx", "", "7", "x", "y", "z"]
+        model = WEModel(vocabulary={w: i for i, w in enumerate(words)}, vectors=vectors)
+        save_model(model, tmp_path / "m.npy")
+        loaded = load_model(tmp_path / "m.npy")
+        assert loaded.words == words
+        assert loaded.vectors.tobytes() == vectors.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5)], ids=["empty", "no-rows"])
+    def test_roundtrip_empty(self, tmp_path, shape):
+        model = WEModel(vocabulary={}, vectors=np.zeros(shape))
+        save_model(model, tmp_path / "m.npy")
+        loaded = load_model(tmp_path / "m.npy")
+        assert loaded.vectors.shape == shape
+        assert loaded.vectors.dtype == np.float64
+        assert loaded.vocabulary == {}
+
     def test_header_layout(self, tmp_path, toy_model):
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.npy"
         save_model(toy_model, path)
-        first = path.read_text(encoding="utf-8").splitlines()[0]
-        assert first == "4 3"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npy", "model.words"]
+        with open(path, "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        assert (shape, fortran_order, dtype) == ((4, 3), False, np.dtype(np.float64))
+        assert np.array_equal(np.load(path, allow_pickle=False), toy_model.vectors)
+        assert (tmp_path / "model.words").read_bytes() == b"herb\nplant\nsmile\nnews\n"
+
+    @pytest.mark.parametrize(
+        "labels",
+        [b"herb\nplant\nsmile\n", b"herb\nplant\nsmile\nnews", b"herb\nherb\nsmile\nnews\n"],
+        ids=["too-few", "unterminated", "duplicate"],
+    )
+    def test_bad_labels_name_path(self, tmp_path, toy_model, labels):
+        path = tmp_path / "model.npy"
+        save_model(toy_model, path)
+        (tmp_path / "model.words").write_bytes(labels)
+        with pytest.raises(ValueError, match="model.npy"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[1.0, "a"], [2.0, "b"]], dtype=object),
+            np.zeros((2, 3), dtype=np.float32),
+            np.zeros(2),
+        ],
+        ids=["object", "float32", "1-D"],
+    )
+    def test_wrong_matrix_refused(self, tmp_path, matrix):
+        path = tmp_path / "m.npy"
+        np.save(path, matrix, allow_pickle=True)
+        (tmp_path / "m.words").write_bytes(b"a\nb\n")
+        with pytest.raises(ValueError, match="m.npy"):
+            load_model(path)
+
+    def test_newline_label_refused_on_save(self, tmp_path):
+        model = WEModel(vocabulary={"a\nb": 0}, vectors=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="newline"):
+            save_model(model, tmp_path / "m.npy")
+        assert not list(tmp_path.iterdir())
 
     def test_loads_external_background_format(self, tmp_path):
         path = tmp_path / "ext.txt"
         path.write_text("2 3\nfoo 1.0 2.0 3.0\nbar 0.5 0.25 -1.0\n", encoding="utf-8")
-        model = load_model(path)
+        model = load_text_model(path)
         assert model.vocabulary == {"foo": 0, "bar": 1}
         np.testing.assert_allclose(model.vectors[1], [0.5, 0.25, -1.0])
 
@@ -187,4 +251,4 @@ class TestPersistence:
         path = tmp_path / "bad.txt"
         path.write_text("1 3\nfoo 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(ValueError):
-            load_model(path)
+            load_text_model(path)

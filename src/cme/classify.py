@@ -2,8 +2,7 @@
 
 SMOTE balances the training folds by interpolating between same-class
 nearest neighbors; the classifier is multinomial logistic regression fit
-by full-batch gradient descent (a one-vs-rest linear-margin family is
-available behind a flag for sensitivity checks). Evaluation reports
+by full-batch gradient descent. Evaluation reports
 per-class and aggregate precision/recall/F1 plus a confusion matrix, with
 optional deltas against a named baseline run.
 
@@ -39,7 +38,6 @@ class SMOTEConfig:
 
 @dataclass
 class ClassifierConfig:
-    family: str = "multinomial-logistic"  # or "linear-margin"
     learning_rate: float = 0.5
     l2_penalty: float = 1e-3
     epochs: int = 300
@@ -49,7 +47,6 @@ class ClassifierConfig:
 
 @dataclass
 class ClassifierModel:
-    family: str
     classes: list
     weights: np.ndarray  # classes x (d + 1); last column is the bias
     loss_history: list[float] = field(default_factory=list)
@@ -194,13 +191,11 @@ def train_classifier(
     labels: Sequence,
     config: Optional[ClassifierConfig] = None,
 ) -> ClassifierModel:
-    """Fit the configured classifier family.
+    """Fit multinomial logistic regression.
 
-    Logistic training uses gradient descent with step halving, so the
-    recorded loss history is non-increasing; training stops when the loss
-    change drops below tolerance (converged) or the epoch budget runs out.
-    The linear-margin family has no tolerance test and always runs its
-    budget, so it never reports converged.
+    Training uses gradient descent with step halving, so the recorded loss
+    history is non-increasing; training stops when the loss change drops
+    below tolerance (converged) or the epoch budget runs out.
     """
     config = config or ClassifierConfig()
     feats = np.asarray(features, dtype=np.float64)
@@ -215,56 +210,37 @@ def train_classifier(
     onehot[np.arange(len(labels)), y] = 1.0
 
     weights = np.zeros((len(classes), x_aug.shape[1]), dtype=np.float64)
-    history: list[float] = []
     converged = False
-
-    if config.family == "multinomial-logistic":
-        loss, grad = logistic_loss_and_gradient(weights, x_aug, onehot, config.l2_penalty)
+    loss, grad = logistic_loss_and_gradient(weights, x_aug, onehot, config.l2_penalty)
+    history = [loss]
+    step = config.learning_rate
+    for _epoch in range(config.epochs):
+        improved = False
+        for _try in range(40):
+            candidate = weights - step * grad
+            new_loss, new_grad = logistic_loss_and_gradient(
+                candidate, x_aug, onehot, config.l2_penalty
+            )
+            if new_loss <= loss + 1e-15:
+                improved = True
+                break
+            step /= 2.0
+        if not improved:
+            break
+        converged = abs(loss - new_loss) <= config.tolerance * max(1.0, abs(loss))
+        weights, loss, grad = candidate, new_loss, new_grad
         history.append(loss)
-        step = config.learning_rate
-        for _epoch in range(config.epochs):
-            improved = False
-            for _try in range(40):
-                candidate = weights - step * grad
-                new_loss, new_grad = logistic_loss_and_gradient(
-                    candidate, x_aug, onehot, config.l2_penalty
-                )
-                if new_loss <= loss + 1e-15:
-                    improved = True
-                    break
-                step /= 2.0
-            if not improved:
-                break
-            converged = abs(loss - new_loss) <= config.tolerance * max(1.0, abs(loss))
-            weights, loss, grad = candidate, new_loss, new_grad
-            history.append(loss)
-            step = min(config.learning_rate, step * 2.0)
-            if converged:
-                break
-    elif config.family == "linear-margin":
-        # one-vs-rest hinge loss, plain subgradient descent
-        signs = np.where(onehot > 0, 1.0, -1.0)
-        for epoch in range(config.epochs):
-            scores = x_aug @ weights.T
-            margins = 1.0 - signs * scores
-            active = (margins > 0).astype(np.float64)
-            grad = -(active * signs).T @ x_aug / x_aug.shape[0]
-            grad[:, :-1] += config.l2_penalty * weights[:, :-1]
-            weights = weights - config.learning_rate / (1.0 + 0.01 * epoch) * grad
-            hinge = float(np.maximum(margins, 0.0).sum()) / x_aug.shape[0]
-            history.append(hinge + 0.5 * config.l2_penalty * float((weights[:, :-1] ** 2).sum()))
-    else:
-        raise ClassifierError(f"unknown classifier family {config.family!r}")
+        step = min(config.learning_rate, step * 2.0)
+        if converged:
+            break
 
     if not np.all(np.isfinite(weights)):
         raise ClassifierError("training produced non-finite weights")
-    epochs = len(history) - 1 if config.family == "multinomial-logistic" else config.epochs
     return ClassifierModel(
-        family=config.family,
         classes=classes,
         weights=weights,
         loss_history=history,
-        epochs=epochs,
+        epochs=len(history) - 1,
         converged=converged,
     )
 

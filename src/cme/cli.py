@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classify, compose, corpus, netembed, pipeline, synth, wemodel
+from . import classify, compose, corpus, pipeline, synth, wemodel
 from .emoji import load_emoji_lexicon
 from .imagetags import ImageTagClient, TagClientConfig
 from .preprocess import load_lemma_table, load_stopwords
@@ -75,11 +75,11 @@ CONFIG_KEYS = {
         "image_cache_dir",
     },
     "netembed": {"mode", "k"},
-    "correlate": {"pairs", "alpha", "method"},
+    "correlate": {"pairs", "alpha"},
     "compose": {"tags"},
     "classify": {
         "suite_a_tags", "suite_b_tags", "seed_offset", "smote_k", "smote_duplicate_singletons",
-        "family", "learning_rate", "l2_penalty", "epochs", "split_ratio",
+        "learning_rate", "l2_penalty", "epochs", "split_ratio",
     },
 }
 
@@ -175,8 +175,18 @@ def _save_view(view: compose.ViewEmbeddingSet, path: Path) -> None:
     wemodel.save_model(model, path)
 
 
-def _load_view(path: Path, name: str) -> compose.ViewEmbeddingSet:
-    model = wemodel.load_model(path)
+def _load_matrix(ctx: RunContext, path: Path, producer: str) -> wemodel.WEModel:
+    """Load a stage's .npy/.words pair; a missing or unreadable file is a CLIError."""
+    ctx.require(path, producer)
+    ctx.require(path.with_suffix(".words"), producer)
+    try:
+        return wemodel.load_model(path)
+    except ValueError as exc:
+        raise CLIError(f"unreadable artifact {path.name}: {exc}") from None
+
+
+def _load_view(ctx: RunContext, path: Path, name: str, producer: str) -> compose.ViewEmbeddingSet:
+    model = _load_matrix(ctx, path, producer)
     vectors = {u: model.vectors[i].copy() for u, i in model.vocabulary.items()}
     return compose.ViewEmbeddingSet(name, vectors)
 
@@ -304,9 +314,11 @@ def cmd_train_we(ctx: RunContext) -> None:
 
 
 def _load_models(ctx: RunContext) -> tuple[wemodel.WEModel, wemodel.WEModel]:
-    content_path = ctx.require(ctx.run_dir / "models" / "content.npy", "train-we")
-    people_path = ctx.require(ctx.run_dir / "models" / "people.npy", "train-we")
-    return wemodel.load_model(content_path), wemodel.load_model(people_path)
+    models = ctx.run_dir / "models"
+    return (
+        _load_matrix(ctx, models / "content.npy", "train-we"),
+        _load_matrix(ctx, models / "people.npy", "train-we"),
+    )
 
 
 def cmd_views(ctx: RunContext) -> None:
@@ -352,11 +364,8 @@ def cmd_views(ctx: RunContext) -> None:
 def _load_views(ctx: RunContext, names: list[str]) -> dict[str, compose.ViewEmbeddingSet]:
     views = {}
     for name in names:
-        if name == "Network":
-            path = ctx.require(ctx.run_dir / "netembed" / _view_filename(name), "netembed")
-        else:
-            path = ctx.require(ctx.run_dir / "views" / _view_filename(name), "views")
-        views[name] = _load_view(path, name)
+        producer = "netembed" if name == "Network" else "views"
+        views[name] = _load_view(ctx, ctx.run_dir / producer / _view_filename(name), name, producer)
     return views
 
 
@@ -394,12 +403,11 @@ def cmd_correlate(ctx: RunContext) -> None:
     names = sorted({name for pair in pairs for name in pair})
     views = _load_views(ctx, names)
     alpha = ctx.getfloat("correlate", "alpha", 0.01)
-    method = ctx.get("correlate", "method", "flatten")
 
     results = []
     for name_a, name_b in pairs:
         try:
-            res = compose.correlate_views(views[name_a], views[name_b], alpha=alpha, method=method)
+            res = compose.correlate_views(views[name_a], views[name_b], alpha=alpha)
         except compose.UndefinedCorrelationError as exc:
             res = compose.CorrelationResult(
                 rho=float("nan"), p_value=float("nan"), n=0, decision=f"undefined: {exc}"
@@ -436,8 +444,7 @@ def cmd_classify(ctx: RunContext) -> None:
     suite_b_tags = ctx.getlist("classify", "suite_b_tags", "N+T+E")
     cme_sets = {}
     for tag in dict.fromkeys(suite_a_tags + suite_b_tags):
-        path = ctx.require(ctx.run_dir / "compose" / _view_filename(tag), "compose")
-        cme_sets[tag] = _load_view(path, tag)
+        cme_sets[tag] = _load_view(ctx, ctx.run_dir / "compose" / _view_filename(tag), tag, "compose")
 
     split_seed = ctx.seed + ctx.getint("classify", "seed_offset", 0)
     smote_config = classify.SMOTEConfig(
@@ -446,7 +453,6 @@ def cmd_classify(ctx: RunContext) -> None:
         duplicate_singletons=ctx.getbool("classify", "smote_duplicate_singletons", False),
     )
     classifier_config = classify.ClassifierConfig(
-        family=ctx.get("classify", "family", "multinomial-logistic"),
         learning_rate=ctx.getfloat("classify", "learning_rate", 0.5),
         l2_penalty=ctx.getfloat("classify", "l2_penalty", 1e-3),
         epochs=ctx.getint("classify", "epochs", 300),

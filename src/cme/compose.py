@@ -151,14 +151,11 @@ def correlate_views(
     a: ViewEmbeddingSet,
     b: ViewEmbeddingSet,
     alpha: float = 0.01,
-    method: str = "flatten",
 ) -> CorrelationResult:
     """Spearman correlation between two views over their shared users.
 
-    "flatten" (default) pairs every (user, component) value of one view
-    with the same position in the other, so n = shared_users * dimension.
-    "per_user_mean" instead averages one rho per shared user; its n is the
-    user count and its p-value is not meaningful, so it is reported as nan.
+    Every (user, component) value of one view is paired with the same
+    position in the other, so n = shared_users * dimension.
     """
     shared = sorted(
         u
@@ -170,27 +167,9 @@ def correlate_views(
             f"views {a.name!r} and {b.name!r} share only {len(shared)} users with vectors"
         )
 
-    if method == "flatten":
-        xs = np.concatenate([a.vectors[u] for u in shared])
-        ys = np.concatenate([b.vectors[u] for u in shared])
-        return spearman(xs, ys, alpha=alpha)
-    if method == "per_user_mean":
-        rhos = []
-        for u in shared:
-            try:
-                rhos.append(spearman(a.vectors[u], b.vectors[u], alpha=alpha).rho)
-            except UndefinedCorrelationError:
-                continue
-        if not rhos:
-            raise UndefinedCorrelationError("no user had non-constant vectors in both views")
-        mean_rho = float(np.mean(rhos))
-        return CorrelationResult(
-            rho=mean_rho,
-            p_value=float("nan"),
-            n=len(rhos),
-            decision=f"mean per-user rho={mean_rho:.4f} over {len(rhos)} users (no test)",
-        )
-    raise ValueError(f"unknown method {method!r}")
+    xs = np.concatenate([a.vectors[u] for u in shared])
+    ys = np.concatenate([b.vectors[u] for u in shared])
+    return spearman(xs, ys, alpha=alpha)
 
 
 def _pairwise_sum(rows: list[np.ndarray]) -> np.ndarray:
@@ -219,17 +198,12 @@ def compose_add(vectors: Sequence[Optional[np.ndarray]], tag: str = "custom") ->
     return CMEVector(tag=tag, vector=_pairwise_sum(ordered))
 
 
-def resolve_tag(tag: str, constituents: Optional[Sequence[str]] = None) -> tuple[str, ...]:
+def resolve_tag(tag: str) -> tuple[str, ...]:
     """Map a composition tag to its constituent view names.
 
-    Canonical tags come from the registry; anything else must either come
-    with an explicit constituent list or be a '+'-joined list of view names.
+    Canonical tags come from the registry; anything else must be a
+    '+'-joined list of view names.
     """
-    if constituents:
-        unknown = [v for v in constituents if v not in VIEW_NAMES]
-        if unknown:
-            raise CompositionError(f"unknown view names {unknown} for tag {tag!r}")
-        return tuple(constituents)
     if tag in COMPOSITION_TAGS:
         return COMPOSITION_TAGS[tag]
     parts = tuple(p.strip() for p in tag.split("+"))
@@ -243,8 +217,6 @@ def resolve_tag(tag: str, constituents: Optional[Sequence[str]] = None) -> tuple
 def build_cme(
     views: Mapping[str, ViewEmbeddingSet],
     tag: str,
-    constituents: Optional[Sequence[str]] = None,
-    users: Optional[Sequence[str]] = None,
 ) -> ViewEmbeddingSet:
     """Compose per-user vectors for every user covered by the constituents.
 
@@ -253,19 +225,14 @@ def build_cme(
     kept in sentinel_counts on the returned set, since silently zeroed
     views can bias classes.
     """
-    names = resolve_tag(tag, constituents)
+    names = resolve_tag(tag)
     missing = [name for name in names if name not in views]
     if missing:
         raise CompositionError(
             f"composition {tag!r} needs views {missing} which have not been built"
         )
     parts = [views[name] for name in names]
-
-    if users is None:
-        pool: set[str] = set()
-        for part in parts:
-            pool.update(part.vectors.keys())
-        users = sorted(pool)
+    users = sorted({user for part in parts for user in part.vectors})
 
     sentinel_counts = {name: 0 for name in names}
     composed: dict[str, Optional[np.ndarray]] = {}

@@ -1,6 +1,6 @@
 """Data model and ingestion for users, tweets, interactions, and labels.
 
-Canonical on-disk layout (see SCHEMA.md at the repo root):
+Canonical on-disk layout:
 
 - ``users.jsonl``        one JSON object per line:
                          user_id, name, screen_name, description,
@@ -106,12 +106,6 @@ class LabeledDataset:
 
     def labels(self) -> dict[str, ClassLabel]:
         return {u.user_id: u.label for u in self.users if u.label is not None}
-
-    def user(self, user_id: str) -> UserRecord:
-        for u in self.users:
-            if u.user_id == user_id:
-                return u
-        raise KeyError(user_id)
 
     def recount_labels(self) -> dict[ClassLabel, int]:
         """Independent recount, used to assert the class_counts invariant."""

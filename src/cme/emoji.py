@@ -9,7 +9,7 @@ that emoji's senses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,7 +23,6 @@ from .wemodel import WEModel, view_embedding
 class EmojiSenseEntry:
     emoji: str
     keywords: list[str]
-    senses: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.keywords:
@@ -31,7 +30,7 @@ class EmojiSenseEntry:
 
 
 def load_emoji_lexicon(path=None) -> dict[str, EmojiSenseEntry]:
-    """Load emoji TAB comma-separated-keywords [TAB comma-separated-senses].
+    """Load emoji TAB comma-separated-keywords; further columns are ignored.
 
     Defaults to the small lexicon shipped with the package.
     """
@@ -45,8 +44,7 @@ def load_emoji_lexicon(path=None) -> dict[str, EmojiSenseEntry]:
         if len(parts) < 2:
             raise ValueError(f"{path}: malformed lexicon line {line!r}")
         keywords = [k.strip() for k in parts[1].split(",") if k.strip()]
-        senses = [s.strip() for s in parts[2].split(",")] if len(parts) > 2 else []
-        lexicon[parts[0]] = EmojiSenseEntry(emoji=parts[0], keywords=keywords, senses=senses)
+        lexicon[parts[0]] = EmojiSenseEntry(emoji=parts[0], keywords=keywords)
     return lexicon
 
 

@@ -2,25 +2,25 @@
 
 Profile pictures are turned into word tags by an external vision service.
 The live client speaks a minimal JSON protocol (POST {"image_ref": ...},
-response {"tags": [...], "confidences": [...]}) and caches every answer on
-disk keyed by the image reference, so reruns never re-bill the service.
-Fixture mode reads the same tags from a local TSV and needs no network;
-it is the default for tests and synthetic runs.
+response {"tags": [...], "confidences": [...]}) over the standard
+library's urllib, imported only when a live request is made, and caches
+every answer on disk keyed by the image reference, so reruns never re-bill
+the service. Fixture mode reads the same tags from a local TSV and needs
+no network; it is the default for tests and synthetic runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import requests
 
 from .wemodel import WEModel, view_embedding
 
@@ -60,7 +60,6 @@ class TagClientConfig:
     credential_env: str = "IMAGE_TAG_API_KEY"
     retries: int = 2
     timeout: float = 10.0
-    rate_limit: Optional[float] = None  # max requests per second
     concurrency: int = 4
     confidence_threshold: float = 0.5
     cache_dir: Optional[str] = None
@@ -91,8 +90,6 @@ class ImageTagClient:
         self.config = config
         self._fixtures: Optional[dict[str, ImageTagResult]] = None
         self._cache_lock = threading.Lock()
-        self._rate_lock = threading.Lock()
-        self._last_request = 0.0
         if config.mode == "fixture":
             if not config.fixture_path:
                 raise TagServiceError("fixture mode requires fixture_path")
@@ -141,36 +138,26 @@ class ImageTagClient:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
-    def _throttle(self) -> None:
-        if not self.config.rate_limit:
-            return
-        interval = 1.0 / self.config.rate_limit
-        with self._rate_lock:
-            wait = self._last_request + interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
-
     def _request_live(self, image_ref: str) -> ImageTagResult:
-        import os
+        # imported here so the fixture-mode run path never loads an HTTP client
+        import http.client
+        import urllib.error
+        import urllib.request
 
-        headers = {}
+        headers = {"Content-Type": "application/json"}
         credential = os.environ.get(self.config.credential_env)
         if credential:
             headers["Authorization"] = f"Bearer {credential}"
+        body = json.dumps({"image_ref": image_ref}).encode("utf-8")
         attempts = self.config.retries + 1
         last_error: Optional[Exception] = None
         for _attempt in range(attempts):
-            self._throttle()
             try:
-                response = requests.post(
-                    self.config.endpoint,
-                    json={"image_ref": image_ref},
-                    headers=headers,
-                    timeout=self.config.timeout,
+                request = urllib.request.Request(
+                    self.config.endpoint, data=body, headers=headers, method="POST"
                 )
-                response.raise_for_status()
-                payload = response.json()
+                with urllib.request.urlopen(request, timeout=self.config.timeout) as response:
+                    payload = json.loads(response.read())
                 tags = [str(t) for t in payload.get("tags", [])]
                 confidences = payload.get("confidences")
                 if confidences is not None:
@@ -178,7 +165,10 @@ class ImageTagClient:
                 if not tags:
                     raise TagServiceError(f"service returned no tags for {image_ref!r}")
                 return ImageTagResult(image_ref, tags, confidences)
-            except (requests.RequestException, ValueError) as exc:
+            except urllib.error.HTTPError as exc:
+                exc.close()  # the error object holds the open response
+                last_error = exc
+            except (OSError, ValueError, http.client.HTTPException) as exc:
                 last_error = exc
         raise TransportError(f"tagging {image_ref!r} failed: {last_error}", attempts)
 
@@ -206,11 +196,6 @@ class ImageTagClient:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(self.tag_image, refs))
         return {r.image_ref: r for r in results}
-
-
-def tag_image(image_ref: str, client_config: TagClientConfig) -> ImageTagResult:
-    """One-shot convenience wrapper around ImageTagClient."""
-    return ImageTagClient(client_config).tag_image(image_ref)
 
 
 def profile_image_embedding(tags: Sequence[str], people_model: WEModel) -> Optional[np.ndarray]:

@@ -30,6 +30,9 @@ from .corpus import InteractionRecord
 
 logger = logging.getLogger(__name__)
 
+# "paper" mode refuses to divide by a singular value at or below this
+SIGMA_TOLERANCE = 1e-12
+
 
 @dataclass
 class InteractionMatrix:
@@ -202,23 +205,22 @@ def network_embedding(
     mode: str = "paper",
     row_ids: Optional[Sequence[str]] = None,
     zero_rows: Optional[Sequence[int]] = None,
-    sigma_tolerance: float = 1e-12,
 ) -> NetworkEmbedding:
     """Fold the factors into per-user rows.
 
     mode "paper" divides each component by its singular value (requires
-    every retained value above sigma_tolerance); mode "conventional"
+    every retained value above SIGMA_TOLERANCE); mode "conventional"
     multiplies instead.
     """
     if mode not in ("paper", "conventional"):
         raise ValueError(f"unknown mode {mode!r} (expected 'paper' or 'conventional')")
     sigma = np.asarray(factors.sigma, dtype=np.float64)
     if mode == "paper":
-        bad = np.nonzero(sigma <= sigma_tolerance)[0]
+        bad = np.nonzero(sigma <= SIGMA_TOLERANCE)[0]
         if bad.size:
             raise ValueError(
                 f"singular value at index {int(bad[0])} is {sigma[int(bad[0])]:.3g} "
-                f"<= tolerance {sigma_tolerance:.3g}; cannot divide (drop it or use "
+                f"<= tolerance {SIGMA_TOLERANCE:.3g}; cannot divide (drop it or use "
                 f"mode='conventional')"
             )
         matrix = factors.u / sigma

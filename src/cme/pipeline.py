@@ -39,24 +39,23 @@ def prepare_users(
     lemma_table: dict[str, str],
     keep_hashtag_body: bool = True,
 ) -> dict[str, PreparedUser]:
-    """Extract entities and clean tokens for every user's text."""
+    """Extract emoji and clean tokens for every user's text."""
     prepared: dict[str, PreparedUser] = {}
     for user in dataset.users:
         rec = PreparedUser(user_id=user.user_id)
-        entities, residual = extract_entities(user.description)
+        rec.desc_emoji, residual = extract_entities(user.description)
         rec.desc_tokens = lemmatize(
             clean_tokens(residual, stopwords, keep_hashtag_body), lemma_table
         )
-        rec.desc_emoji = entities.emoji
         for tweet in dataset.tweets_by_author.get(user.user_id, []):
-            t_entities, t_residual = extract_entities(tweet.raw_text)
+            t_emoji, t_residual = extract_entities(tweet.raw_text)
             tokens = lemmatize(
                 clean_tokens(t_residual, stopwords, keep_hashtag_body), lemma_table
             )
             if tokens:
                 rec.tweet_sentences.append(tokens)
             rec.tweet_tokens.extend(tokens)
-            rec.tweet_emoji.extend(t_entities.emoji)
+            rec.tweet_emoji.extend(t_emoji)
         prepared[user.user_id] = rec
     return prepared
 
@@ -195,9 +194,8 @@ def run_experiment(
     seed: int = 0,
     smote_config: Optional[classify.SMOTEConfig] = None,
     classifier_config: Optional[classify.ClassifierConfig] = None,
-    standardize: bool = True,
 ) -> ExperimentResult:
-    """Split, oversample the training fold, train, and evaluate one setting."""
+    """Split, oversample the training fold, standardize, train, and evaluate one setting."""
     users = [u for u in users if u in labels_by_user]
     matrix = classify.feature_matrix_from_view(feature_view, users)
     y = [labels_by_user[u] for u in matrix.user_ids]
@@ -209,9 +207,7 @@ def run_experiment(
 
     smote_config = smote_config or classify.SMOTEConfig(seed=seed)
     x_train, y_train = classify.smote(x_train, y_train, smote_config)
-
-    if standardize:
-        x_train, x_test = _standardize(x_train, x_test)
+    x_train, x_test = _standardize(x_train, x_test)
 
     classifier_config = classifier_config or classify.ClassifierConfig(seed=seed)
     model = classify.train_classifier(x_train, y_train, classifier_config)

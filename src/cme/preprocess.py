@@ -1,8 +1,9 @@
-"""Text cleanup and entity extraction for tweets and profile descriptions.
+"""Text cleanup and emoji extraction for tweets and profile descriptions.
 
-Splits raw text into (entities, residual): URLs, @-mentions, a leading
-retweet marker, contact info, and emoji are pulled out first, then the
-residual is tokenized, filtered, and lemmatized.
+extract_entities removes a leading retweet marker, URLs, contact info
+(e-mail, web addresses, phone numbers) and @-mentions, then pulls out the
+emoji; it returns the emoji and the residual text. The residual is then
+tokenized, filtered, and lemmatized.
 
 Two reading notes that differ from naive expectations:
 
@@ -17,10 +18,9 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 _RT_RE = re.compile(r"^\s*RT\s+@(\w+):?\s*", re.IGNORECASE)
 _URL_RE = re.compile(r"\bhttps?://[^\s]+", re.IGNORECASE)
@@ -30,43 +30,8 @@ _WEB_RE = re.compile(r"\bwww\.[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+(?:/[^\s]*)?", re
 _PHONE_RE = re.compile(r"(?:\+\d{1,3}[ .-]?)?(?:\(\d{3}\)\s?|\b\d{3}[ .-])\d{3}[ .-]\d{4}\b")
 _MENTION_RE = re.compile(r"@(\w+)")
 
-_ZWJ = 0x200D
-_VARIATION_SELECTORS = (0xFE0E, 0xFE0F)
-_SKIN_TONES = range(0x1F3FB, 0x1F3FF + 1)
-_REGIONAL_INDICATORS = range(0x1F1E6, 0x1F1FF + 1)
-_KEYCAP = 0x20E3
-_KEYCAP_BASES = set("#*0123456789")
-
 # edge punctuation stripped from tokens; includes common unicode quotes/dashes
 _EDGE_PUNCT = string.punctuation + "‘’“”…«»–—"
-
-
-@dataclass
-class ContactInfo:
-    phones: list[str] = field(default_factory=list)
-    emails: list[str] = field(default_factory=list)
-    web_addresses: list[str] = field(default_factory=list)
-
-    def is_empty(self) -> bool:
-        return not (self.phones or self.emails or self.web_addresses)
-
-
-@dataclass
-class ExtractedEntities:
-    urls: list[str] = field(default_factory=list)
-    mentions: list[str] = field(default_factory=list)
-    retweet_source: Optional[str] = None
-    emoji: list[str] = field(default_factory=list)
-    contacts: ContactInfo = field(default_factory=ContactInfo)
-
-    def is_empty(self) -> bool:
-        return (
-            not self.urls
-            and not self.mentions
-            and self.retweet_source is None
-            and not self.emoji
-            and self.contacts.is_empty()
-        )
 
 
 def _data_path(name: str) -> Path:
@@ -99,116 +64,48 @@ def load_lemma_table(path=None) -> dict[str, str]:
     return table
 
 
-def load_name_lexicon(path=None) -> set[str]:
-    """Person first/last name set, case-folded."""
-    path = path or _data_path("name_lexicon.txt")
-    return {w.casefold() for w in _read_word_lines(path)}
+def _emoji_regex() -> re.Pattern:
+    """One emoji unit: a base from emoji_ranges.tsv plus everything attached to it.
 
-
-def _load_emoji_ranges() -> list[tuple[int, int]]:
-    ranges = []
-    for line in _read_word_lines(_data_path("emoji_ranges.tsv")):
-        parts = line.split("\t")
-        ranges.append((int(parts[0], 16), int(parts[1], 16)))
-    ranges.sort()
-    return ranges
-
-
-_EMOJI_RANGES = _load_emoji_ranges()
-
-
-def _is_emoji_codepoint(cp: int) -> bool:
-    for lo, hi in _EMOJI_RANGES:
-        if lo <= cp <= hi:
-            return True
-        if cp < lo:
-            return False
-    return False
-
-
-def _extract_emoji(text: str) -> tuple[list[str], str]:
-    """Pull emoji sequences out of text.
-
-    ZWJ sequences, variation selectors, skin tones, keycaps, and regional
-    indicator pairs stay attached to their base so each emoji is one unit.
-    Removed emoji leave a space so the surrounding fragments never merge
-    into a new extractable pattern.
+    A unit starts with a regional-indicator pair (a flag), a base code
+    point, or a keycap base (#, *, 0-9) followed by an optional variation
+    selector and U+20E3. Any run of variation selectors, skin tones, U+20E3
+    and ZWJ-plus-base stays attached, so each emoji is one unit.
     """
-    found: list[str] = []
-    kept: list[str] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        cp = ord(text[i])
-        is_base = _is_emoji_codepoint(cp)
-        is_keycap = (
-            text[i] in _KEYCAP_BASES
-            and i + 1 < n
-            and (ord(text[i + 1]) == _KEYCAP or (ord(text[i + 1]) in _VARIATION_SELECTORS
-                                                 and i + 2 < n and ord(text[i + 2]) == _KEYCAP))
-        )
-        if not (is_base or is_keycap):
-            kept.append(text[i])
-            i += 1
-            continue
+    spans = []
+    for line in _read_word_lines(_data_path("emoji_ranges.tsv")):
+        lo, hi = line.split("\t")[:2]
+        spans.append(f"\\U{int(lo, 16):08X}-\\U{int(hi, 16):08X}")
+    base = f"[{''.join(spans)}]"
+    flag = "[\\U0001F1E6-\\U0001F1FF]{2}"
+    keycap = "[#*0-9](?=[\\uFE0E\\uFE0F]?\\u20E3)"
+    attached = f"(?:[\\uFE0E\\uFE0F\\U0001F3FB-\\U0001F3FF\\u20E3]|\\u200D{base})"
+    return re.compile(f"(?:{flag}|{base}|{keycap}){attached}*")
 
-        start = i
-        i += 1
-        while i < n:
-            cp2 = ord(text[i])
-            if cp2 in _VARIATION_SELECTORS or cp2 in _SKIN_TONES or cp2 == _KEYCAP:
-                i += 1
-            elif cp2 == _ZWJ and i + 1 < n and _is_emoji_codepoint(ord(text[i + 1])):
-                i += 2
-            elif (
-                cp in _REGIONAL_INDICATORS
-                and cp2 in _REGIONAL_INDICATORS
-                and i == start + 1
-            ):
-                i += 1  # flag = exactly two regional indicators
-            else:
-                break
-        found.append(text[start:i])
-        kept.append(" ")
-    return found, "".join(kept)
+
+_EMOJI_RE = _emoji_regex()
 
 
 def _squash_whitespace(text: str) -> str:
     return " ".join(text.split())
 
 
-def extract_entities(raw_text: str) -> tuple[ExtractedEntities, str]:
-    """Split raw text into extracted entities and residual text.
+def extract_entities(raw_text: str) -> tuple[list[str], str]:
+    """Split raw text into its emoji and the residual text.
 
-    Extraction is pattern-exhaustive and idempotent on its own residual:
-    running it again on the residual finds nothing and changes nothing.
+    The retweet marker, URLs, e-mails, web addresses, phone numbers and
+    mentions are removed first, then each emoji unit. Removed spans leave
+    a space so the surrounding fragments never merge into a new
+    extractable pattern. Extraction is idempotent on its own residual:
+    running it again finds no emoji and returns the same residual.
     """
-    entities = ExtractedEntities()
-    text = raw_text or ""
-
-    match = _RT_RE.match(text)
-    if match:
-        entities.retweet_source = match.group(1)
-        text = text[match.end():]
-
-    entities.urls = _URL_RE.findall(text)
-    text = _URL_RE.sub(" ", text)
-
-    entities.contacts.emails = _EMAIL_RE.findall(text)
-    text = _EMAIL_RE.sub(" ", text)
-
-    entities.contacts.web_addresses = _WEB_RE.findall(text)
-    text = _WEB_RE.sub(" ", text)
-
-    entities.contacts.phones = [m.strip() for m in _PHONE_RE.findall(text)]
-    text = _PHONE_RE.sub(" ", text)
-
-    entities.mentions = _MENTION_RE.findall(text)
-    text = _MENTION_RE.sub(" ", text)
-
-    entities.emoji, text = _extract_emoji(text)
-
-    return entities, _squash_whitespace(text)
+    text = _RT_RE.sub("", raw_text or "", count=1)
+    for pattern in (_URL_RE, _EMAIL_RE, _WEB_RE, _PHONE_RE, _MENTION_RE):
+        text = pattern.sub(" ", text)
+    emoji = _EMOJI_RE.findall(text)
+    if emoji:
+        text = _EMOJI_RE.sub(" ", text)
+    return emoji, _squash_whitespace(text)
 
 
 def clean_tokens(
@@ -242,12 +139,3 @@ def clean_tokens(
 def lemmatize(tokens: list[str], lemma_table: Mapping[str, str]) -> list[str]:
     """Replace each token by its lemma when the table has one."""
     return [lemma_table.get(tok, tok) for tok in tokens]
-
-
-def match_person_name(name: str, lexicon: Iterable[str]) -> bool:
-    """True iff any whitespace-separated component of name is in the lexicon."""
-    lexset = lexicon if isinstance(lexicon, (set, frozenset)) else set(lexicon)
-    for part in (name or "").split():
-        if part.strip(_EDGE_PUNCT).casefold() in lexset:
-            return True
-    return False

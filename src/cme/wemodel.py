@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,11 +54,10 @@ class TrainingConfig:
 
 @dataclass
 class WEModel:
-    """Vocabulary -> vector map with its training configuration."""
+    """Vocabulary -> vector map; words lists the vocabulary in row order."""
 
     vocabulary: dict[str, int]
     vectors: np.ndarray
-    config: Optional[TrainingConfig] = None
     words: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -160,7 +159,7 @@ def train_skipgram(sentences: Sequence[Sequence[str]], config: Optional[Training
 
     if not np.all(np.isfinite(vecs_in)):
         raise TrainingError("training diverged: non-finite vectors")
-    return WEModel(vocabulary=vocab, vectors=vecs_in, config=config)
+    return WEModel(vocabulary=vocab, vectors=vecs_in)
 
 
 def _train_pass(encoded, vecs_in, vecs_out, noise_cdf, keep_prob, rng, config, total_words):

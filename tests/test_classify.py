@@ -196,12 +196,6 @@ class TestClassifier:
         m2 = train_classifier(X, y, ClassifierConfig(epochs=100, seed=5))
         assert np.array_equal(m1.weights, m2.weights)
 
-    def test_linear_margin_family(self):
-        X, y = self._separable(seed=6)
-        model = train_classifier(X, y, ClassifierConfig(family="linear-margin", epochs=300))
-        accuracy = np.mean([p == g for p, g in zip(predict(model, X), y)])
-        assert accuracy >= 0.95
-
     def test_three_class_labels_enum_order(self):
         rng = np.random.default_rng(7)
         X = np.vstack([rng.normal(c * 3, 0.3, (10, 2)) for c in range(3)])

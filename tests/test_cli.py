@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cme
 from cme.cli import main
 from cme.emoji import load_emoji_lexicon
 
@@ -80,15 +84,19 @@ class TestFullChain:
             ("train_we", "workers = 4"),
             ("netembed", "normalize_before_cosine = false"),
             ("classify", "epoch = 3"),
+            ("classify", "family = linear-margin"),
+            ("correlate", "method = per_user_mean"),
         ],
-        ids=["removed-key", "removed-knob", "misspelt-key"],
+        ids=["removed-key", "removed-knob", "misspelt-key", "removed-family", "removed-method"],
     )
     def test_unknown_config_key_is_error(self, tmp_path, capsys, section, line):
         cfg = Path(_config(tmp_path))
-        cfg.write_text(
-            cfg.read_text(encoding="utf-8").replace(f"[{section}]\n", f"[{section}]\n{line}\n"),
-            encoding="utf-8",
-        )
+        text, header = cfg.read_text(encoding="utf-8"), f"[{section}]\n"
+        if header in text:
+            text = text.replace(header, f"{header}{line}\n")
+        else:
+            text += f"{header}{line}\n"
+        cfg.write_text(text, encoding="utf-8")
         assert main(["run", "--config", str(cfg)]) == 1
         assert f"{section}.{line.split()[0]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -102,6 +110,38 @@ class TestFullChain:
         cfg = _config(tmp_path, extra="[netembed]\nk = 3\n")
         assert main(["run", "--config", cfg]) == 1
         assert "netembed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, artifact",
+        [("classify", "compose/T_D.words"), ("compose", "views/Tweet.npy")],
+        ids=["missing-words", "truncated-npy"],
+    )
+    def test_broken_artifact_is_one_line_error(self, tmp_path, capsys, stage, artifact):
+        cfg = _config(tmp_path)
+        assert main(["run", "--config", cfg]) == 0
+        path = _run_dir(tmp_path) / artifact
+        if path.suffix == ".words":
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes()[:10])
+        capsys.readouterr()
+        assert main([stage, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert path.name in err
+        assert "Traceback" not in err
+
+    def test_import_loads_no_http_client(self):
+        # the live image client imports urllib lazily; a top-level HTTP import costs ~4 MB RSS per run
+        code = (
+            "import sys, cme.cli; "
+            "print(sorted(m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cme.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestDeterminismAndAddressing:

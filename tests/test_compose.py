@@ -183,12 +183,6 @@ class TestCorrelateViews:
         assert hits <= 5
         assert worst < 0.2
 
-    def test_per_user_mean_method(self):
-        view = self._random_view("Tweet", 7, users=8, dim=6)
-        res = correlate_views(view, view, method="per_user_mean")
-        assert res.rho == pytest.approx(1.0, abs=1e-12)
-        assert res.n == 8
-
 
 class TestComposeAdd:
     def test_additive_identity(self):

@@ -12,7 +12,6 @@ from cme.imagetags import (
     TransportError,
     load_fixture,
     profile_image_embedding,
-    tag_image,
 )
 from cme.wemodel import view_embedding
 
@@ -31,7 +30,8 @@ def fixture_path(tmp_path):
 
 class TestFixtureMode:
     def test_lookup(self, fixture_path):
-        result = tag_image("img1", TagClientConfig(mode="fixture", fixture_path=fixture_path))
+        client = ImageTagClient(TagClientConfig(mode="fixture", fixture_path=fixture_path))
+        result = client.tag_image("img1")
         assert result.tags == ["person", "smile"]
 
     def test_miss_is_an_error(self, fixture_path):
@@ -84,13 +84,26 @@ class _TagHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def live_server():
-    server = HTTPServer(("127.0.0.1", 0), _TagHandler)
+class _FailingHandler(_TagHandler):
+    def do_POST(self):
+        self.send_response(503)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
+def _serve(handler):
+    server = HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/tag"
+    return server, f"http://127.0.0.1:{server.server_port}/tag"
+
+
+@pytest.fixture
+def live_server():
+    server, url = _serve(_TagHandler)
+    yield url
     server.shutdown()
+    server.server_close()
 
 
 class TestLiveMode:
@@ -102,6 +115,17 @@ class TestLiveMode:
         with pytest.raises(TransportError) as err:
             client.tag_image("img1")
         assert err.value.attempts == 3  # retries + 1
+
+    def test_error_status_is_transport_error(self):
+        server, url = _serve(_FailingHandler)
+        try:
+            client = ImageTagClient(TagClientConfig(mode="live", endpoint=url, retries=1))
+            with pytest.raises(TransportError, match="503") as err:
+                client.tag_image("img1")
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert err.value.attempts == 2
 
     def test_live_request_parses_and_filters(self, live_server):
         config = TagClientConfig(

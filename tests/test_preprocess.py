@@ -7,68 +7,76 @@ from cme.preprocess import (
     extract_entities,
     lemmatize,
     load_lemma_table,
-    load_name_lexicon,
     load_stopwords,
-    match_person_name,
 )
 
 
 class TestExtractEntities:
     def test_retweet_url_emoji(self):
-        entities, residual = extract_entities("RT @acme: buy now https://a.b 🌿")
-        assert entities.retweet_source == "acme"
-        assert entities.urls == ["https://a.b"]
-        assert entities.emoji == ["🌿"]
+        emoji, residual = extract_entities("RT @acme: buy now https://a.b 🌿")
+        assert emoji == ["🌿"]
         assert residual == "buy now"
 
     def test_plain_text_passes_through(self):
-        entities, residual = extract_entities("hello world")
-        assert entities.is_empty()
+        emoji, residual = extract_entities("hello world")
+        assert emoji == []
         assert residual == "hello world"
 
     def test_email_and_phone(self):
-        entities, residual = extract_entities("mail me a@b.co or call 555-123-4567")
-        assert entities.contacts.emails == ["a@b.co"]
-        assert entities.contacts.phones == ["555-123-4567"]
-        assert "a@b.co" not in residual and "555" not in residual
+        emoji, residual = extract_entities("mail me a@b.co or call 555-123-4567")
+        assert emoji == []
+        assert residual == "mail me or call"
 
     def test_mentions_extracted_without_at(self):
-        entities, residual = extract_entities("hey @friend and @other_1")
-        assert entities.mentions == ["friend", "other_1"]
+        _, residual = extract_entities("hey @friend and @other_1")
         assert residual == "hey and"
 
     def test_web_address_in_contacts(self):
-        entities, _ = extract_entities("visit www.green-leaf.example/shop today")
-        assert entities.contacts.web_addresses == ["www.green-leaf.example/shop"]
+        _, residual = extract_entities("visit www.green-leaf.example/shop today")
+        assert residual == "visit today"
 
     def test_zwj_sequence_is_one_emoji(self):
-        entities, residual = extract_entities("family 👩‍👩‍👧 time")
-        assert entities.emoji == ["👩‍👩‍👧"]
+        emoji, residual = extract_entities("family 👩‍👩‍👧 time")
+        assert emoji == ["👩‍👩‍👧"]
         assert residual == "family time"
 
     def test_skin_tone_stays_attached(self):
-        entities, _ = extract_entities("wave 👋🏽")
-        assert entities.emoji == ["👋🏽"]
+        emoji, _ = extract_entities("wave 👋🏽")
+        assert emoji == ["👋🏽"]
 
     def test_flag_pair_is_one_emoji(self):
-        entities, _ = extract_entities("go 🇺🇸 go")
-        assert entities.emoji == ["🇺🇸"]
+        emoji, _ = extract_entities("go 🇺🇸 go")
+        assert emoji == ["🇺🇸"]
+
+    @pytest.mark.parametrize(
+        "text, emoji, residual",
+        [
+            ("key #\ufe0f\u20e3 pad", ["#\ufe0f\u20e3"], "key pad"),
+            ("key 1\u20e3 pad", ["1\u20e3"], "key pad"),
+            ("tone \U0001F3FD only", ["\U0001F3FD"], "tone only"),
+            # a selector between the indicators ends the first unit: two units, no flag
+            ("go \U0001F1FA\ufe0f\U0001F1F8 go", ["\U0001F1FA\ufe0f", "\U0001F1F8"], "go go"),
+            # a joiner attaches only a following emoji base
+            ("ok \U0001F44D\u200dx", ["\U0001F44D"], "ok \u200dx"),
+            ("\u00a9 2024 acme", ["\u00a9"], "2024 acme"),
+        ],
+        ids=["keycap-selector", "keycap-bare", "lone-skin-tone", "split-flag", "zwj-non-emoji", "copyright"],
+    )
+    def test_emoji_units(self, text, emoji, residual):
+        assert extract_entities(text) == (emoji, residual)
 
     def test_idempotent_on_residual(self):
         text = "RT @a: see https://x.y mail z@q.io call 555-123-4567 @b 🌿 plain"
-        entities, residual = extract_entities(text)
-        assert not entities.is_empty()
-        second, residual2 = extract_entities(residual)
-        assert second.is_empty()
-        assert residual2 == residual
+        emoji, residual = extract_entities(text)
+        assert emoji == ["🌿"]
+        assert residual == "see mail call plain"
+        assert extract_entities(residual) == ([], residual)
 
     @settings(max_examples=80, deadline=None)
     @given(st.text(min_size=0, max_size=120))
     def test_idempotence_property(self, text):
         _, residual = extract_entities(text)
-        second, residual2 = extract_entities(residual)
-        assert second.is_empty()
-        assert residual2 == residual
+        assert extract_entities(residual) == ([], residual)
 
 
 class TestCleanTokens:
@@ -116,21 +124,6 @@ class TestLemmatize:
         assert lemmatize(once, table) == once
 
 
-class TestMatchPersonName:
-    def test_component_hit(self):
-        assert match_person_name("John Smith", {"john"}) is True
-
-    def test_business_name_misses(self):
-        lexicon = load_name_lexicon()
-        assert match_person_name("GreenLeaf Dispensary", lexicon) is False
-
-    def test_empty_name(self):
-        assert match_person_name("", {"john"}) is False
-
-    def test_case_folding_and_punctuation(self):
-        assert match_person_name("SMITH, Jane", {"smith"}) is True
-
-
 class TestDataFiles:
     def test_default_stopwords_load(self):
         stop = load_stopwords()
@@ -139,7 +132,3 @@ class TestDataFiles:
     def test_default_lemma_table_loads(self):
         table = load_lemma_table()
         assert table["dogs"] == "dog"
-
-    def test_default_name_lexicon_loads(self):
-        lexicon = load_name_lexicon()
-        assert "john" in lexicon and "smith" in lexicon

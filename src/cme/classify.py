@@ -24,6 +24,10 @@ class ClassifierError(Exception):
     """Training or prediction cannot proceed on the given inputs."""
 
 
+# training stops once one epoch changes the loss by at most this, relative to max(1, loss)
+TOLERANCE = 1e-9
+
+
 @dataclass
 class SMOTEConfig:
     k_neighbors: int = 5
@@ -41,8 +45,6 @@ class ClassifierConfig:
     learning_rate: float = 0.5
     l2_penalty: float = 1e-3
     epochs: int = 300
-    tolerance: float = 1e-9
-    seed: int = 0
 
 
 @dataclass
@@ -195,7 +197,7 @@ def train_classifier(
 
     Training uses gradient descent with step halving, so the recorded loss
     history is non-increasing; training stops when the loss change drops
-    below tolerance (converged) or the epoch budget runs out.
+    below TOLERANCE (converged) or the epoch budget runs out.
     """
     config = config or ClassifierConfig()
     feats = np.asarray(features, dtype=np.float64)
@@ -227,7 +229,7 @@ def train_classifier(
             step /= 2.0
         if not improved:
             break
-        converged = abs(loss - new_loss) <= config.tolerance * max(1.0, abs(loss))
+        converged = abs(loss - new_loss) <= TOLERANCE * max(1.0, abs(loss))
         weights, loss, grad = candidate, new_loss, new_grad
         history.append(loss)
         step = min(config.learning_rate, step * 2.0)

@@ -16,6 +16,10 @@ the next stage reads back exactly the bits that were written. Each stage
 also writes a meta.json summary. The one text model the CLI reads is an
 optional external [views] emoji_background_model in word2vec text layout.
 
+With [views] profile_images on, the views stage also reads the image tag
+file ([views] image_fixture, by default <corpus>/image_tags.tsv, which
+synth writes) and builds the ProfileImage view from it.
+
 The config file is flat INI with one section per stage; every key has a
 default, so a minimal config can be empty. CONFIG_KEYS lists every key the
 stages read; any other section or key is an error before anything runs.
@@ -33,9 +37,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classify, compose, corpus, pipeline, synth, wemodel
+from . import classify, compose, corpus, netembed, pipeline, synth, wemodel
 from .emoji import load_emoji_lexicon
-from .imagetags import ImageTagClient, TagClientConfig
+from .imagetags import MissingImageTagsError, load_image_tags
 from .preprocess import load_lemma_table, load_stopwords
 
 
@@ -71,8 +75,7 @@ CONFIG_KEYS = {
     },
     "views": {
         "emoji_lexicon", "emoji_background_model", "profile_images", "image_fixture",
-        "image_mode", "image_endpoint", "image_retries", "image_confidence_threshold",
-        "image_cache_dir",
+        "image_confidence_threshold",
     },
     "netembed": {"mode", "k"},
     "correlate": {"pairs", "alpha"},
@@ -127,14 +130,20 @@ class RunContext:
     def get(self, section: str, key: str, fallback=None):
         return self.parser.get(*self._read(section, key), fallback=fallback)
 
+    def _typed(self, parse, section: str, key: str, fallback):
+        try:
+            return parse(*self._read(section, key), fallback=fallback)
+        except ValueError as exc:
+            raise CLIError(f"{section}.{key}: {exc}") from None
+
     def getint(self, section: str, key: str, fallback: int) -> int:
-        return self.parser.getint(*self._read(section, key), fallback=fallback)
+        return self._typed(self.parser.getint, section, key, fallback)
 
     def getfloat(self, section: str, key: str, fallback: float) -> float:
-        return self.parser.getfloat(*self._read(section, key), fallback=fallback)
+        return self._typed(self.parser.getfloat, section, key, fallback)
 
     def getbool(self, section: str, key: str, fallback: bool) -> bool:
-        return self.parser.getboolean(*self._read(section, key), fallback=fallback)
+        return self._typed(self.parser.getboolean, section, key, fallback)
 
     def getlist(self, section: str, key: str, fallback: str) -> list[str]:
         raw = self.get(section, key, fallback)
@@ -321,6 +330,22 @@ def _load_models(ctx: RunContext) -> tuple[wemodel.WEModel, wemodel.WEModel]:
     )
 
 
+def _image_tags_path(ctx: RunContext) -> Path:
+    path = Path(ctx.get("views", "image_fixture") or ctx.corpus_dir() / "image_tags.tsv")
+    if not path.is_file():
+        raise CLIError(f"image tag file not found: {path} (set [views] image_fixture)")
+    return path
+
+
+def _load_image_tags(ctx: RunContext) -> dict[str, list[str]]:
+    path = _image_tags_path(ctx)
+    threshold = ctx.getfloat("views", "image_confidence_threshold", 0.5)
+    try:
+        return load_image_tags(path, threshold)
+    except ValueError as exc:
+        raise CLIError(f"unreadable image tag file {path}: {exc}") from None
+
+
 def cmd_views(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
     prepared = _load_prepared(ctx)
@@ -332,21 +357,7 @@ def cmd_views(ctx: RunContext) -> None:
     views = pipeline.build_text_views(prepared, content, people, lexicon, background)
 
     if ctx.getbool("views", "profile_images", False):
-        fixture = ctx.get("views", "image_fixture")
-        if not fixture:
-            default_fixture = ctx.corpus_dir() / "image_tags.tsv"
-            fixture = str(default_fixture) if default_fixture.exists() else None
-        client_config = TagClientConfig(
-            mode=ctx.get("views", "image_mode", "fixture"),
-            fixture_path=fixture,
-            endpoint=ctx.get("views", "image_endpoint"),
-            retries=ctx.getint("views", "image_retries", 2),
-            confidence_threshold=ctx.getfloat("views", "image_confidence_threshold", 0.5),
-            cache_dir=ctx.get("views", "image_cache_dir"),
-        )
-        views["ProfileImage"] = pipeline.build_image_view(
-            dataset, people, ImageTagClient(client_config)
-        )
+        views["ProfileImage"] = pipeline.build_image_view(dataset, people, _load_image_tags(ctx))
 
     out = ctx.stage_dir("views")
     meta = {}
@@ -373,8 +384,13 @@ def cmd_netembed(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
     dimension = ctx.getint("train_we", "dimension", 300)
     mode = ctx.get("netembed", "mode", "paper")
+    if mode not in netembed.MODES:
+        raise CLIError(f"netembed.mode must be one of {', '.join(netembed.MODES)}, got {mode!r}")
     k = ctx.getint("netembed", "k", 0) or None
-    view, embedding = pipeline.build_network_view(dataset, dimension, mode=mode, k=k)
+    try:
+        view, embedding = pipeline.build_network_view(dataset, dimension, mode=mode, k=k)
+    except ValueError as exc:
+        raise CLIError(f"netembed: {exc}") from None
     out = ctx.stage_dir("netembed")
     _save_view(view, out / _view_filename("Network"))
     _write_json(
@@ -456,14 +472,16 @@ def cmd_classify(ctx: RunContext) -> None:
         learning_rate=ctx.getfloat("classify", "learning_rate", 0.5),
         l2_penalty=ctx.getfloat("classify", "l2_penalty", 1e-3),
         epochs=ctx.getint("classify", "epochs", 300),
-        seed=split_seed,
     )
+    split_ratio = ctx.getfloat("classify", "split_ratio", 0.8)
+    if not 0.0 < split_ratio < 1.0:
+        raise CLIError(f"classify.split_ratio must be in (0, 1), got {split_ratio}")
     results = pipeline.run_suites(
         cme_sets,
         dataset,
         suite_a_tags=suite_a_tags,
         suite_b_tags=suite_b_tags,
-        split_ratio=ctx.getfloat("classify", "split_ratio", 0.8),
+        split_ratio=split_ratio,
         seed=split_seed,
         smote_config=smote_config,
         classifier_config=classifier_config,
@@ -560,6 +578,8 @@ def cmd_run(ctx: RunContext) -> None:
     stages = list(STAGE_ORDER)
     if ctx.get("corpus", "directory"):
         stages.remove("synth")
+        if ctx.getbool("views", "profile_images", False):
+            _image_tags_path(ctx)  # a missing tag file fails before the long stages
     for stage in stages:
         COMMANDS[stage](ctx)
 
@@ -581,7 +601,10 @@ def main(argv=None) -> int:
             cmd_run(ctx)
         else:
             COMMANDS[args.command](ctx)
-    except (CLIError, corpus.CorpusError, compose.CompositionError, classify.ClassifierError) as exc:
+    except (
+        CLIError, corpus.CorpusError, wemodel.TrainingError, MissingImageTagsError,
+        compose.CompositionError, classify.ClassifierError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -30,6 +30,9 @@ from .corpus import InteractionRecord
 
 logger = logging.getLogger(__name__)
 
+# how network_embedding folds the factors back: divide by sigma, or multiply
+MODES = ("paper", "conventional")
+
 # "paper" mode refuses to divide by a singular value at or below this
 SIGMA_TOLERANCE = 1e-12
 
@@ -212,8 +215,8 @@ def network_embedding(
     every retained value above SIGMA_TOLERANCE); mode "conventional"
     multiplies instead.
     """
-    if mode not in ("paper", "conventional"):
-        raise ValueError(f"unknown mode {mode!r} (expected 'paper' or 'conventional')")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r} (expected one of {MODES})")
     sigma = np.asarray(factors.sigma, dtype=np.float64)
     if mode == "paper":
         bad = np.nonzero(sigma <= SIGMA_TOLERANCE)[0]

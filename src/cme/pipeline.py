@@ -16,7 +16,7 @@ import numpy as np
 from . import classify, compose, netembed
 from .corpus import ClassLabel, LabeledDataset
 from .emoji import EmojiSenseEntry, emoji_embedding
-from .imagetags import ImageTagClient, profile_image_embedding
+from .imagetags import MissingImageTagsError
 from .preprocess import clean_tokens, extract_entities, lemmatize
 from .wemodel import TrainingConfig, WEModel, train_skipgram, view_embedding
 
@@ -103,18 +103,25 @@ def build_text_views(
 def build_image_view(
     dataset: LabeledDataset,
     people_model: WEModel,
-    client: ImageTagClient,
+    tags_by_ref: dict[str, list[str]],
 ) -> compose.ViewEmbeddingSet:
-    """ProfileImage view: service tags embedded through the people model."""
-    refs = {u.user_id: u.profile_image_ref for u in dataset.users if u.profile_image_ref}
-    results = client.tag_images(sorted(set(refs.values())))
+    """ProfileImage view: each profile picture's tags embedded through the people model.
+
+    tags_by_ref maps an image ref to its tags, as imagetags.load_image_tags
+    reads them from the tag file. A user without a profile_image_ref is a
+    sentinel; a ref with no entry is a MissingImageTagsError.
+    """
     vectors = {}
     for user in dataset.users:
         ref = user.profile_image_ref
         if ref is None:
             vectors[user.user_id] = None
-            continue
-        vectors[user.user_id] = profile_image_embedding(results[ref].tags, people_model)
+        elif ref in tags_by_ref:
+            vectors[user.user_id] = view_embedding(tags_by_ref[ref], people_model)
+        else:
+            raise MissingImageTagsError(
+                f"the image tag file has no line for {ref!r} (user {user.user_id})"
+            )
     return compose.ViewEmbeddingSet("ProfileImage", vectors)
 
 
@@ -209,7 +216,7 @@ def run_experiment(
     x_train, y_train = classify.smote(x_train, y_train, smote_config)
     x_train, x_test = _standardize(x_train, x_test)
 
-    classifier_config = classifier_config or classify.ClassifierConfig(seed=seed)
+    classifier_config = classifier_config or classify.ClassifierConfig()
     model = classify.train_classifier(x_train, y_train, classifier_config)
     predicted = classify.predict(model, x_test)
     report = classify.evaluate(predicted, y_test, classes=model.classes)

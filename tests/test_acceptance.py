@@ -319,7 +319,7 @@ def test_07_end_to_end_composition_benefit():
                 connected,
                 seed=seed,
                 smote_config=SMOTEConfig(seed=seed),
-                classifier_config=ClassifierConfig(seed=seed),
+                classifier_config=ClassifierConfig(),
             )
             baseline = run("T+D").report.macro_f1
             composed = run("N+T+E").report.macro_f1

@@ -192,8 +192,8 @@ class TestClassifier:
 
     def test_deterministic_training(self):
         X, y = self._separable(seed=4)
-        m1 = train_classifier(X, y, ClassifierConfig(epochs=100, seed=5))
-        m2 = train_classifier(X, y, ClassifierConfig(epochs=100, seed=5))
+        m1 = train_classifier(X, y, ClassifierConfig(epochs=100))
+        m2 = train_classifier(X, y, ClassifierConfig(epochs=100))
         assert np.array_equal(m1.weights, m2.weights)
 
     def test_three_class_labels_enum_order(self):

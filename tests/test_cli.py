@@ -1,3 +1,4 @@
+import configparser
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import cme
-from cme.cli import main
+from cme.cli import CONFIG_KEYS, RunContext, main
 from cme.emoji import load_emoji_lexicon
 
 
@@ -42,6 +43,25 @@ epochs = 150
         encoding="utf-8",
     )
     return str(path)
+
+
+def _set_key(cfg, section, key, value):
+    """Set one key in a config file, adding its section if needed."""
+    parser = configparser.ConfigParser()
+    parser.read(cfg)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    parser[section][key] = value
+    with open(cfg, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
 
 
 def _run_dir(tmp_path, sub="out"):
@@ -86,20 +106,54 @@ class TestFullChain:
             ("classify", "epoch = 3"),
             ("classify", "family = linear-margin"),
             ("correlate", "method = per_user_mean"),
+            ("views", "image_mode = live"),
+            ("views", "image_endpoint = tagger.example/tag"),
+            ("views", "image_retries = 2"),
+            ("views", "image_cache_dir = tag-cache"),
         ],
-        ids=["removed-key", "removed-knob", "misspelt-key", "removed-family", "removed-method"],
+        ids=[
+            "removed-key", "removed-knob", "misspelt-key", "removed-family", "removed-method",
+            "removed-image-mode", "removed-image-endpoint", "removed-image-retries",
+            "removed-image-cache-dir",
+        ],
     )
     def test_unknown_config_key_is_error(self, tmp_path, capsys, section, line):
-        cfg = Path(_config(tmp_path))
-        text, header = cfg.read_text(encoding="utf-8"), f"[{section}]\n"
-        if header in text:
-            text = text.replace(header, f"{header}{line}\n")
-        else:
-            text += f"{header}{line}\n"
-        cfg.write_text(text, encoding="utf-8")
-        assert main(["run", "--config", str(cfg)]) == 1
+        cfg = _config(tmp_path)
+        _set_key(cfg, section, *line.split(" = "))
+        assert main(["run", "--config", cfg]) == 1
         assert f"{section}.{line.split()[0]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, named",
+        [
+            ("train_we", "dimension", "abc", "train_we.dimension"),
+            ("netembed", "mode", "papr", "netembed.mode"),
+            ("netembed", "k", "5000", "got 5000"),
+            ("classify", "split_ratio", "1.5", "classify.split_ratio"),
+            ("train_we", "min_count", "100000", "min_count=100000"),
+        ],
+        ids=["unparsable-int", "unknown-mode", "k-above-rows", "split-ratio-above-1", "empty-vocabulary"],
+    )
+    def test_unusable_config_value_is_one_line_error(self, tmp_path, capsys, section, key, value, named):
+        cfg = _config(tmp_path)
+        _set_key(cfg, section, key, value)
+        assert main(["run", "--config", cfg]) == 1
+        assert named in _one_line_error(capsys)
+
+    def test_every_config_key_is_read(self, tmp_path, monkeypatch):
+        # a key left in CONFIG_KEYS after its reader is gone would be accepted and do nothing
+        seen = set()
+        read = RunContext._read
+
+        def recording_read(ctx, section, key):
+            seen.add((section, key))
+            return read(ctx, section, key)
+
+        monkeypatch.setattr(RunContext, "_read", recording_read)
+        cfg = _config(tmp_path, extra="[views]\nprofile_images = true\n")
+        assert main(["run", "--config", cfg]) == 0
+        assert {(s, k) for s, keys in CONFIG_KEYS.items() for k in keys} - seen == set()
 
     def test_unknown_config_section_is_error(self, tmp_path, capsys):
         cfg = _config(tmp_path, extra="[clasify]\nepochs = 3\n")
@@ -126,13 +180,10 @@ class TestFullChain:
             path.write_bytes(path.read_bytes()[:10])
         capsys.readouterr()
         assert main([stage, "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert path.name in err
-        assert "Traceback" not in err
+        assert path.name in _one_line_error(capsys)
 
     def test_import_loads_no_http_client(self):
-        # the live image client imports urllib lazily; a top-level HTTP import costs ~4 MB RSS per run
+        # the pipeline runs offline; importing an HTTP client would cost ~4 MB RSS on every run
         code = (
             "import sys, cme.cli; "
             "print(sorted(m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules))"
@@ -208,6 +259,30 @@ class TestArtifacts:
         for stage in ("synth", "preprocess", "train-we", "views"):
             assert main([stage, "--config", cfg]) == 0
         assert (_run_dir(tmp_path) / "views" / "ProfileImage.npy").exists()
+
+    def test_image_tag_file_missing_a_user_is_one_line_error(self, tmp_path, capsys):
+        cfg = _config(tmp_path, extra="[views]\nprofile_images = true\n")
+        assert main(["synth", "--config", cfg]) == 0
+        tag_file = _run_dir(tmp_path) / "synth" / "image_tags.tsv"
+        dropped, *kept = tag_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        tag_file.write_text("".join(kept), encoding="utf-8")
+        for stage in ("preprocess", "train-we"):
+            assert main([stage, "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["views", "--config", cfg]) == 1
+        ref = dropped.split("\t")[0]
+        assert ref.startswith("img://")
+        assert repr(ref) in _one_line_error(capsys)
+
+    def test_no_image_tag_file_fails_before_any_stage(self, tmp_path, capsys):
+        assert main(["synth", "--config", _config(tmp_path)]) == 0
+        corpus_dir = _run_dir(tmp_path) / "synth"
+        (corpus_dir / "image_tags.tsv").unlink()
+        cfg = _config(tmp_path, extra=f"[views]\nprofile_images = true\n[corpus]\ndirectory = {corpus_dir}\n")
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "again")]) == 1
+        assert str(corpus_dir / "image_tags.tsv") in _one_line_error(capsys)
+        assert not list((tmp_path / "again").glob("run-*/preprocess"))
 
     def test_external_text_background_model(self, tmp_path):
         keywords = sorted({k for e in load_emoji_lexicon().values() for k in e.keywords})

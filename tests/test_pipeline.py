@@ -6,7 +6,7 @@ import pytest
 from cme import compose, pipeline, synth
 from cme.classify import ClassifierConfig, SMOTEConfig
 from cme.emoji import load_emoji_lexicon
-from cme.imagetags import ImageTagClient, TagClientConfig
+from cme.imagetags import MissingImageTagsError, load_image_tags
 from cme.preprocess import load_lemma_table, load_stopwords
 from cme.wemodel import TrainingConfig
 
@@ -58,9 +58,14 @@ class TestViews:
         dataset, _, _, people, _ = small_run
         fixture = tmp_path / "tags.tsv"
         synth.write_image_fixture(dataset, fixture)
-        client = ImageTagClient(TagClientConfig(mode="fixture", fixture_path=str(fixture)))
-        view = pipeline.build_image_view(dataset, people, client)
+        tags_by_ref = load_image_tags(fixture)
+        view = pipeline.build_image_view(dataset, people, tags_by_ref)
         assert len(view.vectors) == len(dataset.users)
+        ref = dataset.users[0].profile_image_ref
+        del tags_by_ref[ref]
+        with pytest.raises(MissingImageTagsError) as err:
+            pipeline.build_image_view(dataset, people, tags_by_ref)
+        assert ref in str(err.value)
 
 
 class TestNetworkView:
@@ -111,7 +116,7 @@ class TestExperiments:
             suite_b_tags=("N+T+E",),
             seed=2,
             smote_config=SMOTEConfig(seed=2),
-            classifier_config=ClassifierConfig(seed=2, epochs=150),
+            classifier_config=ClassifierConfig(epochs=150),
         )
         assert results.best_a_tag in ("T+D", "T+E")
         assert "N+T+E" in results.suite_b

@@ -2,9 +2,11 @@
 
 SMOTE balances the training folds by interpolating between same-class
 nearest neighbors; the classifier is multinomial logistic regression fit
-by full-batch gradient descent. Evaluation reports
-per-class and aggregate precision/recall/F1 plus a confusion matrix, with
-optional deltas against a named baseline run.
+by limited-memory BFGS (L-BFGS) with an Armijo backtracking line search,
+run until the relative loss change meets a tolerance or an iteration cap
+is reached. Evaluation reports per-class and aggregate
+precision/recall/F1 plus a confusion matrix, with optional deltas against
+a named baseline run.
 
 Oversampling is applied to training folds only; evaluation data is never
 resampled.
@@ -12,6 +14,7 @@ resampled.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -24,8 +27,12 @@ class ClassifierError(Exception):
     """Training or prediction cannot proceed on the given inputs."""
 
 
-# training stops once one epoch changes the loss by at most this, relative to max(1, loss)
+# training stops once one iteration changes the loss by at most this, relative to max(1, loss)
 TOLERANCE = 1e-9
+# curvature pairs the L-BFGS two-loop recursion keeps
+MEMORY = 10
+# SMOTE computes within-class distances in row blocks whose difference tensor fits in this
+_SMOTE_BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -42,9 +49,8 @@ class SMOTEConfig:
 
 @dataclass
 class ClassifierConfig:
-    learning_rate: float = 0.5
     l2_penalty: float = 1e-3
-    epochs: int = 300
+    epochs: int = 1000  # iteration cap
 
 
 @dataclass
@@ -52,8 +58,8 @@ class ClassifierModel:
     classes: list
     weights: np.ndarray  # classes x (d + 1); last column is the bias
     loss_history: list[float] = field(default_factory=list)
-    epochs: int = 0  # training steps taken
-    converged: bool = False  # the loss change met the tolerance before the budget ran out
+    epochs: int = 0  # iterations taken
+    converged: bool = False  # the loss change met the tolerance before the cap was reached
 
     @property
     def dimension(self) -> int:
@@ -141,10 +147,8 @@ def smote(
             new_labels.extend([cls] * need)
             continue
 
-        # pairwise distances within the class; self excluded from neighbors
-        diffs = members[:, None, :] - members[None, :, :]
-        dists = np.sqrt((diffs * diffs).sum(axis=2))
-        np.fill_diagonal(dists, np.inf)
+        dists = _pairwise_distances(members)
+        np.fill_diagonal(dists, np.inf)  # self is not a neighbor
         k = min(config.k_neighbors, len(idx) - 1)
         neighbor_ids = np.argsort(dists, axis=1, kind="stable")[:, :k]
 
@@ -158,6 +162,21 @@ def smote(
         new_labels.extend([cls] * need)
 
     return np.vstack(new_rows), new_labels
+
+
+def _pairwise_distances(members: np.ndarray) -> np.ndarray:
+    """Euclidean distances between rows, one block of rows at a time.
+
+    Each block forms the same differences and sums them along the same axis
+    as the whole n x n x d tensor would, so the result is bit-identical.
+    """
+    n, d = members.shape
+    rows = max(1, _SMOTE_BLOCK_BYTES // (8 * n * max(d, 1)))
+    dists = np.empty((n, n), dtype=np.float64)
+    for a in range(0, n, rows):
+        diffs = members[a:a + rows, None, :] - members[None, :, :]
+        dists[a:a + rows] = np.sqrt((diffs * diffs).sum(axis=2))
+    return dists
 
 
 def _augment(features: np.ndarray) -> np.ndarray:
@@ -188,16 +207,37 @@ def logistic_loss_and_gradient(
     return loss, grad
 
 
+def _lbfgs_direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
+    """Two-loop recursion: minus the inverse-Hessian estimate times grad."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * np.vdot(s, q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= np.vdot(s, y) / np.vdot(y, y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * np.vdot(y, q)) * s
+    return -q
+
+
 def train_classifier(
     features: np.ndarray,
     labels: Sequence,
     config: Optional[ClassifierConfig] = None,
 ) -> ClassifierModel:
-    """Fit multinomial logistic regression.
+    """Fit multinomial logistic regression by L-BFGS (Liu & Nocedal 1989).
 
-    Training uses gradient descent with step halving, so the recorded loss
-    history is non-increasing; training stops when the loss change drops
-    below TOLERANCE (converged) or the epoch budget runs out.
+    Each iteration takes the two-loop direction over the last MEMORY
+    curvature pairs and backtracks from step 1 until the Armijo condition
+    holds, so the recorded loss history is non-increasing. A pair is kept
+    only when s.y > 0, which keeps the inverse-Hessian estimate positive
+    definite along flat directions. Training stops when one iteration
+    changes the loss by at most TOLERANCE (converged), when 40 halvings
+    find no step that decreases the loss enough, or after config.epochs
+    iterations.
     """
     config = config or ClassifierConfig()
     feats = np.asarray(features, dtype=np.float64)
@@ -215,24 +255,28 @@ def train_classifier(
     converged = False
     loss, grad = logistic_loss_and_gradient(weights, x_aug, onehot, config.l2_penalty)
     history = [loss]
-    step = config.learning_rate
-    for _epoch in range(config.epochs):
-        improved = False
-        for _try in range(40):
-            candidate = weights - step * grad
+    pairs: deque = deque(maxlen=MEMORY)
+    for _iteration in range(config.epochs):
+        direction = _lbfgs_direction(grad, pairs)
+        slope = np.vdot(grad, direction)
+        step = 1.0
+        for _try in range(40):  # Armijo backtracking with c = 1e-4
+            candidate = weights + step * direction
             new_loss, new_grad = logistic_loss_and_gradient(
                 candidate, x_aug, onehot, config.l2_penalty
             )
-            if new_loss <= loss + 1e-15:
-                improved = True
+            if new_loss <= loss + 1e-4 * step * slope:
                 break
             step /= 2.0
-        if not improved:
+        else:
             break
+        moved, grad_change = candidate - weights, new_grad - grad
+        curvature = np.vdot(moved, grad_change)
+        if curvature > 0:
+            pairs.append((moved, grad_change, 1.0 / curvature))
         converged = abs(loss - new_loss) <= TOLERANCE * max(1.0, abs(loss))
         weights, loss, grad = candidate, new_loss, new_grad
         history.append(loss)
-        step = min(config.learning_rate, step * 2.0)
         if converged:
             break
 
@@ -257,13 +301,6 @@ def predict(model: ClassifierModel, features: np.ndarray) -> list:
         )
     scores = _augment(feats) @ model.weights.T
     return [model.classes[i] for i in np.argmax(scores, axis=1)]
-
-
-def predict_proba(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
-    feats = np.asarray(features, dtype=np.float64)
-    if feats.shape[1] != model.dimension:
-        raise ClassifierError("feature dimension does not match model")
-    return _softmax(_augment(feats) @ model.weights.T)
 
 
 @dataclass

@@ -82,7 +82,7 @@ CONFIG_KEYS = {
     "compose": {"tags"},
     "classify": {
         "suite_a_tags", "suite_b_tags", "seed_offset", "smote_k", "smote_duplicate_singletons",
-        "learning_rate", "l2_penalty", "epochs", "split_ratio",
+        "l2_penalty", "epochs", "split_ratio",
     },
 }
 
@@ -215,15 +215,20 @@ def cmd_synth(ctx: RunContext) -> None:
         raise CLIError("synth.users_per_class must list three counts (P,I,R)")
     order = [corpus.ClassLabel.PERSONAL, corpus.ClassLabel.INFORMED_AGENCY, corpus.ClassLabel.RETAIL]
     for cls, count in zip(order, sizes):
-        profiles[cls] = replace(profiles[cls], users=int(count))
+        try:
+            profiles[cls] = replace(profiles[cls], users=int(count))
+        except ValueError as exc:
+            raise CLIError(f"synth.users_per_class: {exc}") from None
     for cls, key in zip(order, _SYNTH_CLASSES):
         rates = ctx.get("synth", f"{key}_rates")
         if rates:
-            retweet, mention = (float(x) for x in rates.split("/"))
-            profiles[cls] = replace(profiles[cls], retweet_rate=retweet, mention_rate=mention)
-        word_prob = ctx.get("synth", f"{key}_class_word_prob")
-        if word_prob:
-            profiles[cls] = replace(profiles[cls], class_word_prob=float(word_prob))
+            try:
+                retweet, mention = (float(x) for x in rates.split("/"))
+                profiles[cls] = replace(profiles[cls], retweet_rate=retweet, mention_rate=mention)
+            except ValueError as exc:
+                raise CLIError(f"synth.{key}_rates: {exc} (want retweet/mention)") from None
+        word_prob = ctx.getfloat("synth", f"{key}_class_word_prob", profiles[cls].class_word_prob)
+        profiles[cls] = replace(profiles[cls], class_word_prob=word_prob)
 
     config = synth.SynthConfig(profiles=profiles, seed=seed)
     dataset = synth.generate(config)
@@ -287,16 +292,20 @@ def _load_prepared(ctx: RunContext) -> dict[str, pipeline.PreparedUser]:
 
 
 def _training_config(ctx: RunContext) -> wemodel.TrainingConfig:
-    return wemodel.TrainingConfig(
-        dimension=ctx.getint("train_we", "dimension", 300),
-        window=ctx.getint("train_we", "window", 5),
-        negatives=ctx.getint("train_we", "negatives", 10),
-        epochs=ctx.getint("train_we", "epochs", 5),
-        learning_rate=ctx.getfloat("train_we", "learning_rate", 0.025),
-        min_count=ctx.getint("train_we", "min_count", 5),
-        subsample_threshold=ctx.getfloat("train_we", "subsample_threshold", 1e-4),
-        seed=ctx.seed + ctx.getint("train_we", "seed_offset", 0),
-    )
+    try:
+        return wemodel.TrainingConfig(
+            dimension=ctx.getint("train_we", "dimension", 300),
+            window=ctx.getint("train_we", "window", 5),
+            negatives=ctx.getint("train_we", "negatives", 10),
+            epochs=ctx.getint("train_we", "epochs", 5),
+            learning_rate=ctx.getfloat("train_we", "learning_rate", 0.025),
+            min_count=ctx.getint("train_we", "min_count", 5),
+            subsample_threshold=ctx.getfloat("train_we", "subsample_threshold", 1e-4),
+            seed=ctx.seed + ctx.getint("train_we", "seed_offset", 0),
+        )
+    except ValueError as exc:
+        # TrainingConfig's messages start with the field name, which is also the key
+        raise CLIError(f"train_we.{exc}") from None
 
 
 def cmd_train_we(ctx: RunContext) -> None:
@@ -417,6 +426,12 @@ def cmd_correlate(ctx: RunContext) -> None:
             raise CLIError(f"correlate.pairs entries must look like ViewA:ViewB, got {item!r}")
         pairs.append(tuple(part.strip() for part in item.split(":", 1)))
     names = sorted({name for pair in pairs for name in pair})
+    unknown = [name for name in names if name not in compose.VIEW_NAMES]
+    if unknown:
+        raise CLIError(
+            f"correlate.pairs: unknown view(s) {', '.join(map(repr, unknown))}; "
+            f"views are {', '.join(compose.VIEW_NAMES)}"
+        )
     views = _load_views(ctx, names)
     alpha = ctx.getfloat("correlate", "alpha", 0.01)
 
@@ -463,15 +478,17 @@ def cmd_classify(ctx: RunContext) -> None:
         cme_sets[tag] = _load_view(ctx, ctx.run_dir / "compose" / _view_filename(tag), tag, "compose")
 
     split_seed = ctx.seed + ctx.getint("classify", "seed_offset", 0)
-    smote_config = classify.SMOTEConfig(
-        k_neighbors=ctx.getint("classify", "smote_k", 5),
-        seed=split_seed,
-        duplicate_singletons=ctx.getbool("classify", "smote_duplicate_singletons", False),
-    )
+    try:
+        smote_config = classify.SMOTEConfig(
+            k_neighbors=ctx.getint("classify", "smote_k", 5),
+            seed=split_seed,
+            duplicate_singletons=ctx.getbool("classify", "smote_duplicate_singletons", False),
+        )
+    except ValueError as exc:
+        raise CLIError(f"classify.smote_k: {exc}") from None
     classifier_config = classify.ClassifierConfig(
-        learning_rate=ctx.getfloat("classify", "learning_rate", 0.5),
         l2_penalty=ctx.getfloat("classify", "l2_penalty", 1e-3),
-        epochs=ctx.getint("classify", "epochs", 300),
+        epochs=ctx.getint("classify", "epochs", 1000),
     )
     split_ratio = ctx.getfloat("classify", "split_ratio", 0.8)
     if not 0.0 < split_ratio < 1.0:

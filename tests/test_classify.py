@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cme import classify
 from cme.classify import (
     ClassifierConfig,
     ClassifierError,
@@ -11,7 +12,6 @@ from cme.classify import (
     format_report,
     logistic_loss_and_gradient,
     predict,
-    predict_proba,
     smote,
     stratified_split,
     train_classifier,
@@ -100,6 +100,18 @@ class TestSmote:
         for row in X2[28:]:
             assert on_some_segment(row, minority)
 
+    def test_blocked_distances_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((60, 7))
+        X[10:20] = X[:10]  # duplicated rows make exact distance ties
+        y = ["min"] * 25 + ["maj"] * 35
+        config = SMOTEConfig(k_neighbors=4, seed=5)
+        whole_rows, whole_labels = smote(X, y, config)
+        monkeypatch.setattr(classify, "_SMOTE_BLOCK_BYTES", 8 * 25 * 7 * 3)  # 3 rows per block
+        blocked_rows, blocked_labels = smote(X, y, config)
+        assert np.array_equal(blocked_rows, whole_rows)
+        assert blocked_labels == whole_labels
+
     def test_explicit_target_reached(self):
         X = np.vstack([np.eye(2), np.eye(2) + 4])
         y = ["a", "a", "b", "b"]
@@ -136,8 +148,23 @@ class TestClassifier:
         X = np.ones((10, 3))
         y = ["a"] * 5 + ["b"] * 5
         model = train_classifier(X, y, ClassifierConfig(epochs=100))
-        probs = predict_proba(model, X)
-        np.testing.assert_allclose(probs, 0.5, atol=1e-6)
+        # equal class scores are equal softmax probabilities
+        scores = np.hstack([X, np.ones((10, 1))]) @ model.weights.T
+        np.testing.assert_allclose(scores[:, 0], scores[:, 1], atol=1e-6)
+
+    def test_wide_instance_converges_under_default_cap(self):
+        # more features than rows: the fit is only bounded by the L2 penalty
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((40, 120))
+        y = ["a"] * 14 + ["b"] * 14 + ["c"] * 12
+        model = train_classifier(X, y, ClassifierConfig(l2_penalty=1e-3))
+        assert model.converged
+        onehot = np.zeros((40, 3))
+        onehot[np.arange(40), [model.classes.index(lbl) for lbl in y]] = 1.0
+        _, grad = logistic_loss_and_gradient(
+            model.weights, np.hstack([X, np.ones((40, 1))]), onehot, 1e-3
+        )
+        assert np.abs(grad).max() <= 1e-4
 
     def test_zero_weights_tie_break_to_first_class(self):
         X, y = self._separable()

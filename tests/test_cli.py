@@ -106,6 +106,7 @@ class TestFullChain:
             ("classify", "epoch = 3"),
             ("classify", "family = linear-margin"),
             ("correlate", "method = per_user_mean"),
+            ("classify", "learning_rate = 0.5"),
             ("views", "image_mode = live"),
             ("views", "image_endpoint = tagger.example/tag"),
             ("views", "image_retries = 2"),
@@ -113,6 +114,7 @@ class TestFullChain:
         ],
         ids=[
             "removed-key", "removed-knob", "misspelt-key", "removed-family", "removed-method",
+            "removed-step-size",
             "removed-image-mode", "removed-image-endpoint", "removed-image-retries",
             "removed-image-cache-dir",
         ],
@@ -132,8 +134,21 @@ class TestFullChain:
             ("netembed", "k", "5000", "got 5000"),
             ("classify", "split_ratio", "1.5", "classify.split_ratio"),
             ("train_we", "min_count", "100000", "min_count=100000"),
+            ("synth", "users_per_class", "a,b,c", "synth.users_per_class"),
+            ("synth", "users_per_class", "0,12,8", "synth.users_per_class"),
+            ("synth", "personal_rates", "x/y", "synth.personal_rates"),
+            ("synth", "retail_class_word_prob", "abc", "synth.retail_class_word_prob"),
+            ("train_we", "dimension", "0", "train_we.dimension"),
+            ("train_we", "window", "0", "train_we.window"),
+            ("classify", "smote_k", "0", "classify.smote_k"),
+            ("correlate", "pairs", "Tweet:Nope", "correlate.pairs: unknown view(s) 'Nope'"),
         ],
-        ids=["unparsable-int", "unknown-mode", "k-above-rows", "split-ratio-above-1", "empty-vocabulary"],
+        ids=[
+            "unparsable-int", "unknown-mode", "k-above-rows", "split-ratio-above-1", "empty-vocabulary",
+            "unparsable-class-size", "empty-class", "unparsable-rates",
+            "unparsable-word-prob", "zero-dimension", "zero-window",
+            "zero-smote-k", "unknown-view-in-pairs",
+        ],
     )
     def test_unusable_config_value_is_one_line_error(self, tmp_path, capsys, section, key, value, named):
         cfg = _config(tmp_path)

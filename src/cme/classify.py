@@ -52,6 +52,12 @@ class ClassifierConfig:
     l2_penalty: float = 1e-3
     epochs: int = 1000  # iteration cap
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.l2_penalty >= 0:
+            raise ValueError(f"l2_penalty must be >= 0, got {self.l2_penalty}")
+
 
 @dataclass
 class ClassifierModel:

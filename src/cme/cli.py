@@ -322,6 +322,8 @@ def cmd_train_we(ctx: RunContext) -> None:
             "content_vocabulary": len(content.vocabulary),
             "people_vocabulary": len(people.vocabulary),
             "seed": config.seed,
+            "content": content.stats,
+            "people": people.stats,
         },
     )
     ctx.log_seed("train-we", config.seed)
@@ -486,10 +488,14 @@ def cmd_classify(ctx: RunContext) -> None:
         )
     except ValueError as exc:
         raise CLIError(f"classify.smote_k: {exc}") from None
-    classifier_config = classify.ClassifierConfig(
-        l2_penalty=ctx.getfloat("classify", "l2_penalty", 1e-3),
-        epochs=ctx.getint("classify", "epochs", 1000),
-    )
+    try:
+        classifier_config = classify.ClassifierConfig(
+            l2_penalty=ctx.getfloat("classify", "l2_penalty", 1e-3),
+            epochs=ctx.getint("classify", "epochs", 1000),
+        )
+    except ValueError as exc:
+        # ClassifierConfig's messages start with the field name, which is also the key
+        raise CLIError(f"classify.{exc}") from None
     split_ratio = ctx.getfloat("classify", "split_ratio", 0.8)
     if not 0.0 < split_ratio < 1.0:
         raise CLIError(f"classify.split_ratio must be in (0, 1), got {split_ratio}")

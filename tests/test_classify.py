@@ -180,6 +180,15 @@ class TestClassifier:
         scaled_model.weights[:, :-1] /= 10.0
         assert predict(scaled_model, X * 10.0) == base
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 0), ("epochs", -3), ("l2_penalty", -1.0), ("l2_penalty", float("nan"))],
+        ids=["zero-epochs", "negative-epochs", "negative-penalty", "nan-penalty"],
+    )
+    def test_config_range_checked(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            ClassifierConfig(**{field: value})
+
     def test_single_class_rejected(self):
         with pytest.raises(ClassifierError):
             train_classifier(np.ones((4, 2)), ["a"] * 4)

@@ -142,12 +142,20 @@ class TestFullChain:
             ("train_we", "window", "0", "train_we.window"),
             ("classify", "smote_k", "0", "classify.smote_k"),
             ("correlate", "pairs", "Tweet:Nope", "correlate.pairs: unknown view(s) 'Nope'"),
+            ("train_we", "epochs", "0", "train_we.epochs must be >= 1"),
+            ("train_we", "learning_rate", "0", "train_we.learning_rate must be > 0"),
+            ("train_we", "learning_rate", "1e-5", "train_we.learning_rate must be >= min_learning_rate"),
+            ("train_we", "min_count", "0", "train_we.min_count must be >= 1"),
+            ("classify", "epochs", "0", "classify.epochs must be >= 1"),
+            ("classify", "l2_penalty", "-1", "classify.l2_penalty must be >= 0"),
         ],
         ids=[
             "unparsable-int", "unknown-mode", "k-above-rows", "split-ratio-above-1", "empty-vocabulary",
             "unparsable-class-size", "empty-class", "unparsable-rates",
             "unparsable-word-prob", "zero-dimension", "zero-window",
             "zero-smote-k", "unknown-view-in-pairs",
+            "zero-train-epochs", "zero-learning-rate", "learning-rate-below-floor", "zero-min-count",
+            "zero-classify-epochs", "negative-l2-penalty",
         ],
     )
     def test_unusable_config_value_is_one_line_error(self, tmp_path, capsys, section, key, value, named):
@@ -261,6 +269,18 @@ class TestArtifacts:
         for res in [*results["suite_a"].values(), *results["suite_b"].values()]:
             assert isinstance(res["converged"], bool)
             assert 1 <= res["epochs"] <= 150
+
+    def test_trainer_stats_in_model_meta(self, tmp_path):
+        cfg = _config(tmp_path)
+        _set_key(cfg, "train_we", "subsample_threshold", "1e-3")
+        for stage in ("synth", "preprocess", "train-we"):
+            assert main([stage, "--config", cfg]) == 0
+        meta = json.loads((_run_dir(tmp_path) / "models" / "meta.json").read_text())
+        for model in ("content", "people"):
+            stats = meta[model]
+            assert set(stats) == {"words_per_epoch", "keep_rate", "pairs", "batches"}
+            assert 0 < stats["keep_rate"] <= 1
+            assert stats["pairs"] >= stats["batches"] >= 1
 
     def test_correlation_table_has_pairs(self, tmp_path):
         cfg = _config(tmp_path)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from cme.wemodel import (
+    BATCH_PAIRS,
     TrainingConfig,
     TrainingError,
     WEModel,
+    _batch_step,
+    _window_pairs,
     load_model,
     load_text_model,
     save_model,
@@ -161,6 +164,104 @@ class TestTraining:
         norms = np.linalg.norm(model.vectors, axis=1)
         assert np.all(np.isfinite(model.vectors))
         assert np.all(norms > 0)
+
+
+    def test_stats_count_every_pair(self):
+        # window 1 gives every centre both neighbours: 2 * (n - 1) pairs per sentence
+        lengths = [2, 3, 7, 40]
+        sentences = [[f"w{i % 4}" for i in range(n)] for n in lengths]
+        config = TrainingConfig(
+            dimension=8, window=1, epochs=3, min_count=1, subsample_threshold=0, seed=2
+        )
+        stats = train_skipgram(sentences, config).stats
+        per_epoch = sum(2 * (n - 1) for n in lengths)
+        assert stats == {
+            "words_per_epoch": sum(lengths),
+            "keep_rate": 1.0,
+            "pairs": 3 * per_epoch,
+            "batches": 3 * -(-per_epoch // BATCH_PAIRS),
+        }
+
+    def test_stats_keep_rate_under_subsampling(self):
+        sentences = [["the", "the", "the", f"w{i % 50}"] for i in range(400)]
+        config = TrainingConfig(dimension=8, epochs=2, min_count=1, subsample_threshold=1e-3)
+        stats = train_skipgram(sentences, config).stats
+        assert 0 < stats["keep_rate"] < 1
+        assert stats["words_per_epoch"] == 1600
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 0),
+            ("learning_rate", 0.0),
+            ("learning_rate", -0.1),
+            ("min_learning_rate", 0.0),
+            ("learning_rate", 1e-5),
+            ("min_count", 0),
+        ],
+        ids=["zero-epochs", "zero-rate", "negative-rate", "zero-floor", "rate-below-floor", "zero-min-count"],
+    )
+    def test_config_range_checked(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            TrainingConfig(**{field: value})
+
+
+def _reference_pairs(sentence, spans, window):
+    """Per-centre loop over the same spans, in the order the trainer walks them."""
+    pairs = []
+    for pos in range(sentence.size):
+        lo, hi = pos, pos + 1
+        while lo > 0 and sentence[lo - 1] == sentence[pos] and pos - lo < spans[pos]:
+            lo -= 1
+        while hi < sentence.size and sentence[hi] == sentence[pos] and hi - pos <= spans[pos]:
+            hi += 1
+        pairs += [(pos, ctx) for ctx in range(lo, hi) if ctx != pos]
+    return pairs
+
+
+def _reference_step(vecs_in, vecs_out, centres, contexts, draws, lr):
+    """Per-pair SGNS updates from the pre-batch matrices, scattered with np.add.at."""
+    vin0, vout0 = vecs_in.copy(), vecs_out.copy()
+    rows_in, upd_in, rows_out, upd_out = [], [], [], []
+    for b, centre in enumerate(centres):
+        for k, target in enumerate([contexts[b], *draws[b]]):
+            if k and target == contexts[b]:
+                continue
+            score = float(vout0[target] @ vin0[centre])
+            g = ((1.0 if k == 0 else 0.0) - 1.0 / (1.0 + math.exp(-score))) * lr[b]
+            rows_in.append(centre)
+            upd_in.append(g * vout0[target])
+            rows_out.append(target)
+            upd_out.append(g * vin0[centre])
+    np.add.at(vecs_in, rows_in, np.array(upd_in))
+    np.add.at(vecs_out, rows_out, np.array(upd_out))
+
+
+class TestBatchStep:
+    def test_window_pairs_match_loop(self):
+        rng = np.random.default_rng(4)
+        for window in (1, 2, 5):
+            sentence = np.sort(rng.integers(0, 30, size=150))
+            spans = rng.integers(1, window + 1, size=sentence.size)
+            centre_at, context_at = _window_pairs(sentence, spans, window)
+            got = list(zip(centre_at.tolist(), context_at.tolist()))
+            assert got == _reference_pairs(sentence, spans, window)
+
+    def test_duplicate_rows_match_per_pair_reference(self):
+        # two words, so every row occurs in dozens of the batch's pairs
+        rng = np.random.default_rng(8)
+        vecs_in = rng.standard_normal((2, 6)) * 0.5
+        vecs_out = rng.standard_normal((2, 6)) * 0.5
+        centres = rng.integers(0, 2, size=BATCH_PAIRS)
+        contexts = 1 - centres
+        draws = rng.integers(0, 2, size=(BATCH_PAIRS, 4))
+        lr = rng.uniform(0.01, 0.05, size=BATCH_PAIRS)
+        assert np.bincount(centres).min() > 10
+        ref_in, ref_out = vecs_in.copy(), vecs_out.copy()
+        _reference_step(ref_in, ref_out, centres, contexts, draws, lr)
+        _batch_step(vecs_in, vecs_out, centres, contexts, draws, lr)
+        np.testing.assert_allclose(vecs_in, ref_in, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vecs_out, ref_out, rtol=0, atol=1e-12)
 
 
 class TestPersistence:

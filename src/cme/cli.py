@@ -88,7 +88,7 @@ CONFIG_KEYS = {
 
 
 class RunContext:
-    """Parsed config plus the content-addressed run directory."""
+    """Parsed config, the content-addressed run directory and the parsed corpus."""
 
     def __init__(self, config_path: str, seed: int | None, out_dir: str | None):
         self.parser = configparser.ConfigParser()
@@ -104,6 +104,8 @@ class RunContext:
         digest = self._fingerprint()
         self.run_dir = Path(out) / f"run-{digest}"
         self.run_dir.mkdir(parents=True, exist_ok=True)
+        # set by _load_corpus on first use, so `cme run` parses the corpus once
+        self.dataset: corpus.LabeledDataset | None = None
 
     def _check_keys(self) -> None:
         unknown = [f"DEFAULT.{key}" for key in self.parser.defaults()]
@@ -249,9 +251,12 @@ def cmd_synth(ctx: RunContext) -> None:
 
 
 def _load_corpus(ctx: RunContext) -> corpus.LabeledDataset:
-    directory = ctx.corpus_dir()
-    ctx.require(directory / "users.jsonl", "synth (or set [corpus] directory)")
-    return corpus.load_dataset(directory)
+    """The corpus, parsed on first use and then shared; no stage modifies it."""
+    if ctx.dataset is None:
+        directory = ctx.corpus_dir()
+        ctx.require(directory / "users.jsonl", "synth (or set [corpus] directory)")
+        ctx.dataset = corpus.load_dataset(directory)
+    return ctx.dataset
 
 
 def cmd_preprocess(ctx: RunContext) -> None:
@@ -391,13 +396,18 @@ def _load_views(ctx: RunContext, names: list[str]) -> dict[str, compose.ViewEmbe
     return views
 
 
-def cmd_netembed(ctx: RunContext) -> None:
-    dataset = _load_corpus(ctx)
-    dimension = ctx.getint("train_we", "dimension", 300)
+def _netembed_settings(ctx: RunContext) -> tuple[str, int | None]:
+    """(mode, k); k None lets the pipeline pick min(dimension, rows)."""
     mode = ctx.get("netembed", "mode", "paper")
     if mode not in netembed.MODES:
         raise CLIError(f"netembed.mode must be one of {', '.join(netembed.MODES)}, got {mode!r}")
-    k = ctx.getint("netembed", "k", 0) or None
+    return mode, ctx.getint("netembed", "k", 0) or None
+
+
+def cmd_netembed(ctx: RunContext) -> None:
+    dataset = _load_corpus(ctx)
+    dimension = ctx.getint("train_we", "dimension", 300)
+    mode, k = _netembed_settings(ctx)
     try:
         view, embedding = pipeline.build_network_view(dataset, dimension, mode=mode, k=k)
     except ValueError as exc:
@@ -416,7 +426,7 @@ def cmd_netembed(ctx: RunContext) -> None:
     print(f"[netembed] embedded {len(embedding.row_ids)} users, {embedding.k} components, mode={mode}")
 
 
-def cmd_correlate(ctx: RunContext) -> None:
+def _correlate_pairs(ctx: RunContext) -> list[tuple[str, str]]:
     pairs_raw = ctx.getlist(
         "correlate",
         "pairs",
@@ -434,7 +444,12 @@ def cmd_correlate(ctx: RunContext) -> None:
             f"correlate.pairs: unknown view(s) {', '.join(map(repr, unknown))}; "
             f"views are {', '.join(compose.VIEW_NAMES)}"
         )
-    views = _load_views(ctx, names)
+    return pairs
+
+
+def cmd_correlate(ctx: RunContext) -> None:
+    pairs = _correlate_pairs(ctx)
+    views = _load_views(ctx, sorted({name for pair in pairs for name in pair}))
     alpha = ctx.getfloat("correlate", "alpha", 0.01)
 
     results = []
@@ -471,19 +486,14 @@ def cmd_compose(ctx: RunContext) -> None:
     print(f"[compose] built {', '.join(tags)}")
 
 
-def cmd_classify(ctx: RunContext) -> None:
-    dataset = _load_corpus(ctx)
-    suite_a_tags = ctx.getlist("classify", "suite_a_tags", "T+D,T+E,D+E")
-    suite_b_tags = ctx.getlist("classify", "suite_b_tags", "N+T+E")
-    cme_sets = {}
-    for tag in dict.fromkeys(suite_a_tags + suite_b_tags):
-        cme_sets[tag] = _load_view(ctx, ctx.run_dir / "compose" / _view_filename(tag), tag, "compose")
-
-    split_seed = ctx.seed + ctx.getint("classify", "seed_offset", 0)
+def _classify_settings(
+    ctx: RunContext,
+) -> tuple[classify.SMOTEConfig, classify.ClassifierConfig, float]:
+    """(SMOTE config, classifier config, split ratio); the SMOTE seed is the split seed."""
     try:
         smote_config = classify.SMOTEConfig(
             k_neighbors=ctx.getint("classify", "smote_k", 5),
-            seed=split_seed,
+            seed=ctx.seed + ctx.getint("classify", "seed_offset", 0),
             duplicate_singletons=ctx.getbool("classify", "smote_duplicate_singletons", False),
         )
     except ValueError as exc:
@@ -499,6 +509,19 @@ def cmd_classify(ctx: RunContext) -> None:
     split_ratio = ctx.getfloat("classify", "split_ratio", 0.8)
     if not 0.0 < split_ratio < 1.0:
         raise CLIError(f"classify.split_ratio must be in (0, 1), got {split_ratio}")
+    return smote_config, classifier_config, split_ratio
+
+
+def cmd_classify(ctx: RunContext) -> None:
+    dataset = _load_corpus(ctx)
+    suite_a_tags = ctx.getlist("classify", "suite_a_tags", "T+D,T+E,D+E")
+    suite_b_tags = ctx.getlist("classify", "suite_b_tags", "N+T+E")
+    cme_sets = {}
+    for tag in dict.fromkeys(suite_a_tags + suite_b_tags):
+        cme_sets[tag] = _load_view(ctx, ctx.run_dir / "compose" / _view_filename(tag), tag, "compose")
+
+    smote_config, classifier_config, split_ratio = _classify_settings(ctx)
+    split_seed = smote_config.seed
     results = pipeline.run_suites(
         cme_sets,
         dataset,
@@ -597,7 +620,16 @@ COMMANDS = {
 
 
 def cmd_run(ctx: RunContext) -> None:
-    """Run the whole chain in stage order."""
+    """Run the whole chain in stage order.
+
+    The checked settings of train-we, netembed, correlate and classify are
+    built first, so an unusable value fails before the first stage writes
+    anything.
+    """
+    _training_config(ctx)
+    _netembed_settings(ctx)
+    _correlate_pairs(ctx)
+    _classify_settings(ctx)
     stages = list(STAGE_ORDER)
     if ctx.get("corpus", "directory"):
         stages.remove("synth")

@@ -1,6 +1,7 @@
 """Interaction-network embeddings: adjacency -> cosine -> truncated SVD.
 
-The chain: a sparse source x target count matrix, row-stochastic
+The chain: a coordinate-form source x target count matrix (numpy arrays
+of row, column and value for each nonzero cell), row-stochastic
 normalization, a square pairwise cosine-similarity matrix between source
 users, then a rank-k factorization whose row space is the network
 embedding.
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import InteractionRecord
 
@@ -37,11 +37,36 @@ MODES = ("paper", "conventional")
 SIGMA_TOLERANCE = 1e-12
 
 
+@dataclass(frozen=True)
+class CoordMatrix:
+    """Coordinate-form matrix: one (row, col, value) per stored cell.
+
+    Cells are unique and in row-major order.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.data.size)
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=np.float64)
+        dense[self.rows, self.cols] = self.data
+        return dense
+
+    def sum(self) -> float:
+        return float(self.data.sum())
+
+
 @dataclass
 class InteractionMatrix:
-    """Sparse count matrix; rows are source users, columns target users."""
+    """Coordinate-form count matrix; rows are source users, columns target users."""
 
-    matrix: sp.csr_matrix
+    matrix: CoordMatrix
     row_ids: list[str]
     col_ids: list[str]
     skipped: int = 0
@@ -84,12 +109,21 @@ class NetworkEmbedding:
         return int(self.matrix.shape[1])
 
 
+def _bincount(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    # float64 even for empty input, where np.bincount returns int64
+    return np.bincount(index, weights=weights, minlength=length).astype(np.float64, copy=False)
+
+
+def _row_sums(mat: CoordMatrix, values: np.ndarray) -> np.ndarray:
+    return _bincount(mat.rows, values, mat.shape[0])
+
+
 def build_adjacency(
     interactions: Sequence[InteractionRecord],
     rows: Sequence[str],
     cols: Sequence[str],
 ) -> InteractionMatrix:
-    """Sum mention and retweet counts into a sparse source x target matrix.
+    """Sum mention and retweet counts into a source x target count matrix.
 
     Interactions whose source is not in rows or target not in cols are
     skipped and counted (target lists are usually longer than source
@@ -118,21 +152,31 @@ def build_adjacency(
     if skipped:
         logger.warning("build_adjacency: skipped %d interactions outside the index lists", skipped)
 
-    matrix = sp.coo_matrix(
-        (data, (ii, jj)), shape=(len(rows), len(cols)), dtype=np.float64
-    ).tocsr()
-    matrix.sum_duplicates()
+    # one cell per distinct (row, col), summed; np.unique sorts them row-major
+    width = len(cols)
+    cells, inverse = np.unique(
+        np.asarray(ii, dtype=np.int64) * width + np.asarray(jj, dtype=np.int64),
+        return_inverse=True,
+    )
+    matrix = CoordMatrix(
+        rows=cells // width,
+        cols=cells % width,
+        data=_bincount(inverse, np.asarray(data, dtype=np.float64), cells.size),
+        shape=(len(rows), width),
+    )
     return InteractionMatrix(matrix=matrix, row_ids=rows, col_ids=cols, skipped=skipped)
 
 
 def row_normalize(im: InteractionMatrix) -> InteractionMatrix:
     """Scale every nonzero row to sum to 1; all-zero rows stay all-zero."""
-    mat = im.matrix.tocsr(copy=True)
-    sums = np.asarray(mat.sum(axis=1)).ravel()
+    mat = im.matrix
+    sums = _row_sums(mat, mat.data)
     scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
-    mat = sp.diags(scale) @ mat
+    normalized = CoordMatrix(
+        rows=mat.rows, cols=mat.cols, data=scale[mat.rows] * mat.data, shape=mat.shape
+    )
     return InteractionMatrix(
-        matrix=mat.tocsr(), row_ids=im.row_ids, col_ids=im.col_ids, skipped=im.skipped
+        matrix=normalized, row_ids=im.row_ids, col_ids=im.col_ids, skipped=im.skipped
     )
 
 
@@ -141,21 +185,24 @@ def cosine_similarity_matrix(im: InteractionMatrix) -> CosineMatrix:
 
     Rows of zero norm produce 0 everywhere, including their own diagonal,
     so 0/0 never occurs. For nonnegative input the entries land in [0, 1]
-    and the diagonal of every nonzero row is exactly 1.
+    and the diagonal of every nonzero row is exactly 1. The Gram matrix is
+    one dense GEMM of the rows; the result is m x m dense anyway.
     """
-    mat = im.matrix.tocsr()
-    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
+    mat = im.matrix
+    norms = np.sqrt(_row_sums(mat, mat.data * mat.data))
     nonzero = norms > 0
     zero_rows = [int(i) for i in np.nonzero(~nonzero)[0]]
 
-    gram = np.asarray((mat @ mat.T).todense(), dtype=np.float64)
+    dense = mat.toarray()
+    gram = dense @ dense.T
+    del dense
     denom = np.outer(norms, norms)
     values = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0)
 
     idx = np.nonzero(nonzero)[0]
     values[idx, idx] = 1.0
     values = (values + values.T) / 2.0
-    if im.matrix.nnz == 0 or im.matrix.data.min() >= 0:
+    if mat.nnz == 0 or mat.data.min() >= 0:
         np.clip(values, 0.0, 1.0, out=values)
     else:
         np.clip(values, -1.0, 1.0, out=values)

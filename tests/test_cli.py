@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import cme
-from cme.cli import CONFIG_KEYS, RunContext, main
+from cme import corpus
+from cme.cli import CONFIG_KEYS, STAGE_ORDER, RunContext, main
 from cme.emoji import load_emoji_lexicon
 
 
@@ -164,6 +165,18 @@ class TestFullChain:
         assert main(["run", "--config", cfg]) == 1
         assert named in _one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "section, key, named",
+        [("classify", "epochs", "classify.epochs must be >= 1"), ("train_we", "window", "train_we.window")],
+        ids=["zero-classify-epochs", "zero-window"],
+    )
+    def test_run_checks_late_stage_config_before_any_stage(self, tmp_path, capsys, section, key, named):
+        cfg = _config(tmp_path)
+        _set_key(cfg, section, key, "0")
+        assert main(["run", "--config", cfg]) == 1
+        assert named in _one_line_error(capsys)
+        assert not (_run_dir(tmp_path) / "preprocess" / "tokens.json").exists()
+
     def test_every_config_key_is_read(self, tmp_path, monkeypatch):
         # a key left in CONFIG_KEYS after its reader is gone would be accepted and do nothing
         seen = set()
@@ -216,6 +229,40 @@ class TestFullChain:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         ).stdout
         assert out.strip() == "[]"
+
+    def test_run_loads_no_scipy(self, tmp_path):
+        # scipy is a test-only oracle; a whole run, lazy imports included, must not load it
+        code = (
+            "import sys, cme.cli; "
+            f"assert cme.cli.main(['run', '--config', {_config(tmp_path)!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cme.__file__).parents[1])}
+        err = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stderr
+        assert err.strip() == "[]"
+
+    def test_run_parses_corpus_once_and_matches_stage_by_stage(self, tmp_path, monkeypatch):
+        loads = []
+        load_dataset = corpus.load_dataset
+
+        def counting_load(directory):
+            loads.append(directory)
+            return load_dataset(directory)
+
+        monkeypatch.setattr(corpus, "load_dataset", counting_load)
+        cfg = _config(tmp_path)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+        assert len(loads) == 1
+        for stage in STAGE_ORDER:
+            assert main([stage, "--config", cfg, "--out", str(tmp_path / "staged")]) == 0
+        assert len(loads) == 5  # preprocess, views, netembed and classify parse it again
+        whole, staged = _run_dir(tmp_path, "whole"), _run_dir(tmp_path, "staged")
+        files = sorted(p.relative_to(whole) for p in whole.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(staged) for p in staged.rglob("*") if p.is_file())
+        for name in files:
+            assert (whole / name).read_bytes() == (staged / name).read_bytes(), name
 
 
 class TestDeterminismAndAddressing:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtr, stdtrit
 from scipy.stats import rankdata
 
 from cme.compose import (
     _average_ranks,
+    _t_two_sided_p,
     COMPOSITION_TAGS,
     CompositionError,
     UndefinedCorrelationError,
@@ -89,6 +91,31 @@ class TestSpearman:
         assert np.array_equal(_average_ranks(np.array([7.0])), [1.0])
         assert np.array_equal(_average_ranks(np.array([2.0, 2.0, 2.0])), [2.0, 2.0, 2.0])
         assert np.array_equal(_average_ranks(np.array([3.0, -0.0, 0.0, 1.0])), [4.0, 1.5, 1.5, 3.0])
+
+    def test_t_tail_matches_scipy(self):
+        # df 1-60 and up to 1e6, t from 1e-8 to 1e4, plus the t where p is 1e-300
+        grid = [
+            (df, float(t))
+            for df in [*range(1, 61), 100, 1_000, 10_000, 100_000, 1_000_000]
+            for t in np.logspace(-8, 4, 97)
+        ]
+        grid += [(df, -float(stdtrit(df, 5e-301))) for df in (60, 100, 1_000, 1_000_000)]
+        references = []
+        for df, t in grid:
+            ref = 2.0 * stdtr(df, -t)
+            if ref < 1e-300:
+                continue  # below the float range the test covers
+            assert _t_two_sided_p(t, df) == pytest.approx(ref, rel=1e-8, abs=0.0), (df, t)
+            assert _t_two_sided_p(-t, df) == _t_two_sided_p(t, df)
+            references.append(ref)
+        assert 1.0 - 1e-8 < max(references) < 1.0
+        assert min(references) < 1.01e-300
+
+    def test_t_tail_edges(self):
+        assert _t_two_sided_p(0.0, 5) == 1.0
+        assert _t_two_sided_p(1e200, 5) == 0.0  # t^2 overflows
+        # where 1 - df/(df+t^2) would round to 0, p still differs from 1
+        assert 0.0 < 1.0 - _t_two_sided_p(1e-6, 1_000_000) < 1e-6
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(22)

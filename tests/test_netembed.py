@@ -132,6 +132,48 @@ class TestCosineMatrix:
             assert all(cos.values[i, i] == 1.0 for i in nonzero)
 
 
+class TestChainAgainstDenseReference:
+    def test_matches_dense_numpy_within_1e15(self):
+        # adjacency -> row_normalize -> cosine, against the same algebra on dense arrays,
+        # with repeated (source, target) cells and sources that have no interactions
+        rng = np.random.default_rng(14)
+        for trial in range(12):
+            m, n = int(rng.integers(3, 40)), int(rng.integers(2, 40))
+            empty = {int(i) for i in rng.choice(m, size=m // 4, replace=False)}
+            records = [
+                _rec(f"s{i}", f"t{j}", kind, int(rng.integers(1, 6)))
+                for i in range(m)
+                if i not in empty
+                for j in range(n)
+                if rng.random() < 0.3
+                for kind in ("mention", "retweet")
+                if rng.random() < 0.7
+            ]
+            records += [records[int(i)] for i in rng.integers(0, len(records), len(records) // 3)]
+            records = [records[int(i)] for i in rng.permutation(len(records))]
+            dense = np.zeros((m, n))
+            for rec in records:
+                dense[int(rec.source[1:]), int(rec.target[1:])] += rec.count
+
+            im = build_adjacency(records, [f"s{i}" for i in range(m)], [f"t{j}" for j in range(n)])
+            assert np.array_equal(im.matrix.toarray(), dense)  # integer counts sum exactly
+            assert im.matrix.nnz == np.count_nonzero(dense)
+            assert im.matrix.sum() == dense.sum()
+
+            sums = dense.sum(axis=1, keepdims=True)
+            unit = np.divide(dense, sums, out=np.zeros_like(dense), where=sums > 0)
+            normalized = row_normalize(im)
+            assert np.abs(normalized.matrix.toarray() - unit).max() <= 1e-15
+
+            norms = np.linalg.norm(unit, axis=1)
+            denom = np.outer(norms, norms)
+            ref = np.divide(unit @ unit.T, denom, out=np.zeros((m, m)), where=denom > 0)
+            cos = cosine_similarity_matrix(normalized)
+            assert np.abs(cos.values - ref).max() <= 1e-15, trial
+            assert cos.zero_rows == [i for i in range(m) if sums[i, 0] == 0]
+            assert empty <= set(cos.zero_rows)
+
+
 class TestTruncatedSVD:
     def test_identity_matrix(self):
         f = truncated_svd(np.eye(3), 3)

@@ -32,7 +32,7 @@ TOLERANCE = 1e-9
 # curvature pairs the L-BFGS two-loop recursion keeps
 MEMORY = 10
 # SMOTE computes within-class distances in row blocks whose difference tensor fits in this
-_SMOTE_BLOCK_BYTES = 16 * 2**20
+_SMOTE_BLOCK_BYTES = 2**20
 
 
 @dataclass

@@ -9,6 +9,10 @@ directory derived from the config contents and the effective seed, so a
 changed config never overwrites a previous run, and rerunning the same
 config reproduces the same bytes.
 
+preprocess/tokens.json holds each user's cleaned tokens and emoji as
+compact JSON with sorted keys; `cme run` hands the same records to
+train-we and views in memory, and the standalone stages read the file.
+
 Per-user matrices (the skip-gram models, the six views, the Network view and
 each composition) are written with wemodel.save_model as binary pairs:
 "<stem>.npy" holds the float64 matrix and "<stem>.words" the row labels, so
@@ -88,7 +92,12 @@ CONFIG_KEYS = {
 
 
 class RunContext:
-    """Parsed config, the content-addressed run directory and the parsed corpus."""
+    """Parsed config, the content-addressed run directory and what stages share in memory.
+
+    Within one process (`cme run`) the corpus is parsed once and the
+    prepared users that preprocess writes to tokens.json are kept, so
+    train-we and views read neither file again.
+    """
 
     def __init__(self, config_path: str, seed: int | None, out_dir: str | None):
         self.parser = configparser.ConfigParser()
@@ -106,6 +115,8 @@ class RunContext:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         # set by _load_corpus on first use, so `cme run` parses the corpus once
         self.dataset: corpus.LabeledDataset | None = None
+        # set by cmd_preprocess, in tokens.json's sorted-user_id order
+        self.prepared: dict[str, pipeline.PreparedUser] | None = None
 
     def _check_keys(self) -> None:
         unknown = [f"DEFAULT.{key}" for key in self.parser.defaults()]
@@ -175,8 +186,8 @@ class RunContext:
         print(f"[{stage}] effective seed {seed}")
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _write_json(path: Path, payload, indent: int | None = 2) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=indent) + "\n", encoding="utf-8")
 
 
 def _save_view(view: compose.ViewEmbeddingSet, path: Path) -> None:
@@ -276,11 +287,17 @@ def cmd_preprocess(ctx: RunContext) -> None:
         for uid, rec in prepared.items()
     }
     out = ctx.stage_dir("preprocess")
-    _write_json(out / "tokens.json", payload)
+    # compact: no indent lets json use its C encoder
+    _write_json(out / "tokens.json", payload, indent=None)
+    # the order _load_prepared reads back: later stages depend on user order
+    ctx.prepared = {uid: prepared[uid] for uid in sorted(prepared)}
     print(f"[preprocess] tokenized {len(prepared)} users")
 
 
 def _load_prepared(ctx: RunContext) -> dict[str, pipeline.PreparedUser]:
+    """The prepared users: kept from preprocess in this process, else read from tokens.json."""
+    if ctx.prepared is not None:
+        return ctx.prepared
     path = ctx.require(ctx.run_dir / "preprocess" / "tokens.json", "preprocess")
     raw = json.loads(path.read_text(encoding="utf-8"))
     return {
@@ -467,9 +484,35 @@ def cmd_correlate(ctx: RunContext) -> None:
         print(f"[correlate] {name_a} vs {name_b}: rho={res.rho:.4g} p={res.p_value:.4g} n={res.n}")
 
 
+def _compose_tags(ctx: RunContext) -> dict[str, tuple[str, ...]]:
+    """Each [compose] tag and the views it adds."""
+    tags = {}
+    for tag in ctx.getlist("compose", "tags", "T+D,T+E,D+E,N+T+E"):
+        try:
+            tags[tag] = compose.resolve_tag(tag)
+        except compose.CompositionError as exc:
+            raise CLIError(f"compose.tags: {exc}") from None
+    return tags
+
+
+def _suite_tags(ctx: RunContext) -> tuple[list[str], list[str]]:
+    """(suite A tags, suite B tags); each must be a composition the compose stage builds."""
+    built = _compose_tags(ctx)
+    suite_a = ctx.getlist("classify", "suite_a_tags", "T+D,T+E,D+E")
+    suite_b = ctx.getlist("classify", "suite_b_tags", "N+T+E")
+    for key, tags in (("suite_a_tags", suite_a), ("suite_b_tags", suite_b)):
+        missing = [tag for tag in tags if tag not in built]
+        if missing:
+            raise CLIError(
+                f"classify.{key}: {', '.join(map(repr, missing))} not among compose.tags "
+                f"({', '.join(built)})"
+            )
+    return suite_a, suite_b
+
+
 def cmd_compose(ctx: RunContext) -> None:
-    tags = ctx.getlist("compose", "tags", "T+D,T+E,D+E,N+T+E")
-    needed = sorted({name for tag in tags for name in compose.resolve_tag(tag)})
+    tags = _compose_tags(ctx)
+    needed = sorted({name for names in tags.values() for name in names})
     views = _load_views(ctx, needed)
     out = ctx.stage_dir("compose")
     meta = {}
@@ -514,8 +557,7 @@ def _classify_settings(
 
 def cmd_classify(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
-    suite_a_tags = ctx.getlist("classify", "suite_a_tags", "T+D,T+E,D+E")
-    suite_b_tags = ctx.getlist("classify", "suite_b_tags", "N+T+E")
+    suite_a_tags, suite_b_tags = _suite_tags(ctx)
     cme_sets = {}
     for tag in dict.fromkeys(suite_a_tags + suite_b_tags):
         cme_sets[tag] = _load_view(ctx, ctx.run_dir / "compose" / _view_filename(tag), tag, "compose")
@@ -622,13 +664,14 @@ COMMANDS = {
 def cmd_run(ctx: RunContext) -> None:
     """Run the whole chain in stage order.
 
-    The checked settings of train-we, netembed, correlate and classify are
-    built first, so an unusable value fails before the first stage writes
-    anything.
+    The checked settings of train-we, netembed, correlate, compose and
+    classify are built first, so an unusable value fails before the first
+    stage writes anything.
     """
     _training_config(ctx)
     _netembed_settings(ctx)
     _correlate_pairs(ctx)
+    _suite_tags(ctx)
     _classify_settings(ctx)
     stages = list(STAGE_ORDER)
     if ctx.get("corpus", "directory"):

@@ -91,8 +91,12 @@ class CMEVector:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1, ties getting the average of their positions."""
-    order = np.argsort(values, kind="mergesort")
+    """Ranks starting at 1, ties getting the average of their positions.
+
+    Every member of a run of equal values gets the same rank, so the order
+    the sort leaves inside a run does not matter and it need not be stable.
+    """
+    order = np.argsort(values)
     sorted_vals = values[order]
     # [start, end) of each run of equal values in sorted order
     starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])

@@ -17,7 +17,7 @@ from . import classify, compose, netembed
 from .corpus import ClassLabel, LabeledDataset
 from .emoji import EmojiSenseEntry, emoji_embedding
 from .imagetags import MissingImageTagsError
-from .preprocess import clean_tokens, extract_entities, lemmatize
+from .preprocess import extract_entities, token_cleaner
 from .wemodel import TrainingConfig, WEModel, train_skipgram, view_embedding
 
 
@@ -39,19 +39,20 @@ def prepare_users(
     lemma_table: dict[str, str],
     keep_hashtag_body: bool = True,
 ) -> dict[str, PreparedUser]:
-    """Extract emoji and clean tokens for every user's text."""
+    """Extract emoji and clean tokens for every user's text.
+
+    Tokens are lemmatize(clean_tokens(...)) of each text's residual; the
+    cleaner memoises per distinct raw token for the length of this call.
+    """
+    clean = token_cleaner(stopwords, lemma_table, keep_hashtag_body)
     prepared: dict[str, PreparedUser] = {}
     for user in dataset.users:
         rec = PreparedUser(user_id=user.user_id)
         rec.desc_emoji, residual = extract_entities(user.description)
-        rec.desc_tokens = lemmatize(
-            clean_tokens(residual, stopwords, keep_hashtag_body), lemma_table
-        )
+        rec.desc_tokens = clean(residual)
         for tweet in dataset.tweets_by_author.get(user.user_id, []):
             t_emoji, t_residual = extract_entities(tweet.raw_text)
-            tokens = lemmatize(
-                clean_tokens(t_residual, stopwords, keep_hashtag_body), lemma_table
-            )
+            tokens = clean(t_residual)
             if tokens:
                 rec.tweet_sentences.append(tokens)
             rec.tweet_tokens.extend(tokens)

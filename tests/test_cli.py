@@ -166,13 +166,20 @@ class TestFullChain:
         assert named in _one_line_error(capsys)
 
     @pytest.mark.parametrize(
-        "section, key, named",
-        [("classify", "epochs", "classify.epochs must be >= 1"), ("train_we", "window", "train_we.window")],
-        ids=["zero-classify-epochs", "zero-window"],
+        "section, key, value, named",
+        [
+            ("classify", "epochs", "0", "classify.epochs must be >= 1"),
+            ("train_we", "window", "0", "train_we.window"),
+            ("compose", "tags", "T+D,T+X", "compose.tags: tag 'T+X' is not a canonical tag"),
+            ("compose", "tags", "T+D,D+E,N+T+E", "classify.suite_a_tags: 'T+E' not among compose.tags"),
+        ],
+        ids=["zero-classify-epochs", "zero-window", "unknown-compose-tag", "suite-tag-not-composed"],
     )
-    def test_run_checks_late_stage_config_before_any_stage(self, tmp_path, capsys, section, key, named):
+    def test_run_checks_late_stage_config_before_any_stage(
+        self, tmp_path, capsys, section, key, value, named
+    ):
         cfg = _config(tmp_path)
-        _set_key(cfg, section, key, "0")
+        _set_key(cfg, section, key, value)
         assert main(["run", "--config", cfg]) == 1
         assert named in _one_line_error(capsys)
         assert not (_run_dir(tmp_path) / "preprocess" / "tokens.json").exists()

@@ -1,7 +1,13 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cme import preprocess
+from cme.corpus import LabeledDataset, TweetRecord, UserRecord
+from cme.pipeline import prepare_users
 from cme.preprocess import (
     clean_tokens,
     extract_entities,
@@ -132,3 +138,94 @@ class TestDataFiles:
     def test_default_lemma_table_loads(self):
         table = load_lemma_table()
         assert table["dogs"] == "dog"
+
+
+def _unguarded_extract(raw_text):
+    """extract_entities with every pattern applied unconditionally."""
+    text = preprocess._RT_RE.sub("", raw_text or "", count=1)
+    for pattern in (
+        preprocess._URL_RE, preprocess._EMAIL_RE, preprocess._WEB_RE,
+        preprocess._PHONE_RE, preprocess._MENTION_RE,
+    ):
+        text = pattern.sub(" ", text)
+    emoji = preprocess._EMOJI_RE.findall(text)
+    text = preprocess._EMOJI_RE.sub(" ", text)
+    return emoji, " ".join(text.split())
+
+
+# each one sits on the edge of a guard or of the per-token rule
+EDGE_TEXTS = [
+    "Rt @x: hi there",
+    "visit WWW.Example.COM now",
+    "see HTTPS://x today",
+    "call \u0665\u0665\u0665-\u0661\u0662\u0663-\u0664\u0665\u0666\u0667 now",
+    "call +1 (555) 123-4567 now",
+    "\u00a9 acme \u00ae",
+    "key 1\ufe0f\u20e3 and #\u20e3 pad",
+    "STRASSE stra\u00dfe \u0130stanbul istanbul Weed weed #Weed #weed",
+    "sale420 4/20 2024 !! -- ... ?? 'quoted' dogs' dogs",
+    "mail A.B@Example.co or me@site.org or @friend, plain",
+    "\U0001F33F\U0001F1FA\U0001F1F8 leaf\u200d\U0001F33F greens",
+    "",
+]
+
+# fragments that straddle the guards; joined with no separator they also merge
+_FRAGMENTS = st.sampled_from([
+    "RT", "Rt ", "@", "@x:", " ", "://", "HTTPS", "http", "s://x", "WWW", "www.", "Example",
+    ".COM", "a@b.co", "x@y.io", "\u0665\u0665\u0665-", "\u0661\u0662\u0663-\u0664\u0665\u0666\u0667",
+    "555-", "123-4567", "1", "\ufe0f", "\u20e3", "\u00a9",
+    "\u200d", "\U0001F33F", "\U0001F1FA", "#", "\u00df", "\u0130", "weed", "dogs", "!!", "the",
+])
+EDGE_STRATEGY = st.lists(st.one_of(_FRAGMENTS, st.text(max_size=6)), max_size=14).map("".join)
+
+
+class TestFastPaths:
+    """The guarded and memoised paths against the per-text reference."""
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
+    def test_guarded_extract_matches_unguarded(self, text):
+        assert extract_entities(text) == _unguarded_extract(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(EDGE_STRATEGY)
+    def test_guarded_extract_matches_unguarded_property(self, text):
+        assert extract_entities(text) == _unguarded_extract(text)
+
+    def test_guards_hold_for_every_code_point(self):
+        # the claims the guards rest on: no emoji unit is ASCII-only, and only w/W match w
+        assert preprocess._EMOJI_RE.search("".join(map(chr, range(128)))) is None
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert set(re.findall("w", every, re.IGNORECASE)) == {"w", "W"}
+
+    @staticmethod
+    def _check_prepared(texts, keep_hashtag_body):
+        stop, table = load_stopwords(), load_lemma_table()
+        # two users share every text, so the memo is hit as well as filled
+        users = [UserRecord(f"u{i}", description=texts[i % len(texts)]) for i in range(2)]
+        tweets = {
+            u.user_id: [TweetRecord(f"{u.user_id}t{j}", u.user_id, t) for j, t in enumerate(texts)]
+            for u in users
+        }
+        dataset = LabeledDataset(users=users, tweets_by_author=tweets, interactions=[])
+        prepared = prepare_users(dataset, stop, table, keep_hashtag_body)
+
+        def reference(text):
+            emoji, residual = _unguarded_extract(text)
+            return emoji, lemmatize(clean_tokens(residual, stop, keep_hashtag_body), table)
+
+        for user in users:
+            rec = prepared[user.user_id]
+            assert (rec.desc_emoji, rec.desc_tokens) == reference(user.description)
+            per_tweet = [reference(t) for t in texts]
+            assert rec.tweet_sentences == [tokens for _, tokens in per_tweet if tokens]
+            assert rec.tweet_tokens == [tok for _, tokens in per_tweet for tok in tokens]
+            assert rec.tweet_emoji == [e for emoji, _ in per_tweet for e in emoji]
+
+    @pytest.mark.parametrize("keep_hashtag_body", [True, False])
+    def test_prepare_users_matches_per_text_reference(self, keep_hashtag_body):
+        self._check_prepared(EDGE_TEXTS, keep_hashtag_body)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(EDGE_STRATEGY, min_size=1, max_size=6), st.booleans())
+    def test_prepare_users_matches_per_text_reference_property(self, texts, keep_hashtag_body):
+        self._check_prepared(texts, keep_hashtag_body)

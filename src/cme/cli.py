@@ -24,9 +24,14 @@ With [views] profile_images on, the views stage also reads the image tag
 file ([views] image_fixture, by default <corpus>/image_tags.tsv, which
 synth writes) and builds the ProfileImage view from it.
 
-The config file is flat INI with one section per stage; every key has a
-default, so a minimal config can be empty. CONFIG_KEYS lists every key the
-stages read; any other section or key is an error before anything runs.
+The config file is flat INI with one section per stage. CONFIG_KEYS lists
+every key with the type its value is parsed with; any other section or key
+is an error before the run directory is made. RunContext reads the file in
+one pass: it parses every key, range-checks every stage's settings and
+reads the input files the config names, so an unusable value fails before
+the first stage runs. A key the file leaves out takes the default of the
+setting it feeds (TrainingConfig, SMOTEConfig, ClassifierConfig, ...), so
+a minimal config can be empty.
 """
 
 from __future__ import annotations
@@ -64,38 +69,53 @@ STAGE_ORDER = [
 ]
 
 
-_SYNTH_CLASSES = ("personal", "informed_agency", "retail")
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
 
-# section -> keys read by the stage commands below
+
+def _list(raw: str) -> list[str]:
+    return [item.strip() for item in raw.split(",") if item.strip()]
+
+
+def _counts(raw: str) -> list[int]:
+    return [int(item) for item in _list(raw)]
+
+
+# section -> key -> the type its value is parsed with
 CONFIG_KEYS = {
-    "global": {"seed", "out_dir"},
-    "corpus": {"directory"},
-    "synth": {"seed_offset", "users_per_class"}
-    | {f"{cls}_{suffix}" for cls in _SYNTH_CLASSES for suffix in ("rates", "class_word_prob")},
-    "preprocess": {"stopwords", "lemmas", "keep_hashtag_body"},
+    "global": {"seed": int, "out_dir": str},
+    "corpus": {"directory": str},
+    "synth": {"users_per_class": _counts},
+    "preprocess": {"stopwords": str, "lemmas": str, "keep_hashtag_body": _bool},
     "train_we": {
-        "dimension", "window", "negatives", "epochs", "learning_rate", "min_count",
-        "subsample_threshold", "seed_offset",
+        "dimension": int, "window": int, "negatives": int, "epochs": int, "learning_rate": float,
+        "min_count": int, "subsample_threshold": float,
     },
     "views": {
-        "emoji_lexicon", "emoji_background_model", "profile_images", "image_fixture",
-        "image_confidence_threshold",
+        "emoji_lexicon": str, "emoji_background_model": str, "profile_images": _bool,
+        "image_fixture": str, "image_confidence_threshold": float,
     },
-    "netembed": {"mode", "k"},
-    "correlate": {"pairs", "alpha"},
-    "compose": {"tags"},
+    "netembed": {"mode": str, "k": int},
+    "correlate": {"pairs": _list, "alpha": float},
+    "compose": {"tags": _list},
     "classify": {
-        "suite_a_tags", "suite_b_tags", "seed_offset", "smote_k", "smote_duplicate_singletons",
-        "l2_penalty", "epochs", "split_ratio",
+        "suite_a_tags": _list, "suite_b_tags": _list, "smote_k": int,
+        "smote_duplicate_singletons": _bool, "l2_penalty": float, "epochs": int,
+        "split_ratio": float,
     },
 }
 
 
 class RunContext:
-    """Parsed config, the content-addressed run directory and what stages share in memory.
+    """The config, read once; the run directory; and what stages share in memory.
 
-    Within one process (`cme run`) the corpus is parsed once and the
-    prepared users that preprocess writes to tokens.json are kept, so
+    Construction parses every key, builds every stage's checked settings
+    and reads the input files the config names, so the stage commands read
+    no config. Within one process (`cme run`) the corpus is parsed once and
+    the prepared users that preprocess writes to tokens.json are kept, so
     train-we and views read neither file again.
     """
 
@@ -108,20 +128,55 @@ class RunContext:
         if not read:
             raise CLIError(f"config file not found: {config_path}")
         self._check_keys()
-        self.seed = seed if seed is not None else self.getint("global", "seed", 7)
+        file_seed = self.get("global", "seed", 7)
+        self.seed = file_seed if seed is None else seed
         out = out_dir or self.get("global", "out_dir", "cme-out")
-        digest = self._fingerprint()
-        self.run_dir = Path(out) / f"run-{digest}"
+        self.run_dir = Path(out) / f"run-{self._fingerprint()}"
         self.run_dir.mkdir(parents=True, exist_ok=True)
+        directory = self.get("corpus", "directory")
+        self.external_corpus = bool(directory)
+        self.corpus_dir = Path(directory) if directory else self.run_dir / "synth"
         # set by _load_corpus on first use, so `cme run` parses the corpus once
         self.dataset: corpus.LabeledDataset | None = None
         # set by cmd_preprocess, in tokens.json's sorted-user_id order
         self.prepared: dict[str, pipeline.PreparedUser] | None = None
 
+        self.synth = _synth_config(self)
+        self.stopwords = self._load("preprocess", "stopwords", load_stopwords)
+        self.lemmas = self._load("preprocess", "lemmas", load_lemma_table)
+        self.keep_hashtags = self.get("preprocess", "keep_hashtag_body", True)
+        try:
+            self.training = wemodel.TrainingConfig(
+                seed=self.seed, **self.given("train_we", *CONFIG_KEYS["train_we"])
+            )
+        except ValueError as exc:
+            # TrainingConfig's messages start with the field name, which is also the key
+            raise CLIError(f"train_we.{exc}") from None
+        self.lexicon = self._load("views", "emoji_lexicon", load_emoji_lexicon)
+        self.background = self._load(
+            "views", "emoji_background_model",
+            lambda path: wemodel.load_text_model(path) if path else None,
+        )
+        self.profile_images = self.get("views", "profile_images", False)
+        fixture = self.get("views", "image_fixture")
+        self.image_tags = Path(fixture or self.corpus_dir / "image_tags.tsv")
+        self.image_threshold = self.get("views", "image_confidence_threshold", 0.5)
+        # synth writes the default tag file; any other must exist before the first stage
+        if self.profile_images and (fixture or directory) and not self.image_tags.is_file():
+            raise CLIError(f"image tag file not found: {self.image_tags} (set [views] image_fixture)")
+        self.net_mode, self.net_k = _netembed_settings(self)
+        self.pairs = _correlate_pairs(self)
+        self.alpha = self.get("correlate", "alpha", 0.01)
+        if not 0.0 < self.alpha < 1.0:
+            raise CLIError(f"correlate.alpha must be in (0, 1), got {self.alpha}")
+        self.tags = _compose_tags(self)
+        self.suite_a, self.suite_b = _suite_tags(self)
+        self.smote, self.classifier, self.split_ratio = _classify_settings(self)
+
     def _check_keys(self) -> None:
         unknown = [f"DEFAULT.{key}" for key in self.parser.defaults()]
         for section in self.parser.sections():
-            known = CONFIG_KEYS.get(section, set())
+            known = CONFIG_KEYS.get(section, {})
             unknown += [f"{section}.{key}" for key in self.parser[section] if key not in known]
         if unknown:
             raise CLIError(f"unknown config key(s): {', '.join(unknown)}")
@@ -135,32 +190,34 @@ class RunContext:
         parts.append(f"seed={self.seed}")
         return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:12]
 
-    def _read(self, section: str, key: str) -> tuple[str, str]:
-        if key not in CONFIG_KEYS[section]:
+    def _read(self, section: str, key: str):
+        """The key's value parsed with its CONFIG_KEYS type, or None when the file does not set it."""
+        parse = CONFIG_KEYS[section].get(key)
+        if parse is None:
             raise KeyError(f"{section}.{key} is read but missing from CONFIG_KEYS")
-        return section, key
-
-    def get(self, section: str, key: str, fallback=None):
-        return self.parser.get(*self._read(section, key), fallback=fallback)
-
-    def _typed(self, parse, section: str, key: str, fallback):
+        raw = self.parser.get(section, key, fallback=None)
         try:
-            return parse(*self._read(section, key), fallback=fallback)
+            return None if raw is None else parse(raw)
         except ValueError as exc:
             raise CLIError(f"{section}.{key}: {exc}") from None
 
-    def getint(self, section: str, key: str, fallback: int) -> int:
-        return self._typed(self.parser.getint, section, key, fallback)
+    def get(self, section: str, key: str, default=None):
+        value = self._read(section, key)
+        return default if value is None else value
 
-    def getfloat(self, section: str, key: str, fallback: float) -> float:
-        return self._typed(self.parser.getfloat, section, key, fallback)
+    def given(self, section: str, *keys: str, **renamed: str) -> dict:
+        """{field: value} for the keys the file sets; renamed maps a field to a differently named key."""
+        fields = {key: key for key in keys} | renamed
+        values = {field: self._read(section, key) for field, key in fields.items()}
+        return {field: value for field, value in values.items() if value is not None}
 
-    def getbool(self, section: str, key: str, fallback: bool) -> bool:
-        return self._typed(self.parser.getboolean, section, key, fallback)
-
-    def getlist(self, section: str, key: str, fallback: str) -> list[str]:
-        raw = self.get(section, key, fallback)
-        return [item.strip() for item in raw.split(",") if item.strip()]
+    def _load(self, section: str, key: str, load):
+        """load(path the key names, or None for the packaged default); a bad file is a CLIError."""
+        path = self.get(section, key) or None
+        try:
+            return load(path)
+        except (OSError, ValueError) as exc:
+            raise CLIError(f"{section}.{key}: {exc}") from None
 
     # ---- artifact paths -------------------------------------------------
 
@@ -168,12 +225,6 @@ class RunContext:
         path = self.run_dir / stage
         path.mkdir(parents=True, exist_ok=True)
         return path
-
-    def corpus_dir(self) -> Path:
-        configured = self.get("corpus", "directory")
-        if configured:
-            return Path(configured)
-        return self.run_dir / "synth"
 
     def require(self, path: Path, producer: str) -> Path:
         if not path.exists():
@@ -220,31 +271,22 @@ def _view_filename(tag: str) -> str:
 # ---- stage commands -----------------------------------------------------
 
 
-def cmd_synth(ctx: RunContext) -> None:
-    seed = ctx.seed + ctx.getint("synth", "seed_offset", 0)
+def _synth_config(ctx: RunContext) -> synth.SynthConfig:
     profiles = synth.default_profiles()
-    sizes = ctx.getlist("synth", "users_per_class", "60,30,20")
-    if len(sizes) != 3:
-        raise CLIError("synth.users_per_class must list three counts (P,I,R)")
-    order = [corpus.ClassLabel.PERSONAL, corpus.ClassLabel.INFORMED_AGENCY, corpus.ClassLabel.RETAIL]
-    for cls, count in zip(order, sizes):
+    sizes = ctx.get("synth", "users_per_class")
+    if sizes is not None:
+        if len(sizes) != len(profiles):
+            raise CLIError("synth.users_per_class must list three counts (P,I,R)")
         try:
-            profiles[cls] = replace(profiles[cls], users=int(count))
+            profiles = {cls: replace(p, users=n) for (cls, p), n in zip(profiles.items(), sizes)}
         except ValueError as exc:
             raise CLIError(f"synth.users_per_class: {exc}") from None
-    for cls, key in zip(order, _SYNTH_CLASSES):
-        rates = ctx.get("synth", f"{key}_rates")
-        if rates:
-            try:
-                retweet, mention = (float(x) for x in rates.split("/"))
-                profiles[cls] = replace(profiles[cls], retweet_rate=retweet, mention_rate=mention)
-            except ValueError as exc:
-                raise CLIError(f"synth.{key}_rates: {exc} (want retweet/mention)") from None
-        word_prob = ctx.getfloat("synth", f"{key}_class_word_prob", profiles[cls].class_word_prob)
-        profiles[cls] = replace(profiles[cls], class_word_prob=word_prob)
+    return synth.SynthConfig(profiles=profiles, seed=ctx.seed)
 
-    config = synth.SynthConfig(profiles=profiles, seed=seed)
-    dataset = synth.generate(config)
+
+def cmd_synth(ctx: RunContext) -> None:
+    seed = ctx.synth.seed
+    dataset = synth.generate(ctx.synth)
     out = ctx.stage_dir("synth")
     corpus.save_dataset(dataset, out)
     synth.write_image_fixture(dataset, out / "image_tags.tsv", seed=seed)
@@ -264,18 +306,14 @@ def cmd_synth(ctx: RunContext) -> None:
 def _load_corpus(ctx: RunContext) -> corpus.LabeledDataset:
     """The corpus, parsed on first use and then shared; no stage modifies it."""
     if ctx.dataset is None:
-        directory = ctx.corpus_dir()
-        ctx.require(directory / "users.jsonl", "synth (or set [corpus] directory)")
-        ctx.dataset = corpus.load_dataset(directory)
+        ctx.require(ctx.corpus_dir / "users.jsonl", "synth (or set [corpus] directory)")
+        ctx.dataset = corpus.load_dataset(ctx.corpus_dir)
     return ctx.dataset
 
 
 def cmd_preprocess(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
-    stopwords = load_stopwords(ctx.get("preprocess", "stopwords"))
-    lemmas = load_lemma_table(ctx.get("preprocess", "lemmas"))
-    keep_hashtags = ctx.getbool("preprocess", "keep_hashtag_body", True)
-    prepared = pipeline.prepare_users(dataset, stopwords, lemmas, keep_hashtags)
+    prepared = pipeline.prepare_users(dataset, ctx.stopwords, ctx.lemmas, ctx.keep_hashtags)
     payload = {
         uid: {
             "tweet_tokens": rec.tweet_tokens,
@@ -313,26 +351,9 @@ def _load_prepared(ctx: RunContext) -> dict[str, pipeline.PreparedUser]:
     }
 
 
-def _training_config(ctx: RunContext) -> wemodel.TrainingConfig:
-    try:
-        return wemodel.TrainingConfig(
-            dimension=ctx.getint("train_we", "dimension", 300),
-            window=ctx.getint("train_we", "window", 5),
-            negatives=ctx.getint("train_we", "negatives", 10),
-            epochs=ctx.getint("train_we", "epochs", 5),
-            learning_rate=ctx.getfloat("train_we", "learning_rate", 0.025),
-            min_count=ctx.getint("train_we", "min_count", 5),
-            subsample_threshold=ctx.getfloat("train_we", "subsample_threshold", 1e-4),
-            seed=ctx.seed + ctx.getint("train_we", "seed_offset", 0),
-        )
-    except ValueError as exc:
-        # TrainingConfig's messages start with the field name, which is also the key
-        raise CLIError(f"train_we.{exc}") from None
-
-
 def cmd_train_we(ctx: RunContext) -> None:
     prepared = _load_prepared(ctx)
-    config = _training_config(ctx)
+    config = ctx.training
     content, people = pipeline.train_view_models(prepared, config)
     out = ctx.stage_dir("models")
     wemodel.save_model(content, out / "content.npy")
@@ -363,18 +384,12 @@ def _load_models(ctx: RunContext) -> tuple[wemodel.WEModel, wemodel.WEModel]:
     )
 
 
-def _image_tags_path(ctx: RunContext) -> Path:
-    path = Path(ctx.get("views", "image_fixture") or ctx.corpus_dir() / "image_tags.tsv")
+def _load_image_tags(ctx: RunContext) -> dict[str, list[str]]:
+    path = ctx.image_tags
     if not path.is_file():
         raise CLIError(f"image tag file not found: {path} (set [views] image_fixture)")
-    return path
-
-
-def _load_image_tags(ctx: RunContext) -> dict[str, list[str]]:
-    path = _image_tags_path(ctx)
-    threshold = ctx.getfloat("views", "image_confidence_threshold", 0.5)
     try:
-        return load_image_tags(path, threshold)
+        return load_image_tags(path, ctx.image_threshold)
     except ValueError as exc:
         raise CLIError(f"unreadable image tag file {path}: {exc}") from None
 
@@ -383,13 +398,10 @@ def cmd_views(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
     prepared = _load_prepared(ctx)
     content, people = _load_models(ctx)
-    lexicon = load_emoji_lexicon(ctx.get("views", "emoji_lexicon"))
-    background_path = ctx.get("views", "emoji_background_model")
-    background = wemodel.load_text_model(background_path) if background_path else None
 
-    views = pipeline.build_text_views(prepared, content, people, lexicon, background)
+    views = pipeline.build_text_views(prepared, content, people, ctx.lexicon, ctx.background)
 
-    if ctx.getbool("views", "profile_images", False):
+    if ctx.profile_images:
         views["ProfileImage"] = pipeline.build_image_view(dataset, people, _load_image_tags(ctx))
 
     out = ctx.stage_dir("views")
@@ -418,15 +430,20 @@ def _netembed_settings(ctx: RunContext) -> tuple[str, int | None]:
     mode = ctx.get("netembed", "mode", "paper")
     if mode not in netembed.MODES:
         raise CLIError(f"netembed.mode must be one of {', '.join(netembed.MODES)}, got {mode!r}")
-    return mode, ctx.getint("netembed", "k", 0) or None
+    k = ctx.get("netembed", "k", 0)
+    dimension = ctx.training.dimension
+    if not 0 <= k <= dimension:
+        raise CLIError(f"netembed.k must be in [0, {dimension}] (train_we.dimension), got {k}")
+    return mode, k or None
 
 
 def cmd_netembed(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
-    dimension = ctx.getint("train_we", "dimension", 300)
-    mode, k = _netembed_settings(ctx)
+    mode = ctx.net_mode
     try:
-        view, embedding = pipeline.build_network_view(dataset, dimension, mode=mode, k=k)
+        view, embedding = pipeline.build_network_view(
+            dataset, ctx.training.dimension, mode=mode, k=ctx.net_k
+        )
     except ValueError as exc:
         raise CLIError(f"netembed: {exc}") from None
     out = ctx.stage_dir("netembed")
@@ -444,10 +461,10 @@ def cmd_netembed(ctx: RunContext) -> None:
 
 
 def _correlate_pairs(ctx: RunContext) -> list[tuple[str, str]]:
-    pairs_raw = ctx.getlist(
+    pairs_raw = ctx.get(
         "correlate",
         "pairs",
-        "Tweet:TweetEmoji,Description:DescriptionEmoji,Tweet:Network,Description:Network",
+        ["Tweet:TweetEmoji", "Description:DescriptionEmoji", "Tweet:Network", "Description:Network"],
     )
     pairs = []
     for item in pairs_raw:
@@ -465,14 +482,11 @@ def _correlate_pairs(ctx: RunContext) -> list[tuple[str, str]]:
 
 
 def cmd_correlate(ctx: RunContext) -> None:
-    pairs = _correlate_pairs(ctx)
-    views = _load_views(ctx, sorted({name for pair in pairs for name in pair}))
-    alpha = ctx.getfloat("correlate", "alpha", 0.01)
-
+    views = _load_views(ctx, sorted({name for pair in ctx.pairs for name in pair}))
     results = []
-    for name_a, name_b in pairs:
+    for name_a, name_b in ctx.pairs:
         try:
-            res = compose.correlate_views(views[name_a], views[name_b], alpha=alpha)
+            res = compose.correlate_views(views[name_a], views[name_b], alpha=ctx.alpha)
         except compose.UndefinedCorrelationError as exc:
             res = compose.CorrelationResult(
                 rho=float("nan"), p_value=float("nan"), n=0, decision=f"undefined: {exc}"
@@ -487,7 +501,7 @@ def cmd_correlate(ctx: RunContext) -> None:
 def _compose_tags(ctx: RunContext) -> dict[str, tuple[str, ...]]:
     """Each [compose] tag and the views it adds."""
     tags = {}
-    for tag in ctx.getlist("compose", "tags", "T+D,T+E,D+E,N+T+E"):
+    for tag in ctx.get("compose", "tags", ["T+D", "T+E", "D+E", "N+T+E"]):
         try:
             tags[tag] = compose.resolve_tag(tag)
         except compose.CompositionError as exc:
@@ -497,26 +511,24 @@ def _compose_tags(ctx: RunContext) -> dict[str, tuple[str, ...]]:
 
 def _suite_tags(ctx: RunContext) -> tuple[list[str], list[str]]:
     """(suite A tags, suite B tags); each must be a composition the compose stage builds."""
-    built = _compose_tags(ctx)
-    suite_a = ctx.getlist("classify", "suite_a_tags", "T+D,T+E,D+E")
-    suite_b = ctx.getlist("classify", "suite_b_tags", "N+T+E")
+    suite_a = ctx.get("classify", "suite_a_tags", ["T+D", "T+E", "D+E"])
+    suite_b = ctx.get("classify", "suite_b_tags", ["N+T+E"])
     for key, tags in (("suite_a_tags", suite_a), ("suite_b_tags", suite_b)):
-        missing = [tag for tag in tags if tag not in built]
+        missing = [tag for tag in tags if tag not in ctx.tags]
         if missing:
             raise CLIError(
                 f"classify.{key}: {', '.join(map(repr, missing))} not among compose.tags "
-                f"({', '.join(built)})"
+                f"({', '.join(ctx.tags)})"
             )
     return suite_a, suite_b
 
 
 def cmd_compose(ctx: RunContext) -> None:
-    tags = _compose_tags(ctx)
-    needed = sorted({name for names in tags.values() for name in names})
+    needed = sorted({name for names in ctx.tags.values() for name in names})
     views = _load_views(ctx, needed)
     out = ctx.stage_dir("compose")
     meta = {}
-    for tag in tags:
+    for tag in ctx.tags:
         cme_set = compose.build_cme(views, tag)
         _save_view(cme_set, out / _view_filename(tag))
         meta[tag] = {
@@ -526,7 +538,7 @@ def cmd_compose(ctx: RunContext) -> None:
             "per_view_sentinels": cme_set.sentinel_counts,
         }
     _write_json(out / "meta.json", meta)
-    print(f"[compose] built {', '.join(tags)}")
+    print(f"[compose] built {', '.join(ctx.tags)}")
 
 
 def _classify_settings(
@@ -535,21 +547,19 @@ def _classify_settings(
     """(SMOTE config, classifier config, split ratio); the SMOTE seed is the split seed."""
     try:
         smote_config = classify.SMOTEConfig(
-            k_neighbors=ctx.getint("classify", "smote_k", 5),
-            seed=ctx.seed + ctx.getint("classify", "seed_offset", 0),
-            duplicate_singletons=ctx.getbool("classify", "smote_duplicate_singletons", False),
+            seed=ctx.seed,
+            **ctx.given(
+                "classify", k_neighbors="smote_k", duplicate_singletons="smote_duplicate_singletons"
+            ),
         )
     except ValueError as exc:
         raise CLIError(f"classify.smote_k: {exc}") from None
     try:
-        classifier_config = classify.ClassifierConfig(
-            l2_penalty=ctx.getfloat("classify", "l2_penalty", 1e-3),
-            epochs=ctx.getint("classify", "epochs", 1000),
-        )
+        classifier_config = classify.ClassifierConfig(**ctx.given("classify", "l2_penalty", "epochs"))
     except ValueError as exc:
         # ClassifierConfig's messages start with the field name, which is also the key
         raise CLIError(f"classify.{exc}") from None
-    split_ratio = ctx.getfloat("classify", "split_ratio", 0.8)
+    split_ratio = ctx.get("classify", "split_ratio", 0.8)
     if not 0.0 < split_ratio < 1.0:
         raise CLIError(f"classify.split_ratio must be in (0, 1), got {split_ratio}")
     return smote_config, classifier_config, split_ratio
@@ -557,22 +567,20 @@ def _classify_settings(
 
 def cmd_classify(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
-    suite_a_tags, suite_b_tags = _suite_tags(ctx)
     cme_sets = {}
-    for tag in dict.fromkeys(suite_a_tags + suite_b_tags):
+    for tag in dict.fromkeys(ctx.suite_a + ctx.suite_b):
         cme_sets[tag] = _load_view(ctx, ctx.run_dir / "compose" / _view_filename(tag), tag, "compose")
 
-    smote_config, classifier_config, split_ratio = _classify_settings(ctx)
-    split_seed = smote_config.seed
+    split_seed = ctx.smote.seed
     results = pipeline.run_suites(
         cme_sets,
         dataset,
-        suite_a_tags=suite_a_tags,
-        suite_b_tags=suite_b_tags,
-        split_ratio=split_ratio,
+        suite_a_tags=ctx.suite_a,
+        suite_b_tags=ctx.suite_b,
+        split_ratio=ctx.split_ratio,
         seed=split_seed,
-        smote_config=smote_config,
-        classifier_config=classifier_config,
+        smote_config=ctx.smote,
+        classifier_config=ctx.classifier,
     )
     ctx.log_seed("classify", split_seed)
 
@@ -662,24 +670,10 @@ COMMANDS = {
 
 
 def cmd_run(ctx: RunContext) -> None:
-    """Run the whole chain in stage order.
-
-    The checked settings of train-we, netembed, correlate, compose and
-    classify are built first, so an unusable value fails before the first
-    stage writes anything.
-    """
-    _training_config(ctx)
-    _netembed_settings(ctx)
-    _correlate_pairs(ctx)
-    _suite_tags(ctx)
-    _classify_settings(ctx)
-    stages = list(STAGE_ORDER)
-    if ctx.get("corpus", "directory"):
-        stages.remove("synth")
-        if ctx.getbool("views", "profile_images", False):
-            _image_tags_path(ctx)  # a missing tag file fails before the long stages
-    for stage in stages:
-        COMMANDS[stage](ctx)
+    """Run the whole chain in stage order; synth is skipped when [corpus] directory is set."""
+    for stage in STAGE_ORDER:
+        if not (stage == "synth" and ctx.external_corpus):
+            COMMANDS[stage](ctx)
 
 
 def main(argv=None) -> int:

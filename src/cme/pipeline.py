@@ -135,11 +135,14 @@ def build_network_view(
     """Network view over users with outgoing interactions.
 
     Rows are labeled users that act as interaction sources; columns are
-    every distinct target. k defaults to min(dimension, rows); in "paper"
-    mode near-zero singular values are dropped before the division so the
-    fold-back stays finite. Rows shorter than the composition dimension
-    are zero-padded so the view composes with the text views.
+    every distinct target. k defaults to min(dimension, rows), and a k
+    above dimension is a ValueError; in "paper" mode near-zero singular
+    values are dropped before the division so the fold-back stays finite.
+    Rows shorter than the composition dimension are zero-padded so the view
+    composes with the text views.
     """
+    if k is not None and k > dimension:
+        raise ValueError(f"k must be <= dimension ({dimension}), got {k}")
     sources = sorted({rec.source for rec in dataset.interactions})
     user_ids = {u.user_id for u in dataset.users}
     rows = [uid for uid in sources if uid in user_ids]
@@ -170,8 +173,6 @@ def build_network_view(
         vec = embedding.matrix[idx]
         if width < dimension:
             vec = np.concatenate([vec, np.zeros(dimension - width)])
-        elif width > dimension:
-            vec = vec[:dimension]
         vectors[uid] = vec
     return compose.ViewEmbeddingSet("Network", vectors), embedding
 

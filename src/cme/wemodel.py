@@ -86,6 +86,8 @@ class TrainingConfig:
             )
         if self.min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {self.min_count}")
+        if not self.subsample_threshold >= 0:
+            raise ValueError(f"subsample_threshold must be >= 0, got {self.subsample_threshold}")
 
 
 @dataclass

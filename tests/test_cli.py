@@ -10,8 +10,10 @@ import pytest
 
 import cme
 from cme import corpus
+from cme.classify import ClassifierConfig, SMOTEConfig
 from cme.cli import CONFIG_KEYS, STAGE_ORDER, RunContext, main
 from cme.emoji import load_emoji_lexicon
+from cme.wemodel import TrainingConfig
 
 
 def _config(tmp_path, seed=11, extra=""):
@@ -65,6 +67,19 @@ def _one_line_error(capsys) -> str:
     return err
 
 
+def _faulty_inputs(tmp_path) -> dict[str, str]:
+    """Paths of input files with one fault each, by the name a config value refers to them with."""
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("\N{HERB}\tleaf,plant\n\N{FIRE}\n", encoding="utf-8")
+    background = tmp_path / "background.txt"
+    background.write_text("2 3\nleaf 0.1 0.2 0.3\nplant 0.1 0.2\n", encoding="utf-8")
+    return {
+        "absent": str(tmp_path / "absent.txt"),
+        "lexicon_without_tab": str(lexicon),
+        "short_row": str(background),
+    }
+
+
 def _run_dir(tmp_path, sub="out"):
     runs = list((tmp_path / sub).glob("run-*"))
     assert len(runs) == 1
@@ -112,12 +127,18 @@ class TestFullChain:
             ("views", "image_endpoint = tagger.example/tag"),
             ("views", "image_retries = 2"),
             ("views", "image_cache_dir = tag-cache"),
+            ("synth", "personal_rates = x/y"),
+            ("synth", "retail_class_word_prob = abc"),
+            ("synth", "seed_offset = 1"),
+            ("train_we", "seed_offset = 1"),
+            ("classify", "seed_offset = 1"),
         ],
         ids=[
             "removed-key", "removed-knob", "misspelt-key", "removed-family", "removed-method",
             "removed-step-size",
             "removed-image-mode", "removed-image-endpoint", "removed-image-retries",
-            "removed-image-cache-dir",
+            "removed-image-cache-dir", "removed-rates", "removed-word-prob",
+            "removed-seed-offset-synth", "removed-seed-offset-train-we", "removed-seed-offset-classify",
         ],
     )
     def test_unknown_config_key_is_error(self, tmp_path, capsys, section, line):
@@ -137,8 +158,6 @@ class TestFullChain:
             ("train_we", "min_count", "100000", "min_count=100000"),
             ("synth", "users_per_class", "a,b,c", "synth.users_per_class"),
             ("synth", "users_per_class", "0,12,8", "synth.users_per_class"),
-            ("synth", "personal_rates", "x/y", "synth.personal_rates"),
-            ("synth", "retail_class_word_prob", "abc", "synth.retail_class_word_prob"),
             ("train_we", "dimension", "0", "train_we.dimension"),
             ("train_we", "window", "0", "train_we.window"),
             ("classify", "smote_k", "0", "classify.smote_k"),
@@ -152,8 +171,7 @@ class TestFullChain:
         ],
         ids=[
             "unparsable-int", "unknown-mode", "k-above-rows", "split-ratio-above-1", "empty-vocabulary",
-            "unparsable-class-size", "empty-class", "unparsable-rates",
-            "unparsable-word-prob", "zero-dimension", "zero-window",
+            "unparsable-class-size", "empty-class", "zero-dimension", "zero-window",
             "zero-smote-k", "unknown-view-in-pairs",
             "zero-train-epochs", "zero-learning-rate", "learning-rate-below-floor", "zero-min-count",
             "zero-classify-epochs", "negative-l2-penalty",
@@ -172,17 +190,47 @@ class TestFullChain:
             ("train_we", "window", "0", "train_we.window"),
             ("compose", "tags", "T+D,T+X", "compose.tags: tag 'T+X' is not a canonical tag"),
             ("compose", "tags", "T+D,D+E,N+T+E", "classify.suite_a_tags: 'T+E' not among compose.tags"),
+            ("correlate", "alpha", "abc", "correlate.alpha"),
+            ("correlate", "alpha", "5", "correlate.alpha must be in (0, 1)"),
+            ("correlate", "alpha", "0", "correlate.alpha must be in (0, 1)"),
+            ("views", "profile_images", "maybe", "views.profile_images"),
+            ("views", "image_confidence_threshold", "abc", "views.image_confidence_threshold"),
+            ("netembed", "k", "-3", "netembed.k must be in [0, 16]"),
+            ("netembed", "k", "30", "netembed.k must be in [0, 16]"),
+            ("train_we", "subsample_threshold", "-1", "train_we.subsample_threshold must be >= 0"),
+            ("preprocess", "stopwords", "{absent}", "preprocess.stopwords"),
+            ("preprocess", "lemmas", "{absent}", "preprocess.lemmas"),
+            ("views", "emoji_lexicon", "{absent}", "views.emoji_lexicon"),
+            ("views", "emoji_background_model", "{absent}", "views.emoji_background_model"),
+            ("views", "emoji_lexicon", "{lexicon_without_tab}", "views.emoji_lexicon"),
+            ("views", "emoji_background_model", "{short_row}", "views.emoji_background_model"),
         ],
-        ids=["zero-classify-epochs", "zero-window", "unknown-compose-tag", "suite-tag-not-composed"],
+        ids=[
+            "zero-classify-epochs", "zero-window", "unknown-compose-tag", "suite-tag-not-composed",
+            "unparsable-alpha", "alpha-above-1", "zero-alpha", "unparsable-bool",
+            "unparsable-unused-threshold", "negative-k", "k-above-dimension",
+            "negative-subsample-threshold", "missing-stopwords", "missing-lemmas",
+            "missing-lexicon", "missing-background-model", "lexicon-line-without-tab",
+            "background-row-too-short",
+        ],
     )
     def test_run_checks_late_stage_config_before_any_stage(
         self, tmp_path, capsys, section, key, value, named
     ):
         cfg = _config(tmp_path)
-        _set_key(cfg, section, key, value)
+        _set_key(cfg, section, key, value.format(**_faulty_inputs(tmp_path)))
         assert main(["run", "--config", cfg]) == 1
         assert named in _one_line_error(capsys)
         assert not (_run_dir(tmp_path) / "preprocess" / "tokens.json").exists()
+
+    def test_empty_config_takes_the_library_defaults(self, tmp_path):
+        # each train_we and classify default lives in its dataclass, not in the CLI
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text("", encoding="utf-8")
+        ctx = RunContext(str(cfg), None, str(tmp_path / "out"))
+        assert ctx.training == TrainingConfig(seed=7)
+        assert ctx.smote == SMOTEConfig(seed=7)
+        assert ctx.classifier == ClassifierConfig()
 
     def test_every_config_key_is_read(self, tmp_path, monkeypatch):
         # a key left in CONFIG_KEYS after its reader is gone would be accepted and do nothing

@@ -76,6 +76,12 @@ class TestNetworkView:
         assert all(v.shape == (20,) for v in present)
         assert embedding.k == 5
 
+    def test_k_above_dimension_rejected(self, small_run):
+        # a k wider than the composition dimension used to be cut to it without a word
+        dataset, *_ = small_run
+        with pytest.raises(ValueError, match="k must be <= dimension"):
+            pipeline.build_network_view(dataset, 4, mode="conventional", k=5)
+
     def test_unconnected_users_are_sentinels(self, small_run):
         dataset, *_ = small_run
         view, _ = pipeline.build_network_view(dataset, 20, mode="conventional")

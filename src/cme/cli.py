@@ -9,9 +9,10 @@ directory derived from the config contents and the effective seed, so a
 changed config never overwrites a previous run, and rerunning the same
 config reproduces the same bytes.
 
-preprocess/tokens.json holds each user's cleaned tokens and emoji as
-compact JSON with sorted keys; `cme run` hands the same records to
-train-we and views in memory, and the standalone stages read the file.
+preprocess/tokens.json holds each user's PreparedUser fields (tweet
+sentences, description tokens, emoji) as compact JSON with sorted keys;
+`cme run` hands the same records to train-we and views in memory, and the
+standalone stages read the file.
 
 Per-user matrices (the skip-gram models, the six views, the Network view and
 each composition) are written with wemodel.save_model as binary pairs:
@@ -24,6 +25,10 @@ With [views] profile_images on, the views stage also reads the image tag
 file ([views] image_fixture, by default <corpus>/image_tags.tsv, which
 synth writes) and builds the ProfileImage view from it.
 
+[netembed] k is an upper bound on the Network view's components: the
+netembed stage takes min(k, source rows), and k = 0 (the default) means
+[train_we] dimension, the largest k accepted.
+
 The config file is flat INI with one section per stage. CONFIG_KEYS lists
 every key with the type its value is parsed with; any other section or key
 is an error before the run directory is made. RunContext reads the file in
@@ -31,7 +36,8 @@ one pass: it parses every key, range-checks every stage's settings and
 reads the input files the config names, so an unusable value fails before
 the first stage runs. A key the file leaves out takes the default of the
 setting it feeds (TrainingConfig, SMOTEConfig, ClassifierConfig, ...), so
-a minimal config can be empty.
+a minimal config can be empty. Values are taken literally: "%" is not
+an interpolation marker.
 """
 
 from __future__ import annotations
@@ -41,15 +47,15 @@ import configparser
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import classify, compose, corpus, netembed, pipeline, synth, wemodel
 from .emoji import load_emoji_lexicon
-from .imagetags import MissingImageTagsError, load_image_tags
-from .preprocess import load_lemma_table, load_stopwords
+from .imagetags import CONFIDENCE_THRESHOLD, MissingImageTagsError, load_image_tags
+from .preprocess import KEEP_HASHTAG_BODY, load_lemma_table, load_stopwords
 
 
 class CLIError(Exception):
@@ -120,7 +126,7 @@ class RunContext:
     """
 
     def __init__(self, config_path: str, seed: int | None, out_dir: str | None):
-        self.parser = configparser.ConfigParser()
+        self.parser = configparser.ConfigParser(interpolation=None)
         try:
             read = self.parser.read(config_path)
         except configparser.Error as exc:
@@ -144,7 +150,7 @@ class RunContext:
         self.synth = _synth_config(self)
         self.stopwords = self._load("preprocess", "stopwords", load_stopwords)
         self.lemmas = self._load("preprocess", "lemmas", load_lemma_table)
-        self.keep_hashtags = self.get("preprocess", "keep_hashtag_body", True)
+        self.keep_hashtags = self.get("preprocess", "keep_hashtag_body", KEEP_HASHTAG_BODY)
         try:
             self.training = wemodel.TrainingConfig(
                 seed=self.seed, **self.given("train_we", *CONFIG_KEYS["train_we"])
@@ -155,18 +161,19 @@ class RunContext:
         self.lexicon = self._load("views", "emoji_lexicon", load_emoji_lexicon)
         self.background = self._load(
             "views", "emoji_background_model",
-            lambda path: wemodel.load_text_model(path) if path else None,
+            # the view is as wide as the model, and compose adds it to dimension-wide views
+            lambda path: wemodel.load_text_model(path, self.training.dimension) if path else None,
         )
         self.profile_images = self.get("views", "profile_images", False)
         fixture = self.get("views", "image_fixture")
         self.image_tags = Path(fixture or self.corpus_dir / "image_tags.tsv")
-        self.image_threshold = self.get("views", "image_confidence_threshold", 0.5)
+        self.image_threshold = self.get("views", "image_confidence_threshold", CONFIDENCE_THRESHOLD)
         # synth writes the default tag file; any other must exist before the first stage
         if self.profile_images and (fixture or directory) and not self.image_tags.is_file():
             raise CLIError(f"image tag file not found: {self.image_tags} (set [views] image_fixture)")
         self.net_mode, self.net_k = _netembed_settings(self)
         self.pairs = _correlate_pairs(self)
-        self.alpha = self.get("correlate", "alpha", 0.01)
+        self.alpha = self.get("correlate", "alpha", compose.ALPHA)
         if not 0.0 < self.alpha < 1.0:
             raise CLIError(f"correlate.alpha must be in (0, 1), got {self.alpha}")
         self.tags = _compose_tags(self)
@@ -311,18 +318,15 @@ def _load_corpus(ctx: RunContext) -> corpus.LabeledDataset:
     return ctx.dataset
 
 
+# the PreparedUser fields tokens.json holds per user_id
+_TOKEN_FIELDS = [f.name for f in fields(pipeline.PreparedUser) if f.name != "user_id"]
+
+
 def cmd_preprocess(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
     prepared = pipeline.prepare_users(dataset, ctx.stopwords, ctx.lemmas, ctx.keep_hashtags)
     payload = {
-        uid: {
-            "tweet_tokens": rec.tweet_tokens,
-            "tweet_sentences": rec.tweet_sentences,
-            "tweet_emoji": rec.tweet_emoji,
-            "desc_tokens": rec.desc_tokens,
-            "desc_emoji": rec.desc_emoji,
-        }
-        for uid, rec in prepared.items()
+        uid: {name: getattr(rec, name) for name in _TOKEN_FIELDS} for uid, rec in prepared.items()
     }
     out = ctx.stage_dir("preprocess")
     # compact: no indent lets json use its C encoder
@@ -339,14 +343,7 @@ def _load_prepared(ctx: RunContext) -> dict[str, pipeline.PreparedUser]:
     path = ctx.require(ctx.run_dir / "preprocess" / "tokens.json", "preprocess")
     raw = json.loads(path.read_text(encoding="utf-8"))
     return {
-        uid: pipeline.PreparedUser(
-            user_id=uid,
-            tweet_tokens=rec["tweet_tokens"],
-            tweet_sentences=[list(s) for s in rec["tweet_sentences"]],
-            tweet_emoji=rec["tweet_emoji"],
-            desc_tokens=rec["desc_tokens"],
-            desc_emoji=rec["desc_emoji"],
-        )
+        uid: pipeline.PreparedUser(uid, **{name: rec[name] for name in _TOKEN_FIELDS})
         for uid, rec in raw.items()
     }
 
@@ -425,16 +422,16 @@ def _load_views(ctx: RunContext, names: list[str]) -> dict[str, compose.ViewEmbe
     return views
 
 
-def _netembed_settings(ctx: RunContext) -> tuple[str, int | None]:
-    """(mode, k); k None lets the pipeline pick min(dimension, rows)."""
-    mode = ctx.get("netembed", "mode", "paper")
+def _netembed_settings(ctx: RunContext) -> tuple[str, int]:
+    """(mode, k); k bounds the components from above, and 0 stands for the dimension."""
+    mode = ctx.get("netembed", "mode", netembed.DEFAULT_MODE)
     if mode not in netembed.MODES:
         raise CLIError(f"netembed.mode must be one of {', '.join(netembed.MODES)}, got {mode!r}")
     k = ctx.get("netembed", "k", 0)
     dimension = ctx.training.dimension
     if not 0 <= k <= dimension:
         raise CLIError(f"netembed.k must be in [0, {dimension}] (train_we.dimension), got {k}")
-    return mode, k or None
+    return mode, k
 
 
 def cmd_netembed(ctx: RunContext) -> None:
@@ -511,8 +508,8 @@ def _compose_tags(ctx: RunContext) -> dict[str, tuple[str, ...]]:
 
 def _suite_tags(ctx: RunContext) -> tuple[list[str], list[str]]:
     """(suite A tags, suite B tags); each must be a composition the compose stage builds."""
-    suite_a = ctx.get("classify", "suite_a_tags", ["T+D", "T+E", "D+E"])
-    suite_b = ctx.get("classify", "suite_b_tags", ["N+T+E"])
+    suite_a = list(ctx.get("classify", "suite_a_tags", pipeline.SUITE_A_TAGS))
+    suite_b = list(ctx.get("classify", "suite_b_tags", pipeline.SUITE_B_TAGS))
     for key, tags in (("suite_a_tags", suite_a), ("suite_b_tags", suite_b)):
         missing = [tag for tag in tags if tag not in ctx.tags]
         if missing:
@@ -559,7 +556,7 @@ def _classify_settings(
     except ValueError as exc:
         # ClassifierConfig's messages start with the field name, which is also the key
         raise CLIError(f"classify.{exc}") from None
-    split_ratio = ctx.get("classify", "split_ratio", 0.8)
+    split_ratio = ctx.get("classify", "split_ratio", pipeline.SPLIT_RATIO)
     if not 0.0 < split_ratio < 1.0:
         raise CLIError(f"classify.split_ratio must be in (0, 1), got {split_ratio}")
     return smote_config, classifier_config, split_ratio

@@ -21,6 +21,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+# a Spearman p-value below this rejects correlation
+ALPHA = 0.01
+
 VIEW_NAMES = (
     "Tweet",
     "Description",
@@ -163,7 +166,7 @@ def _t_two_sided_p(t: float, df: float) -> float:
     return 1.0 - math.exp(log_front) * _beta_continued_fraction(b, a, y) / b
 
 
-def spearman(x: Sequence[float], y: Sequence[float], alpha: float = 0.01) -> CorrelationResult:
+def spearman(x: Sequence[float], y: Sequence[float], alpha: float = ALPHA) -> CorrelationResult:
     """Spearman rank correlation with a two-sided large-n p-value.
 
     rho is the Pearson correlation of the rank-transformed samples (average
@@ -213,7 +216,7 @@ def spearman(x: Sequence[float], y: Sequence[float], alpha: float = 0.01) -> Cor
 def correlate_views(
     a: ViewEmbeddingSet,
     b: ViewEmbeddingSet,
-    alpha: float = 0.01,
+    alpha: float = ALPHA,
 ) -> CorrelationResult:
     """Spearman correlation between two views over their shared users.
 

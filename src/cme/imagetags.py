@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from pathlib import Path
 
+CONFIDENCE_THRESHOLD = 0.5
+
 
 class MissingImageTagsError(Exception):
     """A user's profile_image_ref has no line in the tag file."""
 
 
-def load_image_tags(path, confidence_threshold: float = 0.5) -> dict[str, list[str]]:
+def load_image_tags(path, confidence_threshold: float = CONFIDENCE_THRESHOLD) -> dict[str, list[str]]:
     """Tags per image ref, without the tags whose confidence is below the threshold.
 
     A line with no confidence column keeps all its tags. A line with fewer

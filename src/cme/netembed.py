@@ -16,12 +16,21 @@ The factorization is one LAPACK symmetric eigendecomposition
 (numpy.linalg.eigh) of the dense cosine matrix, truncated to the top k
 eigenpairs; for a symmetric PSD matrix these are its singular triples.
 Column signs are canonicalized so output is deterministic.
+
+Where each rule of the Network view's shape is decided:
+
+- k: pipeline.build_network_view takes min(k or dimension, source rows)
+  components; truncated_svd only checks 1 <= k <= rows.
+- the sigma floor: sigma_floor; "paper" mode keeps, and divides by, only
+  the singular values above it.
+- symmetry: cosine_similarity_matrix alone symmetrizes; truncated_svd
+  checks its input and factors it as given.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,9 +41,12 @@ logger = logging.getLogger(__name__)
 
 # how network_embedding folds the factors back: divide by sigma, or multiply
 MODES = ("paper", "conventional")
+DEFAULT_MODE = "paper"
 
-# "paper" mode refuses to divide by a singular value at or below this
-SIGMA_TOLERANCE = 1e-12
+
+def sigma_floor(sigma: np.ndarray) -> float:
+    """The bound "paper" mode's singular values must exceed: 1e-10 * max(1, sigma_max)."""
+    return 1e-10 * max(1.0, float(np.max(sigma, initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -114,10 +126,6 @@ def _bincount(index: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray
     return np.bincount(index, weights=weights, minlength=length).astype(np.float64, copy=False)
 
 
-def _row_sums(mat: CoordMatrix, values: np.ndarray) -> np.ndarray:
-    return _bincount(mat.rows, values, mat.shape[0])
-
-
 def build_adjacency(
     interactions: Sequence[InteractionRecord],
     rows: Sequence[str],
@@ -170,14 +178,9 @@ def build_adjacency(
 def row_normalize(im: InteractionMatrix) -> InteractionMatrix:
     """Scale every nonzero row to sum to 1; all-zero rows stay all-zero."""
     mat = im.matrix
-    sums = _row_sums(mat, mat.data)
+    sums = _bincount(mat.rows, mat.data, mat.shape[0])
     scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
-    normalized = CoordMatrix(
-        rows=mat.rows, cols=mat.cols, data=scale[mat.rows] * mat.data, shape=mat.shape
-    )
-    return InteractionMatrix(
-        matrix=normalized, row_ids=im.row_ids, col_ids=im.col_ids, skipped=im.skipped
-    )
+    return replace(im, matrix=replace(mat, data=scale[mat.rows] * mat.data))
 
 
 def cosine_similarity_matrix(im: InteractionMatrix) -> CosineMatrix:
@@ -189,9 +192,9 @@ def cosine_similarity_matrix(im: InteractionMatrix) -> CosineMatrix:
     one dense GEMM of the rows; the result is m x m dense anyway.
     """
     mat = im.matrix
-    norms = np.sqrt(_row_sums(mat, mat.data * mat.data))
+    norms = np.sqrt(_bincount(mat.rows, mat.data * mat.data, mat.shape[0]))
     nonzero = norms > 0
-    zero_rows = [int(i) for i in np.nonzero(~nonzero)[0]]
+    zero_rows = np.flatnonzero(~nonzero).tolist()
 
     dense = mat.toarray()
     gram = dense @ dense.T
@@ -199,24 +202,17 @@ def cosine_similarity_matrix(im: InteractionMatrix) -> CosineMatrix:
     denom = np.outer(norms, norms)
     values = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0)
 
-    idx = np.nonzero(nonzero)[0]
-    values[idx, idx] = 1.0
+    values[nonzero, nonzero] = 1.0
     values = (values + values.T) / 2.0
-    if mat.nnz == 0 or mat.data.min() >= 0:
-        np.clip(values, 0.0, 1.0, out=values)
-    else:
-        np.clip(values, -1.0, 1.0, out=values)
+    nonnegative = mat.nnz == 0 or mat.data.min() >= 0
+    np.clip(values, 0.0 if nonnegative else -1.0, 1.0, out=values)
     return CosineMatrix(values=values, row_ids=im.row_ids, zero_rows=zero_rows)
 
 
 def _canonical_signs(u: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
-    u = u.copy()
-    for j in range(u.shape[1]):
-        lead = np.argmax(np.abs(u[:, j]))
-        if u[lead, j] < 0:
-            u[:, j] = -u[:, j]
-    return u
+    lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    return np.where(lead < 0, -u, u)
 
 
 def truncated_svd(cosine, k: int) -> SVDFactors:
@@ -225,14 +221,15 @@ def truncated_svd(cosine, k: int) -> SVDFactors:
     Accepts a CosineMatrix or a plain symmetric ndarray. Because the input
     is symmetric PSD, left and right factors coincide (up to sign) and the
     singular values are the eigenvalues; tiny negative eigenvalues from
-    rounding are clamped to zero.
+    rounding are clamped to zero. The caller picks k in [1, rows]. The
+    input is checked to be symmetric within rounding, then factored as
+    given (eigh reads its lower triangle): cosine_similarity_matrix, the
+    one place that symmetrizes, makes its output exactly symmetric.
 
     One full LAPACK symmetric eigendecomposition (numpy.linalg.eigh) is
-    taken and its top k kept. The subset-only
-    scipy.linalg.eigh(subset_by_index=...) was measured to raise the
-    network benchmark's peak RSS by 3.4 MB (full numpy eigh: 0.1 MB), and
-    ARPACK (scipy.sparse.linalg.svds, k=300) was off by 0.46 in sigma^2 on
-    an 871-row cosine matrix, so neither is used.
+    taken and its top k kept. scipy's subset-only eigh raised the network
+    benchmark's peak RSS by 3.4 MB (full numpy eigh: 0.1 MB), and ARPACK
+    svds (k=300) was off by 0.46 in sigma^2 on an 871-row cosine matrix.
     """
     mat = cosine.values if isinstance(cosine, CosineMatrix) else np.asarray(cosine, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -243,7 +240,7 @@ def truncated_svd(cosine, k: int) -> SVDFactors:
     if not np.allclose(mat, mat.T, atol=1e-8 * max(1.0, float(np.abs(mat).max()))):
         raise ValueError("matrix is not symmetric")
 
-    evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    evals, evecs = np.linalg.eigh(mat)
     # eigh returns ascending eigenvalues; take the top k, largest first
     sigma = np.maximum(evals[::-1][:k], 0.0)
     u = _canonical_signs(evecs[:, ::-1][:, :k])
@@ -252,31 +249,29 @@ def truncated_svd(cosine, k: int) -> SVDFactors:
 
 def network_embedding(
     factors: SVDFactors,
-    mode: str = "paper",
+    mode: str = DEFAULT_MODE,
     row_ids: Optional[Sequence[str]] = None,
     zero_rows: Optional[Sequence[int]] = None,
 ) -> NetworkEmbedding:
     """Fold the factors into per-user rows.
 
     mode "paper" divides each component by its singular value (requires
-    every retained value above SIGMA_TOLERANCE); mode "conventional"
-    multiplies instead.
+    every value above sigma_floor, so callers drop the others first); mode
+    "conventional" multiplies instead.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r} (expected one of {MODES})")
     sigma = np.asarray(factors.sigma, dtype=np.float64)
     if mode == "paper":
-        bad = np.nonzero(sigma <= SIGMA_TOLERANCE)[0]
+        floor = sigma_floor(sigma)
+        bad = np.nonzero(sigma <= floor)[0]
         if bad.size:
             raise ValueError(
                 f"singular value at index {int(bad[0])} is {sigma[int(bad[0])]:.3g} "
-                f"<= tolerance {SIGMA_TOLERANCE:.3g}; cannot divide (drop it or use "
-                f"mode='conventional')"
+                f"<= floor {floor:.3g}; cannot divide (drop it or use mode='conventional')"
             )
         matrix = factors.u / sigma
     else:
         matrix = factors.u * sigma
     ids = list(row_ids) if row_ids is not None else [str(i) for i in range(matrix.shape[0])]
-    return NetworkEmbedding(
-        matrix=matrix, row_ids=ids, mode=mode, zero_rows=list(zero_rows or [])
-    )
+    return NetworkEmbedding(matrix=matrix, row_ids=ids, mode=mode, zero_rows=list(zero_rows or []))

@@ -17,27 +17,35 @@ from . import classify, compose, netembed
 from .corpus import ClassLabel, LabeledDataset
 from .emoji import EmojiSenseEntry, emoji_embedding
 from .imagetags import MissingImageTagsError
-from .preprocess import extract_entities, token_cleaner
+from .preprocess import KEEP_HASHTAG_BODY, extract_entities, token_cleaner
 from .wemodel import TrainingConfig, WEModel, train_skipgram, view_embedding
+
+# the experiment defaults; the CLI falls back to the same values
+SPLIT_RATIO = 0.8
+SUITE_A_TAGS = ("T+D", "T+E", "D+E")
+SUITE_B_TAGS = ("N+T+E",)
 
 
 @dataclass
 class PreparedUser:
-    """Cleaned per-user text split by source."""
+    """Cleaned per-user text split by source; tweet_tokens joins the tweet sentences on each access."""
 
     user_id: str
-    tweet_tokens: list[str] = field(default_factory=list)
     tweet_sentences: list[list[str]] = field(default_factory=list)
     tweet_emoji: list[str] = field(default_factory=list)
     desc_tokens: list[str] = field(default_factory=list)
     desc_emoji: list[str] = field(default_factory=list)
+
+    @property
+    def tweet_tokens(self) -> list[str]:
+        return [tok for sentence in self.tweet_sentences for tok in sentence]
 
 
 def prepare_users(
     dataset: LabeledDataset,
     stopwords: set[str],
     lemma_table: dict[str, str],
-    keep_hashtag_body: bool = True,
+    keep_hashtag_body: bool = KEEP_HASHTAG_BODY,
 ) -> dict[str, PreparedUser]:
     """Extract emoji and clean tokens for every user's text.
 
@@ -55,7 +63,6 @@ def prepare_users(
             tokens = clean(t_residual)
             if tokens:
                 rec.tweet_sentences.append(tokens)
-            rec.tweet_tokens.extend(tokens)
             rec.tweet_emoji.extend(t_emoji)
         prepared[user.user_id] = rec
     return prepared
@@ -129,51 +136,41 @@ def build_image_view(
 def build_network_view(
     dataset: LabeledDataset,
     dimension: int,
-    mode: str = "paper",
-    k: Optional[int] = None,
+    mode: str = netembed.DEFAULT_MODE,
+    k: int = 0,
 ) -> tuple[compose.ViewEmbeddingSet, netembed.NetworkEmbedding]:
     """Network view over users with outgoing interactions.
 
     Rows are labeled users that act as interaction sources; columns are
-    every distinct target. k defaults to min(dimension, rows), and a k
-    above dimension is a ValueError; in "paper" mode near-zero singular
-    values are dropped before the division so the fold-back stays finite.
-    Rows shorter than the composition dimension are zero-padded so the view
-    composes with the text views.
+    every distinct target. This is where the number of components is
+    decided: min(k or dimension, rows), so k is an upper bound and a k
+    above dimension is a ValueError. In "paper" mode the singular values
+    at or below netembed.sigma_floor are dropped before the division so
+    the fold-back stays finite. Rows are zero-padded to the composition
+    dimension so the view composes with the text views.
     """
-    if k is not None and k > dimension:
+    if k > dimension:
         raise ValueError(f"k must be <= dimension ({dimension}), got {k}")
     sources = sorted({rec.source for rec in dataset.interactions})
     user_ids = {u.user_id for u in dataset.users}
     rows = [uid for uid in sources if uid in user_ids]
     cols = sorted({rec.target for rec in dataset.interactions})
-    if not rows or not cols:
-        empty = compose.ViewEmbeddingSet("Network", {u.user_id: None for u in dataset.users})
-        return empty, netembed.NetworkEmbedding(
-            matrix=np.zeros((0, 0)), row_ids=[], mode=mode
-        )
-
-    adjacency = netembed.row_normalize(
-        netembed.build_adjacency(dataset.interactions, rows, cols)
-    )
-    cosine = netembed.cosine_similarity_matrix(adjacency)
-    want = k if k is not None else min(dimension, len(rows))
-    factors = netembed.truncated_svd(cosine, want)
-    if mode == "paper":
-        # retain only well-conditioned components; division by ~0 blows up
-        keep = factors.sigma > max(1e-10, 1e-10 * float(factors.sigma.max()))
-        factors = netembed.SVDFactors(u=factors.u[:, keep], sigma=factors.sigma[keep])
-    embedding = netembed.network_embedding(
-        factors, mode=mode, row_ids=rows, zero_rows=cosine.zero_rows
-    )
-
     vectors: dict[str, Optional[np.ndarray]] = {u.user_id: None for u in dataset.users}
-    width = embedding.matrix.shape[1]
-    for idx, uid in enumerate(rows):
-        vec = embedding.matrix[idx]
-        if width < dimension:
-            vec = np.concatenate([vec, np.zeros(dimension - width)])
-        vectors[uid] = vec
+    if not rows:  # every source row has a target, so cols is empty only when rows is
+        empty = netembed.NetworkEmbedding(matrix=np.zeros((0, 0)), row_ids=[], mode=mode)
+        return compose.ViewEmbeddingSet("Network", vectors), empty
+
+    adjacency = netembed.row_normalize(netembed.build_adjacency(dataset.interactions, rows, cols))
+    cosine = netembed.cosine_similarity_matrix(adjacency)
+    factors = netembed.truncated_svd(cosine, min(k or dimension, len(rows)))
+    if mode == "paper":
+        keep = factors.sigma > netembed.sigma_floor(factors.sigma)
+        factors = netembed.SVDFactors(u=factors.u[:, keep], sigma=factors.sigma[keep])
+    embedding = netembed.network_embedding(factors, mode=mode, row_ids=rows, zero_rows=cosine.zero_rows)
+
+    padded = np.zeros((len(rows), dimension))
+    padded[:, : embedding.k] = embedding.matrix
+    vectors.update(zip(rows, padded))
     return compose.ViewEmbeddingSet("Network", vectors), embedding
 
 
@@ -199,7 +196,7 @@ def run_experiment(
     feature_view: compose.ViewEmbeddingSet,
     labels_by_user: dict[str, ClassLabel],
     users: Sequence[str],
-    split_ratio: float = 0.8,
+    split_ratio: float = SPLIT_RATIO,
     seed: int = 0,
     smote_config: Optional[classify.SMOTEConfig] = None,
     classifier_config: Optional[classify.ClassifierConfig] = None,
@@ -244,9 +241,9 @@ class SuiteResults:
 def run_suites(
     cme_sets: dict[str, compose.ViewEmbeddingSet],
     dataset: LabeledDataset,
-    suite_a_tags: Sequence[str] = ("T+D", "T+E", "D+E"),
-    suite_b_tags: Sequence[str] = ("N+T+E",),
-    split_ratio: float = 0.8,
+    suite_a_tags: Sequence[str] = SUITE_A_TAGS,
+    suite_b_tags: Sequence[str] = SUITE_B_TAGS,
+    split_ratio: float = SPLIT_RATIO,
     seed: int = 0,
     smote_config: Optional[classify.SMOTEConfig] = None,
     classifier_config: Optional[classify.ClassifierConfig] = None,

@@ -54,6 +54,9 @@ _DIGIT_RE = re.compile(r"\d")
 # edge punctuation stripped from tokens; includes common unicode quotes/dashes
 _EDGE_PUNCT = string.punctuation + "‘’“”…«»–—"
 
+# "#weed" -> "weed" unless a caller passes keep_hashtag_body=False
+KEEP_HASHTAG_BODY = True
+
 
 def _data_path(name: str) -> Path:
     return Path(str(resources.files("cme").joinpath("data") / name))
@@ -162,7 +165,7 @@ def _clean_token(raw: str, stopwords: set[str], keep_hashtag_body: bool) -> Opti
 def clean_tokens(
     residual_text: str,
     stopwords: Iterable[str],
-    keep_hashtag_body: bool = True,
+    keep_hashtag_body: bool = KEEP_HASHTAG_BODY,
 ) -> list[str]:
     """Lowercase and tokenize residual text, dropping noise tokens.
 
@@ -201,7 +204,7 @@ class _LemmaMemo(dict):
 def token_cleaner(
     stopwords: Iterable[str],
     lemma_table: Mapping[str, str],
-    keep_hashtag_body: bool = True,
+    keep_hashtag_body: bool = KEEP_HASHTAG_BODY,
 ) -> Callable[[str], list[str]]:
     """A function equal to lemmatize(clean_tokens(text, ...), lemma_table).
 

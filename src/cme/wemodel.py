@@ -362,8 +362,8 @@ def load_model(path) -> WEModel:
     return WEModel(vocabulary=vocab, vectors=vectors, words=words)
 
 
-def load_text_model(path) -> WEModel:
-    """Read an external word2vec text model: "<vocab> <dim>", then "<word> <values>" rows."""
+def load_text_model(path, dimension: Optional[int] = None) -> WEModel:
+    """Read a word2vec text model ("<vocab> <dim>", then "<word> <values>" rows) of a given width."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -377,4 +377,6 @@ def load_text_model(path) -> WEModel:
                 raise ValueError(f"{path}: row {idx} has {len(parts) - 1} values, expected {dim}")
             vocab[parts[0]] = idx
             vectors[idx] = [float(v) for v in parts[1:]]
+    if dimension is not None and dim != dimension:
+        raise ValueError(f"{path}: vectors are {dim} wide, expected {dimension}")
     return WEModel(vocabulary=vocab, vectors=vectors)

@@ -1,4 +1,5 @@
 import configparser
+import inspect
 import json
 import os
 import subprocess
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 import cme
-from cme import corpus
+from cme import compose, corpus, netembed, pipeline
 from cme.classify import ClassifierConfig, SMOTEConfig
 from cme.cli import CONFIG_KEYS, STAGE_ORDER, RunContext, main
 from cme.emoji import load_emoji_lexicon
+from cme.imagetags import load_image_tags
 from cme.wemodel import TrainingConfig
 
 
@@ -50,7 +52,7 @@ epochs = 150
 
 def _set_key(cfg, section, key, value):
     """Set one key in a config file, adding its section if needed."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read(cfg)
     if not parser.has_section(section):
         parser.add_section(section)
@@ -73,10 +75,13 @@ def _faulty_inputs(tmp_path) -> dict[str, str]:
     lexicon.write_text("\N{HERB}\tleaf,plant\n\N{FIRE}\n", encoding="utf-8")
     background = tmp_path / "background.txt"
     background.write_text("2 3\nleaf 0.1 0.2 0.3\nplant 0.1 0.2\n", encoding="utf-8")
+    narrow = tmp_path / "narrow.txt"
+    narrow.write_text(f"1 8\nleaf {' '.join(['0.5'] * 8)}\n", encoding="utf-8")
     return {
         "absent": str(tmp_path / "absent.txt"),
         "lexicon_without_tab": str(lexicon),
         "short_row": str(background),
+        "narrow_model": str(narrow),
     }
 
 
@@ -95,6 +100,17 @@ class TestFullChain:
         assert (run_dir / "classify" / "results.txt").exists()
         out = capsys.readouterr().out
         assert "effective seed" in out
+
+    def test_k_above_the_source_count_is_an_upper_bound(self, tmp_path):
+        # k <= dimension passes the config check, so the netembed stage must not refuse it
+        cfg = _config(tmp_path)
+        _set_key(cfg, "synth", "users_per_class", "8,5,4")
+        _set_key(cfg, "netembed", "mode", "paper")
+        _set_key(cfg, "netembed", "k", "16")
+        assert main(["run", "--config", cfg]) == 0
+        meta = json.loads((_run_dir(tmp_path) / "netembed" / "meta.json").read_text(encoding="utf-8"))
+        assert 0 < meta["rows"] < 16
+        assert meta["components"] <= meta["rows"]
 
     def test_stage_order_enforced(self, tmp_path, capsys):
         cfg = _config(tmp_path)
@@ -204,6 +220,7 @@ class TestFullChain:
             ("views", "emoji_background_model", "{absent}", "views.emoji_background_model"),
             ("views", "emoji_lexicon", "{lexicon_without_tab}", "views.emoji_lexicon"),
             ("views", "emoji_background_model", "{short_row}", "views.emoji_background_model"),
+            ("views", "emoji_background_model", "{narrow_model}", "vectors are 8 wide, expected 16"),
         ],
         ids=[
             "zero-classify-epochs", "zero-window", "unknown-compose-tag", "suite-tag-not-composed",
@@ -211,7 +228,7 @@ class TestFullChain:
             "unparsable-unused-threshold", "negative-k", "k-above-dimension",
             "negative-subsample-threshold", "missing-stopwords", "missing-lemmas",
             "missing-lexicon", "missing-background-model", "lexicon-line-without-tab",
-            "background-row-too-short",
+            "background-row-too-short", "background-narrower-than-dimension",
         ],
     )
     def test_run_checks_late_stage_config_before_any_stage(
@@ -223,6 +240,13 @@ class TestFullChain:
         assert named in _one_line_error(capsys)
         assert not (_run_dir(tmp_path) / "preprocess" / "tokens.json").exists()
 
+    def test_percent_in_a_value_is_taken_literally(self, tmp_path):
+        # "%" used to start an interpolation and end the command in a traceback
+        cfg = _config(tmp_path)
+        _set_key(cfg, "global", "out_dir", str(tmp_path / "out%b"))
+        assert main(["synth", "--config", cfg]) == 0
+        assert (_run_dir(tmp_path, "out%b") / "synth" / "users.jsonl").is_file()
+
     def test_empty_config_takes_the_library_defaults(self, tmp_path):
         # each train_we and classify default lives in its dataclass, not in the CLI
         cfg = tmp_path / "empty.ini"
@@ -231,6 +255,25 @@ class TestFullChain:
         assert ctx.training == TrainingConfig(seed=7)
         assert ctx.smote == SMOTEConfig(seed=7)
         assert ctx.classifier == ClassifierConfig()
+
+    def test_unset_keys_fall_back_to_the_library_signature_defaults(self, tmp_path):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text("", encoding="utf-8")
+        ctx = RunContext(str(cfg), None, str(tmp_path / "out"))
+
+        def default(function, name):
+            return inspect.signature(function).parameters[name].default
+
+        assert ctx.keep_hashtags == default(pipeline.prepare_users, "keep_hashtag_body")
+        assert ctx.image_threshold == default(load_image_tags, "confidence_threshold")
+        assert ctx.net_mode == default(pipeline.build_network_view, "mode")
+        assert ctx.net_mode == default(netembed.network_embedding, "mode")
+        assert ctx.net_k == default(pipeline.build_network_view, "k")
+        assert ctx.alpha == default(compose.correlate_views, "alpha")
+        assert ctx.split_ratio == default(pipeline.run_suites, "split_ratio")
+        assert ctx.split_ratio == default(pipeline.run_experiment, "split_ratio")
+        assert tuple(ctx.suite_a) == default(pipeline.run_suites, "suite_a_tags")
+        assert tuple(ctx.suite_b) == default(pipeline.run_suites, "suite_b_tags")
 
     def test_every_config_key_is_read(self, tmp_path, monkeypatch):
         # a key left in CONFIG_KEYS after its reader is gone would be accepted and do nothing

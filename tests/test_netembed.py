@@ -6,8 +6,10 @@ from cme.netembed import (
     CosineMatrix,
     build_adjacency,
     cosine_similarity_matrix,
+    SVDFactors,
     network_embedding,
     row_normalize,
+    sigma_floor,
     truncated_svd,
 )
 
@@ -131,6 +133,20 @@ class TestCosineMatrix:
             nonzero = [i for i in range(m) if i not in cos.zero_rows]
             assert all(cos.values[i, i] == 1.0 for i in nonzero)
 
+    def test_output_is_exactly_symmetric(self):
+        # truncated_svd factors its input as given, so the cosine must be symmetric to the bit
+        rng = np.random.default_rng(5)
+        m, n = 70, 90
+        records = [
+            _rec(f"s{i}", f"t{j}", "retweet", int(rng.integers(1, 9)))
+            for i in range(m)
+            for j in range(n)
+            if rng.random() < 0.3
+        ]
+        im = build_adjacency(records, [f"s{i}" for i in range(m)], [f"t{j}" for j in range(n)])
+        cos = cosine_similarity_matrix(row_normalize(im))
+        assert np.array_equal(cos.values, cos.values.T)
+
 
 class TestChainAgainstDenseReference:
     def test_matches_dense_numpy_within_1e15(self):
@@ -238,8 +254,6 @@ class TestTruncatedSVD:
 
 class TestNetworkEmbedding:
     def _factors(self):
-        from cme.netembed import SVDFactors
-
         return SVDFactors(u=np.eye(2), sigma=np.array([2.0, 1.0]))
 
     def test_paper_mode_divides(self):
@@ -251,11 +265,22 @@ class TestNetworkEmbedding:
         np.testing.assert_allclose(ne.matrix, [[2.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
     def test_zero_sigma_in_paper_mode_names_index(self):
-        from cme.netembed import SVDFactors
-
         factors = SVDFactors(u=np.eye(2), sigma=np.array([2.0, 0.0]))
         with pytest.raises(ValueError, match="index 1"):
             network_embedding(factors, mode="paper")
+
+    def test_paper_floor_is_relative_to_the_largest_sigma(self):
+        # 50 would pass an absolute floor, but it is below 1e-10 * sigma_max here
+        factors = SVDFactors(u=np.eye(2), sigma=np.array([1e12, 50.0]))
+        assert sigma_floor(factors.sigma) == pytest.approx(100.0)
+        with pytest.raises(ValueError, match="index 1"):
+            network_embedding(factors, mode="paper")
+
+    def test_paper_floor_is_absolute_below_unit_sigma_max(self):
+        assert sigma_floor(np.array([0.5, 1e-3])) == 1e-10
+        assert sigma_floor(np.array([])) == 1e-10
+        ne = network_embedding(SVDFactors(u=np.eye(2), sigma=np.array([0.5, 2e-10])), mode="paper")
+        assert ne.k == 2 and np.all(np.isfinite(ne.matrix))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -82,6 +82,24 @@ class TestNetworkView:
         with pytest.raises(ValueError, match="k must be <= dimension"):
             pipeline.build_network_view(dataset, 4, mode="conventional", k=5)
 
+    def test_k_above_rows_is_capped_at_rows(self, small_run):
+        # k bounds the components from above; a graph with fewer sources gives fewer
+        dataset, *_ = small_run
+        rows = len({rec.source for rec in dataset.interactions})
+        dimension = rows + 10
+        for mode in ("conventional", "paper"):
+            view, embedding = pipeline.build_network_view(dataset, dimension, mode=mode, k=dimension)
+            assert len(embedding.row_ids) == rows
+            assert embedding.k <= rows
+            present = [v for v in view.vectors.values() if v is not None]
+            assert len(present) == rows and all(v.shape == (dimension,) for v in present)
+            assert all(not v[embedding.k:].any() for v in present)
+
+    def test_k_zero_means_the_dimension(self, small_run):
+        dataset, *_ = small_run
+        _, embedding = pipeline.build_network_view(dataset, 5, mode="conventional", k=0)
+        assert embedding.k == 5
+
     def test_unconnected_users_are_sentinels(self, small_run):
         dataset, *_ = small_run
         view, _ = pipeline.build_network_view(dataset, 20, mode="conventional")

@@ -326,13 +326,10 @@ class EvaluationReport:
     comparison: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        def key(cls):
-            return cls.name if isinstance(cls, ClassLabel) else str(cls)
-
         out = {
-            "classes": [key(c) for c in self.classes],
+            "classes": [_label_text(c) for c in self.classes],
             "per_class": {
-                key(c): {
+                _label_text(c): {
                     "precision": self.precision[c],
                     "recall": self.recall[c],
                     "f1": self.f1[c],
@@ -396,9 +393,8 @@ def evaluate(predicted: Sequence, gold: Sequence, classes: Optional[list] = None
         denom = precision[cls] + recall[cls]
         f1[cls] = 0.0 if denom == 0 else 2 * precision[cls] * recall[cls] / denom
 
+    # micro-F1 equals accuracy for single-label data
     accuracy = float(np.trace(confusion)) / max(1, len(gold))
-    total_tp = float(np.trace(confusion))
-    micro_f1 = total_tp / max(1, len(gold))  # equals accuracy for single-label data
     return EvaluationReport(
         classes=classes,
         precision=precision,
@@ -408,7 +404,7 @@ def evaluate(predicted: Sequence, gold: Sequence, classes: Optional[list] = None
         macro_precision=float(np.mean([precision[c] for c in classes])),
         macro_recall=float(np.mean([recall[c] for c in classes])),
         macro_f1=float(np.mean([f1[c] for c in classes])),
-        micro_f1=micro_f1,
+        micro_f1=accuracy,
         accuracy=accuracy,
         confusion=confusion,
         flags=flags,

@@ -62,19 +62,6 @@ class CLIError(Exception):
     """Raised for user-facing command errors; message goes to stderr."""
 
 
-STAGE_ORDER = [
-    "synth",
-    "preprocess",
-    "train-we",
-    "views",
-    "netembed",
-    "correlate",
-    "compose",
-    "classify",
-    "report",
-]
-
-
 def _bool(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
@@ -314,7 +301,10 @@ def _load_corpus(ctx: RunContext) -> corpus.LabeledDataset:
     """The corpus, parsed on first use and then shared; no stage modifies it."""
     if ctx.dataset is None:
         ctx.require(ctx.corpus_dir / "users.jsonl", "synth (or set [corpus] directory)")
-        ctx.dataset = corpus.load_dataset(ctx.corpus_dir)
+        try:
+            ctx.dataset = corpus.load_dataset(ctx.corpus_dir)
+        except OSError as exc:
+            raise CLIError(f"cannot read the corpus: {exc}") from None
     return ctx.dataset
 
 
@@ -382,13 +372,10 @@ def _load_models(ctx: RunContext) -> tuple[wemodel.WEModel, wemodel.WEModel]:
 
 
 def _load_image_tags(ctx: RunContext) -> dict[str, list[str]]:
-    path = ctx.image_tags
-    if not path.is_file():
-        raise CLIError(f"image tag file not found: {path} (set [views] image_fixture)")
     try:
-        return load_image_tags(path, ctx.image_threshold)
-    except ValueError as exc:
-        raise CLIError(f"unreadable image tag file {path}: {exc}") from None
+        return load_image_tags(ctx.image_tags, ctx.image_threshold)
+    except OSError as exc:
+        raise CLIError(f"cannot read the image tag file: {exc} (set [views] image_fixture)") from None
 
 
 def cmd_views(ctx: RunContext) -> None:
@@ -664,6 +651,7 @@ COMMANDS = {
     "classify": cmd_classify,
     "report": cmd_report,
 }
+STAGE_ORDER = list(COMMANDS)
 
 
 def cmd_run(ctx: RunContext) -> None:

@@ -1,6 +1,12 @@
 """Data model and ingestion for users, tweets, interactions, and labels.
 
-Canonical on-disk layout:
+Every input file the pipeline reads is line-oriented UTF-8, and read_lines
+is the one function that splits one into lines. Lines end at "\n" (or
+"\r\n", "\r"), are numbered from 1, and blank lines are skipped. A bad
+line raises ParseError (a ValueError), "<path>:<line>: <reason>"; an
+unreadable file raises OSError, which the CLI names once. The inputs:
+
+Corpus files (a directory; lines are taken as written, "#" is data):
 
 - ``users.jsonl``        one JSON object per line:
                          user_id, name, screen_name, description,
@@ -12,6 +18,21 @@ Canonical on-disk layout:
                          as mentions upstream of this file)
 - ``labels.tsv``         user_id TAB {P|I|R}
 
+Resource files (each line stripped; lines starting with "#" are comments):
+
+- stopwords (preprocess.load_stopwords): one word per line
+- lemmas (preprocess.load_lemma_table): token TAB lemma
+- emoji ranges (packaged, read by preprocess): first TAB last hex code point
+- emoji lexicon (emoji.load_emoji_lexicon): emoji TAB keyword,keyword,...
+- image tags (imagetags.load_image_tags): image_ref TAB tag,tag,...
+  [TAB confidence,confidence,...]
+
+Further columns of the emoji ranges and lexicon are ignored. The external
+text model (wemodel.load_text_model) is a "<vocab> <dim>" line, then one
+"<word> <value> ..." line per word, with no blank or comment lines; its
+own loop streams it, since background models can be large, and a bad
+header, row or value, or a repeated word, is the same ParseError.
+
 Labels live in their own file so unlabeled corpora can still be ingested
 for embedding training. Interaction targets do not have to appear in
 users.jsonl; they are retained as bare ids.
@@ -21,18 +42,18 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 
 class CorpusError(Exception):
     """Base class for ingestion failures."""
 
 
-class ParseError(CorpusError):
-    """A line could not be parsed; carries the offending line number."""
+class ParseError(CorpusError, ValueError):
+    """A line of an input file could not be parsed; carries its path and line number."""
 
     def __init__(self, path, line_no: int, message: str):
         self.path = str(path)
@@ -113,84 +134,82 @@ class LabeledDataset:
         return {label: counts.get(label, 0) for label in ClassLabel}
 
 
-def _iter_lines(path) -> Iterable[tuple[int, str]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            yield line_no, line
+def read_lines(path, resource: bool = False) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each non-blank line of a UTF-8 file, without its newline.
+
+    A resource file also skips "#" comment lines and strips each line.
+    The file is streamed, never held whole.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if resource:
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield line_no, line
+            elif not line.isspace():
+                yield line_no, line.rstrip("\n")
+
+
+def _json_objects(path, id_key: str, *required: str) -> Iterator[dict]:
+    """Each line's JSON object; id_key and required must be non-empty strings, id_key unique."""
+    seen = set()
+    for line_no, line in read_lines(path):
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+        if not isinstance(raw, dict):
+            raise ParseError(path, line_no, "expected a JSON object")
+        for key in (id_key, *required):
+            value = raw.get(key)
+            if not value or not isinstance(value, str):
+                raise ParseError(path, line_no, f"missing or empty {key}")
+        if raw[id_key] in seen:
+            raise ValidationError(f"{path}:{line_no}: duplicate {id_key} {raw[id_key]!r}")
+        seen.add(raw[id_key])
+        yield raw
+
+
+def _tsv_fields(path, width: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each line, which must hold exactly width tab-separated fields."""
+    for line_no, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != width:
+            raise ParseError(path, line_no, f"expected {width} tab-separated fields, got {len(parts)}")
+        yield line_no, parts
 
 
 def load_users(path) -> list[UserRecord]:
     """Load users.jsonl. Returns records in file order."""
-    users = []
-    seen = set()
-    for line_no, line in _iter_lines(path):
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-        if not isinstance(raw, dict):
-            raise ParseError(path, line_no, "expected a JSON object")
-        user_id = raw.get("user_id")
-        if not user_id or not isinstance(user_id, str):
-            raise ParseError(path, line_no, "missing or empty user_id")
-        if user_id in seen:
-            raise ValidationError(f"{path}:{line_no}: duplicate user_id {user_id!r}")
-        seen.add(user_id)
-        users.append(
-            UserRecord(
-                user_id=user_id,
-                name=raw.get("name", "") or "",
-                screen_name=raw.get("screen_name", "") or "",
-                description=raw.get("description", "") or "",
-                profile_image_ref=raw.get("profile_image_ref"),
-            )
+    return [
+        UserRecord(
+            user_id=raw["user_id"],
+            name=raw.get("name", "") or "",
+            screen_name=raw.get("screen_name", "") or "",
+            description=raw.get("description", "") or "",
+            profile_image_ref=raw.get("profile_image_ref"),
         )
-    return users
+        for raw in _json_objects(path, "user_id")
+    ]
 
 
 def load_tweets(path) -> list[TweetRecord]:
     """Load tweets.jsonl. retweet_of is set when the raw record marks a retweet."""
-    tweets = []
-    seen = set()
-    for line_no, line in _iter_lines(path):
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-        if not isinstance(raw, dict):
-            raise ParseError(path, line_no, "expected a JSON object")
-        tweet_id = raw.get("tweet_id")
-        if not tweet_id or not isinstance(tweet_id, str):
-            raise ParseError(path, line_no, "missing or empty tweet_id")
-        author_id = raw.get("author_id")
-        if not author_id or not isinstance(author_id, str):
-            raise ParseError(path, line_no, "missing or empty author_id")
-        if tweet_id in seen:
-            raise ValidationError(f"{path}:{line_no}: duplicate tweet_id {tweet_id!r}")
-        seen.add(tweet_id)
-        tweets.append(
-            TweetRecord(
-                tweet_id=tweet_id,
-                author_id=author_id,
-                raw_text=raw.get("raw_text", "") or "",
-                retweet_of=raw.get("retweet_of"),
-            )
+    return [
+        TweetRecord(
+            tweet_id=raw["tweet_id"],
+            author_id=raw["author_id"],
+            raw_text=raw.get("raw_text", "") or "",
+            retweet_of=raw.get("retweet_of"),
         )
-    return tweets
+        for raw in _json_objects(path, "tweet_id", "author_id")
+    ]
 
 
 def load_interactions(path) -> list[InteractionRecord]:
     """Load interactions.tsv (source TAB target TAB kind TAB count)."""
     records = []
-    for line_no, line in _iter_lines(path):
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 4:
-            raise ParseError(path, line_no, f"expected 4 tab-separated fields, got {len(parts)}")
-        source, target, kind_text, count_text = parts
+    for line_no, (source, target, kind_text, count_text) in _tsv_fields(path, 4):
         if not source or not target:
             raise ParseError(path, line_no, "empty source or target user id")
         try:
@@ -210,11 +229,7 @@ def load_interactions(path) -> list[InteractionRecord]:
 def load_labels(path) -> dict[str, ClassLabel]:
     """Load labels.tsv (user_id TAB {P|I|R})."""
     labels: dict[str, ClassLabel] = {}
-    for line_no, line in _iter_lines(path):
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 2:
-            raise ParseError(path, line_no, f"expected 2 tab-separated fields, got {len(parts)}")
-        user_id, label_text = parts
+    for line_no, (user_id, label_text) in _tsv_fields(path, 2):
         try:
             label = ClassLabel.parse(label_text)
         except ValueError as exc:
@@ -242,17 +257,7 @@ def assemble_dataset(
     if unknown:
         raise ValidationError(f"labels refer to unknown users: {', '.join(unknown[:5])}")
 
-    labeled_users = [
-        UserRecord(
-            user_id=u.user_id,
-            name=u.name,
-            screen_name=u.screen_name,
-            description=u.description,
-            profile_image_ref=u.profile_image_ref,
-            label=labels.get(u.user_id),
-        )
-        for u in users
-    ]
+    labeled_users = [replace(u, label=labels.get(u.user_id)) for u in users]
 
     tweets_by_author: dict[str, list[TweetRecord]] = {}
     for tweet in tweets:

@@ -4,17 +4,18 @@ Each emoji maps to a small set of sense keywords; a user's emoji view is
 the mean word vector over the keywords of every emoji they used, looked up
 in a background embedding model. Repeated emoji weigh in repeatedly
 (multiset semantics): an account spamming one emoji leans its view toward
-that emoji's senses.
+that emoji's senses. The lexicon's line rules are in the corpus module
+docstring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .corpus import ParseError, read_lines
 from .preprocess import _data_path
 from .wemodel import WEModel, view_embedding
 
@@ -32,18 +33,16 @@ class EmojiSenseEntry:
 def load_emoji_lexicon(path=None) -> dict[str, EmojiSenseEntry]:
     """Load emoji TAB comma-separated-keywords; further columns are ignored.
 
-    Defaults to the small lexicon shipped with the package.
+    Defaults to the small lexicon shipped with the package. A line without
+    a keyword is a ParseError.
     """
     path = path or _data_path("emoji_senses.tsv")
     lexicon: dict[str, EmojiSenseEntry] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in read_lines(path, resource=True):
         parts = line.split("\t")
-        if len(parts) < 2:
-            raise ValueError(f"{path}: malformed lexicon line {line!r}")
-        keywords = [k.strip() for k in parts[1].split(",") if k.strip()]
+        keywords = [k.strip() for k in parts[1].split(",") if k.strip()] if len(parts) > 1 else []
+        if not keywords:
+            raise ParseError(path, line_no, f"expected emoji TAB keyword,keyword,..., got {line!r}")
         lexicon[parts[0]] = EmojiSenseEntry(emoji=parts[0], keywords=keywords)
     return lexicon
 

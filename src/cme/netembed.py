@@ -23,8 +23,10 @@ Where each rule of the Network view's shape is decided:
   components; truncated_svd only checks 1 <= k <= rows.
 - the sigma floor: sigma_floor; "paper" mode keeps, and divides by, only
   the singular values above it.
-- symmetry: cosine_similarity_matrix alone symmetrizes; truncated_svd
-  checks its input and factors it as given.
+- symmetry: cosine_similarity_matrix's output is exactly symmetric by
+  construction (the Gram product is symmetric, and dividing by the outer
+  product of the norms, writing the diagonal and clipping keep it so), so
+  truncated_svd checks only a plain array and factors its input as given.
 """
 
 from __future__ import annotations
@@ -189,7 +191,8 @@ def cosine_similarity_matrix(im: InteractionMatrix) -> CosineMatrix:
     Rows of zero norm produce 0 everywhere, including their own diagonal,
     so 0/0 never occurs. For nonnegative input the entries land in [0, 1]
     and the diagonal of every nonzero row is exactly 1. The Gram matrix is
-    one dense GEMM of the rows; the result is m x m dense anyway.
+    one dense product of the rows, divided in place; the result is m x m
+    dense anyway, and exactly symmetric.
     """
     mat = im.matrix
     norms = np.sqrt(_bincount(mat.rows, mat.data * mat.data, mat.shape[0]))
@@ -197,13 +200,14 @@ def cosine_similarity_matrix(im: InteractionMatrix) -> CosineMatrix:
     zero_rows = np.flatnonzero(~nonzero).tolist()
 
     dense = mat.toarray()
-    gram = dense @ dense.T
+    values = dense @ dense.T
     del dense
+    # where denom is 0 a row is all zero, so its Gram entries already are 0
     denom = np.outer(norms, norms)
-    values = np.divide(gram, denom, out=np.zeros_like(gram), where=denom > 0)
+    np.divide(values, denom, out=values, where=denom > 0)
+    del denom
 
     values[nonzero, nonzero] = 1.0
-    values = (values + values.T) / 2.0
     nonnegative = mat.nnz == 0 or mat.data.min() >= 0
     np.clip(values, 0.0 if nonnegative else -1.0, 1.0, out=values)
     return CosineMatrix(values=values, row_ids=im.row_ids, zero_rows=zero_rows)
@@ -221,23 +225,24 @@ def truncated_svd(cosine, k: int) -> SVDFactors:
     Accepts a CosineMatrix or a plain symmetric ndarray. Because the input
     is symmetric PSD, left and right factors coincide (up to sign) and the
     singular values are the eigenvalues; tiny negative eigenvalues from
-    rounding are clamped to zero. The caller picks k in [1, rows]. The
-    input is checked to be symmetric within rounding, then factored as
-    given (eigh reads its lower triangle): cosine_similarity_matrix, the
-    one place that symmetrizes, makes its output exactly symmetric.
+    rounding are clamped to zero. The caller picks k in [1, rows]. A plain
+    array is checked to be symmetric within rounding; a CosineMatrix is
+    exactly symmetric by construction. The input is factored as given
+    (eigh reads its lower triangle).
 
     One full LAPACK symmetric eigendecomposition (numpy.linalg.eigh) is
     taken and its top k kept. scipy's subset-only eigh raised the network
     benchmark's peak RSS by 3.4 MB (full numpy eigh: 0.1 MB), and ARPACK
     svds (k=300) was off by 0.46 in sigma^2 on an 871-row cosine matrix.
     """
-    mat = cosine.values if isinstance(cosine, CosineMatrix) else np.asarray(cosine, dtype=np.float64)
+    exact = isinstance(cosine, CosineMatrix)
+    mat = cosine.values if exact else np.asarray(cosine, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     m = mat.shape[0]
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
-    if not np.allclose(mat, mat.T, atol=1e-8 * max(1.0, float(np.abs(mat).max()))):
+    if not exact and not np.allclose(mat, mat.T, atol=1e-8 * max(1.0, float(np.abs(mat).max()))):
         raise ValueError("matrix is not symmetric")
 
     evals, evecs = np.linalg.eigh(mat)

@@ -3,7 +3,9 @@
 extract_entities removes a leading retweet marker, URLs, contact info
 (e-mail, web addresses, phone numbers) and @-mentions, then pulls out the
 emoji; it returns the emoji and the residual text. The residual is then
-tokenized, filtered, and lemmatized.
+tokenized, filtered, and lemmatized. The stopword list, the lemma table
+and the emoji ranges are resource files; the corpus module docstring gives
+their line rules and the one error a bad line raises.
 
 Two reading notes that differ from naive expectations:
 
@@ -42,6 +44,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
 
+from .corpus import ParseError, read_lines
+
 _RT_RE = re.compile(r"^\s*RT\s+@(\w+):?\s*", re.IGNORECASE)
 _URL_RE = re.compile(r"\bhttps?://[^\s]+", re.IGNORECASE)
 _EMAIL_RE = re.compile(r"\b[A-Za-z0-9._%+-]+@[A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+\b")
@@ -62,29 +66,20 @@ def _data_path(name: str) -> Path:
     return Path(str(resources.files("cme").joinpath("data") / name))
 
 
-def _read_word_lines(path) -> list[str]:
-    words = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.append(line)
-    return words
-
-
 def load_stopwords(path=None) -> set[str]:
     """Stopword set, case-folded. Defaults to the packaged English list."""
-    path = path or _data_path("stopwords.txt")
-    return {w.casefold() for w in _read_word_lines(path)}
+    return {w.casefold() for _, w in read_lines(path or _data_path("stopwords.txt"), resource=True)}
 
 
 def load_lemma_table(path=None) -> dict[str, str]:
-    """token TAB lemma lookup table. Defaults to the packaged table."""
+    """token TAB lemma lookup table, case-folded. Defaults to the packaged table."""
     path = path or _data_path("lemmas.tsv")
     table = {}
-    for line in _read_word_lines(path):
+    for line_no, line in read_lines(path, resource=True):
         parts = line.split("\t")
-        if len(parts) == 2:
-            table[parts[0].casefold()] = parts[1].casefold()
+        if len(parts) != 2:
+            raise ParseError(path, line_no, f"expected token TAB lemma, got {line!r}")
+        table[parts[0].casefold()] = parts[1].casefold()
     return table
 
 
@@ -99,7 +94,7 @@ def _emoji_regex() -> re.Pattern:
     of text around them.
     """
     spans = []
-    for line in _read_word_lines(_data_path("emoji_ranges.tsv")):
+    for _, line in read_lines(_data_path("emoji_ranges.tsv"), resource=True):
         lo, hi = line.split("\t")[:2]
         spans.append(f"\\U{int(lo, 16):08X}-\\U{int(hi, 16):08X}")
     base = f"[{''.join(spans)}]"

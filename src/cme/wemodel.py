@@ -45,6 +45,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .corpus import ParseError
+
 
 # (centre, context) pairs per SGD step; see the module docstring for why 64
 BATCH_PAIRS = 64
@@ -110,9 +112,6 @@ class WEModel:
     @property
     def dimension(self) -> int:
         return int(self.vectors.shape[1])
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.vocabulary
 
 
 def vector(model: WEModel, word: str) -> Optional[np.ndarray]:
@@ -365,18 +364,24 @@ def load_model(path) -> WEModel:
 def load_text_model(path, dimension: Optional[int] = None) -> WEModel:
     """Read a word2vec text model ("<vocab> <dim>", then "<word> <values>" rows) of a given width."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected '<vocab_size> <dim>' header")
-        size, dim = int(header[0]), int(header[1])
+        try:
+            size, dim = map(int, fh.readline().split())
+        except ValueError:
+            raise ParseError(path, 1, "expected '<vocab_size> <dim>' header") from None
         vocab: dict[str, int] = {}
         vectors = np.empty((size, dim), dtype=np.float64)
+        # row idx is on line idx + 2, after the header
         for idx in range(size):
             parts = fh.readline().rstrip("\n").split(" ")
             if len(parts) != dim + 1:
-                raise ValueError(f"{path}: row {idx} has {len(parts) - 1} values, expected {dim}")
+                raise ParseError(path, idx + 2, f"{len(parts) - 1} values, expected {dim}")
+            if parts[0] in vocab:
+                raise ParseError(path, idx + 2, f"duplicate word {parts[0]!r}")
             vocab[parts[0]] = idx
-            vectors[idx] = [float(v) for v in parts[1:]]
+            try:
+                vectors[idx] = [float(v) for v in parts[1:]]
+            except ValueError:
+                raise ParseError(path, idx + 2, f"a value of {parts[0]!r} is not a number") from None
     if dimension is not None and dim != dimension:
         raise ValueError(f"{path}: vectors are {dim} wide, expected {dimension}")
     return WEModel(vocabulary=vocab, vectors=vectors)

@@ -240,6 +240,23 @@ class TestFullChain:
         assert named in _one_line_error(capsys)
         assert not (_run_dir(tmp_path) / "preprocess" / "tokens.json").exists()
 
+    def test_malformed_lemma_table_names_path_and_line(self, tmp_path, capsys):
+        # a line without a tab used to be dropped, and the run ended 0
+        lemmas = tmp_path / "lemmas.tsv"
+        lemmas.write_text("# token\tlemma\nam\tbe\nwere be\n", encoding="utf-8")
+        cfg = _config(tmp_path, extra=f"[preprocess]\nlemmas = {lemmas}\n")
+        assert main(["run", "--config", cfg]) == 1
+        assert _one_line_error(capsys).startswith(f"error: preprocess.lemmas: {lemmas}:3: ")
+        assert not list(_run_dir(tmp_path).iterdir())
+
+    def test_missing_corpus_file_is_one_line_error(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "users.jsonl").write_text('{"user_id": "u1"}\n', encoding="utf-8")
+        cfg = _config(tmp_path, extra=f"[corpus]\ndirectory = {corpus_dir}\n")
+        assert main(["run", "--config", cfg]) == 1
+        assert "tweets.jsonl" in _one_line_error(capsys)
+
     def test_percent_in_a_value_is_taken_literally(self, tmp_path):
         # "%" used to start an interpolation and end the command in a traceback
         cfg = _config(tmp_path)
@@ -453,6 +470,20 @@ class TestArtifacts:
         ref = dropped.split("\t")[0]
         assert ref.startswith("img://")
         assert repr(ref) in _one_line_error(capsys)
+
+    def test_malformed_image_tag_file_names_its_path_once(self, tmp_path, capsys):
+        cfg = _config(tmp_path, extra="[views]\nprofile_images = true\n")
+        for stage in ("synth", "preprocess", "train-we"):
+            assert main([stage, "--config", cfg]) == 0
+        tag_file = _run_dir(tmp_path) / "synth" / "image_tags.tsv"
+        with open(tag_file, "a", encoding="utf-8") as fh:
+            fh.write("img://extra\tperson\tabc\n")
+        line_no = len(tag_file.read_text(encoding="utf-8").splitlines())
+        capsys.readouterr()
+        assert main(["views", "--config", cfg]) == 1
+        err = _one_line_error(capsys)
+        assert f"{tag_file}:{line_no}: " in err
+        assert err.count(str(tag_file)) == 1
 
     def test_no_image_tag_file_fails_before_any_stage(self, tmp_path, capsys):
         assert main(["synth", "--config", _config(tmp_path)]) == 0

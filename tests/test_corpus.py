@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -18,11 +19,41 @@ from cme.corpus import (
     load_users,
     save_dataset,
 )
+from cme.emoji import load_emoji_lexicon
+from cme.imagetags import load_image_tags
+from cme.preprocess import load_lemma_table
+from cme.wemodel import load_text_model
 
 
 def _write(path, lines):
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     return path
+
+
+# each input file with one malformed line, and that line's number
+MALFORMED_INPUTS = {
+    "users": (load_users, "users.jsonl", ['{"user_id": "u0"}', "{broken"], 2),
+    "tweets": (
+        load_tweets,
+        "tweets.jsonl",
+        ['{"tweet_id": "t0", "author_id": "u0"}', '{"tweet_id": "t1", "raw_text": "hi"}'],
+        2,
+    ),
+    "interactions": (load_interactions, "interactions.tsv", ["u1\tu2\tmention\t1", "u1\tu2\tmention"], 2),
+    "labels": (load_labels, "labels.tsv", ["u1\tP", "", "u2\tX"], 3),
+    "lemmas": (load_lemma_table, "lemmas.tsv", ["# token\tlemma", "am\tbe", "were be"], 3),
+    "emoji-lexicon": (load_emoji_lexicon, "senses.tsv", ["\N{HERB}\therb", "\N{FIRE}\t,"], 2),
+    "image-tags": (load_image_tags, "tags.tsv", ["img1\tperson", "img2\tperson\tabc"], 2),
+    "text-model": (load_text_model, "model.txt", ["2 2", "foo 1.0 2.0", "bar 1.0 abc"], 3),
+    "text-model-duplicate-word": (load_text_model, "model.txt", ["2 2", "foo 1.0 2.0", "foo 3.0 4.0"], 3),
+}
+
+
+@pytest.mark.parametrize("load, name, lines, line_no", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS)
+def test_malformed_line_is_named_by_path_and_line(tmp_path, load, name, lines, line_no):
+    path = _write(tmp_path / name, lines)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line_no}: "):
+        load(path)
 
 
 class TestLoadUsers:
@@ -160,6 +191,8 @@ class TestRoundTrip:
             TweetRecord("t0", "u0", "hello world"),
             TweetRecord("t1", "u0", "RT @shop: sale", retweet_of="u1"),
             TweetRecord("t2", "u1", "buy now"),
+            # json.dumps leaves these two line separators unescaped; only "\n" ends a line
+            TweetRecord("t3", "u2", "next\x85line\u2028sep"),
         ]
         interactions = [
             InteractionRecord("u0", "u1", InteractionKind.RETWEET, 2),

@@ -67,7 +67,7 @@ class TestFixtureMode:
     def test_malformed_fixture_rejected(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("img1\tperson\njust-one-column\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match="bad.tsv:2:"):
             load_image_tags(bad)
 
     def test_unaligned_confidences_rejected(self, tmp_path):

@@ -367,43 +367,33 @@ def evaluate(predicted: Sequence, gold: Sequence, classes: Optional[list] = None
     if unknown:
         raise ValueError(f"labels outside the class alphabet: {unknown}")
 
-    confusion = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for g, p in zip(gold, predicted):
-        confusion[index[g], index[p]] += 1
-
-    precision, recall, f1, support = {}, {}, {}, {}
-    flags: list[str] = []
-    for cls in classes:
-        i = index[cls]
-        tp = int(confusion[i, i])
-        fp = int(confusion[:, i].sum()) - tp
-        fn = int(confusion[i, :].sum()) - tp
-        support[cls] = tp + fn
-        if tp + fp == 0:
-            precision[cls] = 0.0
-            if support[cls] > 0:
-                flags.append(f"class {_label_text(cls)}: never predicted; precision reported as 0")
-        else:
-            precision[cls] = tp / (tp + fp)
-        if support[cls] == 0:
-            recall[cls] = 0.0
-            flags.append(f"class {_label_text(cls)}: zero support; recall reported as 0")
-        else:
-            recall[cls] = tp / support[cls]
-        denom = precision[cls] + recall[cls]
-        f1[cls] = 0.0 if denom == 0 else 2 * precision[cls] * recall[cls] / denom
+    n = len(classes)
+    cells = np.array([index[g] * n + index[p] for g, p in zip(gold, predicted)], dtype=np.int64)
+    confusion = np.bincount(cells, minlength=n * n).reshape(n, n)
+    tp = np.diag(confusion)
+    predictions, support = confusion.sum(axis=0), confusion.sum(axis=1)
+    precision = np.divide(tp, predictions, out=np.zeros(n), where=predictions > 0)
+    recall = np.divide(tp, support, out=np.zeros(n), where=support > 0)
+    denom = precision + recall
+    f1 = np.divide(2 * precision * recall, denom, out=np.zeros(n), where=denom > 0)
+    flags = [
+        f"class {_label_text(cls)}: never predicted; precision reported as 0" if gold_count
+        else f"class {_label_text(cls)}: zero support; recall reported as 0"
+        for cls, predicted_count, gold_count in zip(classes, predictions, support)
+        if predicted_count == 0 or gold_count == 0
+    ]
 
     # micro-F1 equals accuracy for single-label data
     accuracy = float(np.trace(confusion)) / max(1, len(gold))
     return EvaluationReport(
         classes=classes,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        support=support,
-        macro_precision=float(np.mean([precision[c] for c in classes])),
-        macro_recall=float(np.mean([recall[c] for c in classes])),
-        macro_f1=float(np.mean([f1[c] for c in classes])),
+        precision=dict(zip(classes, precision.tolist())),
+        recall=dict(zip(classes, recall.tolist())),
+        f1=dict(zip(classes, f1.tolist())),
+        support=dict(zip(classes, support.tolist())),
+        macro_precision=float(np.mean(precision)),
+        macro_recall=float(np.mean(recall)),
+        macro_f1=float(np.mean(f1)),
         micro_f1=accuracy,
         accuracy=accuracy,
         confusion=confusion,

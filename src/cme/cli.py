@@ -25,6 +25,9 @@ With [views] profile_images on, the views stage also reads the image tag
 file ([views] image_fixture, by default <corpus>/image_tags.tsv, which
 synth writes) and builds the ProfileImage view from it.
 
+The compose stage builds exactly the tags of [classify] suite_a_tags and
+suite_b_tags, each once; suite A needs a tag, suite B may have none.
+
 [netembed] k is an upper bound on the Network view's components: the
 netembed stage takes min(k, source rows), and k = 0 (the default) means
 [train_we] dimension, the largest k accepted.
@@ -93,7 +96,6 @@ CONFIG_KEYS = {
     },
     "netembed": {"mode": str, "k": int},
     "correlate": {"pairs": _list, "alpha": float},
-    "compose": {"tags": _list},
     "classify": {
         "suite_a_tags": _list, "suite_b_tags": _list, "smote_k": int,
         "smote_duplicate_singletons": _bool, "l2_penalty": float, "epochs": int,
@@ -163,8 +165,7 @@ class RunContext:
         self.alpha = self.get("correlate", "alpha", compose.ALPHA)
         if not 0.0 < self.alpha < 1.0:
             raise CLIError(f"correlate.alpha must be in (0, 1), got {self.alpha}")
-        self.tags = _compose_tags(self)
-        self.suite_a, self.suite_b = _suite_tags(self)
+        self.suite_a, self.suite_b, self.tags = _suite_tags(self)
         self.smote, self.classifier, self.split_ratio = _classify_settings(self)
 
     def _check_keys(self) -> None:
@@ -482,29 +483,19 @@ def cmd_correlate(ctx: RunContext) -> None:
         print(f"[correlate] {name_a} vs {name_b}: rho={res.rho:.4g} p={res.p_value:.4g} n={res.n}")
 
 
-def _compose_tags(ctx: RunContext) -> dict[str, tuple[str, ...]]:
-    """Each [compose] tag and the views it adds."""
-    tags = {}
-    for tag in ctx.get("compose", "tags", ["T+D", "T+E", "D+E", "N+T+E"]):
-        try:
-            tags[tag] = compose.resolve_tag(tag)
-        except compose.CompositionError as exc:
-            raise CLIError(f"compose.tags: {exc}") from None
-    return tags
-
-
-def _suite_tags(ctx: RunContext) -> tuple[list[str], list[str]]:
-    """(suite A tags, suite B tags); each must be a composition the compose stage builds."""
-    suite_a = list(ctx.get("classify", "suite_a_tags", pipeline.SUITE_A_TAGS))
-    suite_b = list(ctx.get("classify", "suite_b_tags", pipeline.SUITE_B_TAGS))
-    for key, tags in (("suite_a_tags", suite_a), ("suite_b_tags", suite_b)):
-        missing = [tag for tag in tags if tag not in ctx.tags]
-        if missing:
-            raise CLIError(
-                f"classify.{key}: {', '.join(map(repr, missing))} not among compose.tags "
-                f"({', '.join(ctx.tags)})"
-            )
-    return suite_a, suite_b
+def _suite_tags(ctx: RunContext) -> tuple[list[str], list[str], dict[str, tuple[str, ...]]]:
+    """(suite A tags, suite B tags, each tag of either suite and the views it adds)."""
+    suites, tags = [], {}
+    for key, default in (("suite_a_tags", pipeline.SUITE_A_TAGS), ("suite_b_tags", pipeline.SUITE_B_TAGS)):
+        suites.append(list(ctx.get("classify", key, default)))
+        for tag in suites[-1]:
+            try:
+                tags[tag] = compose.resolve_tag(tag)
+            except compose.CompositionError as exc:
+                raise CLIError(f"classify.{key}: {exc}") from None
+    if not suites[0]:
+        raise CLIError("classify.suite_a_tags: suite A needs at least one tag")
+    return suites[0], suites[1], tags
 
 
 def cmd_compose(ctx: RunContext) -> None:
@@ -551,10 +542,8 @@ def _classify_settings(
 
 def cmd_classify(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
-    cme_sets = {}
-    for tag in dict.fromkeys(ctx.suite_a + ctx.suite_b):
-        cme_sets[tag] = _load_view(ctx, ctx.run_dir / "compose" / _view_filename(tag), tag, "compose")
-
+    compose_dir = ctx.run_dir / "compose"
+    cme_sets = {tag: _load_view(ctx, compose_dir / _view_filename(tag), tag, "compose") for tag in ctx.tags}
     split_seed = ctx.smote.seed
     results = pipeline.run_suites(
         cme_sets,
@@ -570,35 +559,21 @@ def cmd_classify(ctx: RunContext) -> None:
 
     out = ctx.stage_dir("classify")
     payload = {
-        "suite_a": {tag: _result_dict(res) for tag, res in results.suite_a.items()},
-        "suite_b": {tag: _result_dict(res) for tag, res in results.suite_b.items()},
         "best_suite_a_tag": results.best_a_tag,
         "connected_users": len(results.connected_users),
         "seed": split_seed,
     }
-    _write_json(out / "results.json", payload)
-
     lines = []
-    for suite, bucket in (("A (all users)", results.suite_a), ("B (connected subset)", results.suite_b)):
-        for tag, res in bucket.items():
-            lines.append(classify.format_report(res.report, title=f"suite {suite}: {tag}"))
+    for name, users, suite in (("A", "all users", results.suite_a), ("B", "connected subset", results.suite_b)):
+        # an entry is the ExperimentResult's fields, its report as EvaluationReport.to_dict()
+        payload[f"suite_{name.lower()}"] = {
+            tag: vars(res) | {"report": res.report.to_dict()} for tag, res in suite.items()
+        }
+        for tag, res in suite.items():
+            lines.append(classify.format_report(res.report, title=f"suite {name} ({users}): {tag}"))
+            print(f"[classify] suite {name} {tag}: macro-F1 {res.report.macro_f1:.4f}")
+    _write_json(out / "results.json", payload)
     (out / "results.txt").write_text("\n".join(lines), encoding="utf-8")
-    for tag, res in results.suite_a.items():
-        print(f"[classify] suite A {tag}: macro-F1 {res.report.macro_f1:.4f}")
-    for tag, res in results.suite_b.items():
-        print(f"[classify] suite B {tag}: macro-F1 {res.report.macro_f1:.4f}")
-
-
-def _result_dict(res: pipeline.ExperimentResult) -> dict:
-    return {
-        "tag": res.tag,
-        "report": res.report.to_dict(),
-        "n_train": res.n_train,
-        "n_test": res.n_test,
-        "zero_filled": res.zero_filled,
-        "converged": res.converged,
-        "epochs": res.epochs,
-    }
 
 
 def cmd_report(ctx: RunContext) -> None:
@@ -623,7 +598,8 @@ def cmd_report(ctx: RunContext) -> None:
             line += f"  (macro-F1 {delta:+.4f} vs {report['comparison']['baseline']})"
             deltas[tag] = delta
         lines.append(line)
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    (out / "report.txt").write_text(text, encoding="utf-8")
     _write_json(
         out / "report.json",
         {
@@ -637,7 +613,7 @@ def cmd_report(ctx: RunContext) -> None:
             "suite_b_macro_f1_delta_vs_baseline": deltas,
         },
     )
-    print((out / "report.txt").read_text(encoding="utf-8"))
+    print(text)
 
 
 COMMANDS = {

@@ -302,22 +302,17 @@ def save_dataset(dataset: LabeledDataset, directory) -> None:
                 record["profile_image_ref"] = u.profile_image_ref
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
+    # tweets by listed user in user order; groups whose author is not a listed user come last
+    authors = [u.user_id for u in dataset.users]
+    listed = set(authors)
+    authors += [author_id for author_id in dataset.tweets_by_author if author_id not in listed]
     with open(directory / "tweets.jsonl", "w", encoding="utf-8") as fh:
-        for u in dataset.users:
-            for t in dataset.tweets_by_author.get(u.user_id, []):
+        for author_id in authors:
+            for t in dataset.tweets_by_author.get(author_id, []):
                 record = {"tweet_id": t.tweet_id, "author_id": t.author_id, "raw_text": t.raw_text}
                 if t.retweet_of is not None:
                     record["retweet_of"] = t.retweet_of
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-        # tweet groups whose author is not a listed user come last, in group order
-        listed = {u.user_id for u in dataset.users}
-        for author_id, group in dataset.tweets_by_author.items():
-            if author_id not in listed:
-                for t in group:
-                    record = {"tweet_id": t.tweet_id, "author_id": t.author_id, "raw_text": t.raw_text}
-                    if t.retweet_of is not None:
-                        record["retweet_of"] = t.retweet_of
-                    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
     with open(directory / "interactions.tsv", "w", encoding="utf-8") as fh:
         for rec in dataset.interactions:

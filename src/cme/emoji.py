@@ -34,7 +34,7 @@ def load_emoji_lexicon(path=None) -> dict[str, EmojiSenseEntry]:
     """Load emoji TAB comma-separated-keywords; further columns are ignored.
 
     Defaults to the small lexicon shipped with the package. A line without
-    a keyword is a ParseError.
+    a keyword, or with an emoji an earlier line gave, is a ParseError.
     """
     path = path or _data_path("emoji_senses.tsv")
     lexicon: dict[str, EmojiSenseEntry] = {}
@@ -43,6 +43,8 @@ def load_emoji_lexicon(path=None) -> dict[str, EmojiSenseEntry]:
         keywords = [k.strip() for k in parts[1].split(",") if k.strip()] if len(parts) > 1 else []
         if not keywords:
             raise ParseError(path, line_no, f"expected emoji TAB keyword,keyword,..., got {line!r}")
+        if parts[0] in lexicon:
+            raise ParseError(path, line_no, f"duplicate emoji {parts[0]!r}")
         lexicon[parts[0]] = EmojiSenseEntry(emoji=parts[0], keywords=keywords)
     return lexicon
 

@@ -22,14 +22,17 @@ def load_image_tags(path, confidence_threshold: float = CONFIDENCE_THRESHOLD) ->
 
     A line is image_ref TAB tag,tag,... [TAB confidence,confidence,...]; one
     with no confidence column keeps all its tags. A line with fewer than two
-    columns, a confidence that is not a number, or confidences that do not
-    align one-to-one with the tags is a ParseError.
+    columns, a confidence that is not a number, confidences that do not
+    align one-to-one with the tags, or a ref an earlier line gave is a
+    ParseError.
     """
     tags_by_ref: dict[str, list[str]] = {}
     for line_no, line in read_lines(path, resource=True):
         parts = line.split("\t")
         if len(parts) < 2:
             raise ParseError(path, line_no, f"expected image_ref TAB tags, got {line!r}")
+        if parts[0] in tags_by_ref:
+            raise ParseError(path, line_no, f"duplicate image ref {parts[0]!r}")
         tags = [t.strip() for t in parts[1].split(",") if t.strip()]
         if len(parts) > 2 and parts[2].strip():
             try:

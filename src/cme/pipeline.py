@@ -253,18 +253,22 @@ def run_suites(
     Suite A runs text/emoji compositions over all labeled users. Suite B
     runs network compositions over the interaction-connected subset, using
     the best suite-A setting (re-run on that subset) as its baseline.
+    Suite A must name at least one composition; suite B may name none.
     """
     labels = dataset.labels()
     all_users = sorted(labels)
+    if not suite_a_tags:
+        raise compose.CompositionError("suite A needs at least one composition")
     missing = [t for t in list(suite_a_tags) + list(suite_b_tags) if t not in cme_sets]
     if missing:
         raise compose.CompositionError(f"suites reference unbuilt compositions: {missing}")
 
-    suite_a: dict[str, ExperimentResult] = {}
-    for tag in suite_a_tags:
-        suite_a[tag] = run_experiment(
-            cme_sets[tag], labels, all_users, split_ratio, seed, smote_config, classifier_config
+    def score(tag: str, users: list[str]) -> ExperimentResult:
+        return run_experiment(
+            cme_sets[tag], labels, users, split_ratio, seed, smote_config, classifier_config
         )
+
+    suite_a = {tag: score(tag, all_users) for tag in suite_a_tags}
     best_a_tag = max(suite_a, key=lambda t: suite_a[t].report.macro_f1)
 
     connected = sorted(
@@ -272,20 +276,13 @@ def run_suites(
     )
     suite_b: dict[str, ExperimentResult] = {}
     if connected and suite_b_tags:
-        baseline = run_experiment(
-            cme_sets[best_a_tag], labels, connected, split_ratio, seed,
-            smote_config, classifier_config,
-        )
+        baseline = score(best_a_tag, connected)
         suite_b[best_a_tag] = baseline
         for tag in suite_b_tags:
-            result = run_experiment(
-                cme_sets[tag], labels, connected, split_ratio, seed,
-                smote_config, classifier_config,
-            )
+            suite_b[tag] = score(tag, connected)
             classify.compare_to_baseline(
-                result.report, baseline.report, f"{best_a_tag} (connected subset)"
+                suite_b[tag].report, baseline.report, f"{best_a_tag} (connected subset)"
             )
-            suite_b[tag] = result
     return SuiteResults(
         suite_a=suite_a,
         suite_b=suite_b,

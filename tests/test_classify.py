@@ -249,7 +249,57 @@ class TestClassifier:
         assert np.mean([p == g for p, g in zip(predict(model, X), y)]) == 1.0
 
 
+def _hand_counted(predicted, gold, classes):
+    """Per-class (precision, recall, F1, support) and the flags, counted label by label."""
+    figures, flags = {}, []
+    for cls in classes:
+        name = cls.name if isinstance(cls, ClassLabel) else cls
+        tp = sum(p == cls and g == cls for p, g in zip(predicted, gold))
+        shown, held = predicted.count(cls), gold.count(cls)
+        precision = tp / shown if shown else 0.0
+        recall = tp / held if held else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        figures[cls] = (precision, recall, f1, held)
+        if held == 0:
+            flags.append(f"class {name}: zero support; recall reported as 0")
+        elif shown == 0:
+            flags.append(f"class {name}: never predicted; precision reported as 0")
+    return figures, flags
+
+
+PER, INF, RET = ClassLabel
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "held, shown, classes, order",
+        [
+            ([PER, INF], [INF, RET], None, [PER, INF, RET]),
+            ([RET, PER], [PER], [PER, INF, RET], [PER, INF, RET]),
+            (["b", "c", "d"], ["c", "d", "e"], None, ["b", "c", "d", "e"]),
+            (["b", "c", "d"], ["c", "d", "e"], ["e", "d", "c", "b", "a"], ["e", "d", "c", "b", "a"]),
+        ],
+        ids=["class-labels", "class-labels-given-classes", "strings", "strings-given-classes"],
+    )
+    def test_matches_hand_counted_figures(self, seed, held, shown, classes, order):
+        # gold draws from `held` and predictions from `shown`: a held class not shown is
+        # never predicted, and a class not held (shown, or given in neither) has zero support
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 60))
+        gold = [held[i] for i in rng.integers(len(held), size=n)]
+        predicted = [shown[i] for i in rng.integers(len(shown), size=n)]
+        report = evaluate(predicted, gold, classes=classes)
+        figures, flags = _hand_counted(predicted, gold, order)
+        assert report.classes == order
+        for field, column in (("precision", 0), ("recall", 1), ("f1", 2), ("support", 3)):
+            assert getattr(report, field) == {cls: row[column] for cls, row in figures.items()}, field
+        assert report.macro_f1 == sum(row[2] for row in figures.values()) / len(order)
+        assert report.flags == flags
+        assert any("never predicted" in f for f in flags) and any("zero support" in f for f in flags)
+        cells = [[sum(g == a and p == b for g, p in zip(gold, predicted)) for b in order] for a in order]
+        assert report.confusion.tolist() == cells
+
     def test_perfect_prediction(self):
         gold = ["a", "b", "a", "b"]
         report = evaluate(gold, gold)

@@ -148,6 +148,7 @@ class TestFullChain:
             ("synth", "seed_offset = 1"),
             ("train_we", "seed_offset = 1"),
             ("classify", "seed_offset = 1"),
+            ("compose", "tags = T+D,T+E"),
         ],
         ids=[
             "removed-key", "removed-knob", "misspelt-key", "removed-family", "removed-method",
@@ -155,6 +156,7 @@ class TestFullChain:
             "removed-image-mode", "removed-image-endpoint", "removed-image-retries",
             "removed-image-cache-dir", "removed-rates", "removed-word-prob",
             "removed-seed-offset-synth", "removed-seed-offset-train-we", "removed-seed-offset-classify",
+            "removed-compose-tags",
         ],
     )
     def test_unknown_config_key_is_error(self, tmp_path, capsys, section, line):
@@ -204,8 +206,8 @@ class TestFullChain:
         [
             ("classify", "epochs", "0", "classify.epochs must be >= 1"),
             ("train_we", "window", "0", "train_we.window"),
-            ("compose", "tags", "T+D,T+X", "compose.tags: tag 'T+X' is not a canonical tag"),
-            ("compose", "tags", "T+D,D+E,N+T+E", "classify.suite_a_tags: 'T+E' not among compose.tags"),
+            ("classify", "suite_a_tags", "T+D,T+X", "classify.suite_a_tags: tag 'T+X' is not a canonical tag"),
+            ("classify", "suite_a_tags", "", "classify.suite_a_tags: suite A needs at least one tag"),
             ("correlate", "alpha", "abc", "correlate.alpha"),
             ("correlate", "alpha", "5", "correlate.alpha must be in (0, 1)"),
             ("correlate", "alpha", "0", "correlate.alpha must be in (0, 1)"),
@@ -223,7 +225,7 @@ class TestFullChain:
             ("views", "emoji_background_model", "{narrow_model}", "vectors are 8 wide, expected 16"),
         ],
         ids=[
-            "zero-classify-epochs", "zero-window", "unknown-compose-tag", "suite-tag-not-composed",
+            "zero-classify-epochs", "zero-window", "unknown-compose-tag", "empty-suite-a",
             "unparsable-alpha", "alpha-above-1", "zero-alpha", "unparsable-bool",
             "unparsable-unused-threshold", "negative-k", "k-above-dimension",
             "negative-subsample-threshold", "missing-stopwords", "missing-lemmas",
@@ -431,6 +433,13 @@ class TestArtifacts:
         for res in [*results["suite_a"].values(), *results["suite_b"].values()]:
             assert isinstance(res["converged"], bool)
             assert 1 <= res["epochs"] <= 150
+
+    def test_compose_builds_exactly_the_suites_tags(self, tmp_path):
+        # the suites name T+D, T+E and N+T+E; D+E used to be built by a default list of its own
+        assert main(["run", "--config", _config(tmp_path)]) == 0
+        compose_dir = _run_dir(tmp_path) / "compose"
+        assert sorted(p.name for p in compose_dir.glob("*.npy")) == ["N_T_E.npy", "T_D.npy", "T_E.npy"]
+        assert sorted(json.loads((compose_dir / "meta.json").read_text())) == ["N+T+E", "T+D", "T+E"]
 
     def test_trainer_stats_in_model_meta(self, tmp_path):
         cfg = _config(tmp_path)

@@ -44,6 +44,10 @@ MALFORMED_INPUTS = {
     "lemmas": (load_lemma_table, "lemmas.tsv", ["# token\tlemma", "am\tbe", "were be"], 3),
     "emoji-lexicon": (load_emoji_lexicon, "senses.tsv", ["\N{HERB}\therb", "\N{FIRE}\t,"], 2),
     "image-tags": (load_image_tags, "tags.tsv", ["img1\tperson", "img2\tperson\tabc"], 2),
+    "image-tags-repeated-ref": (load_image_tags, "tags.tsv", ["img1\tperson", "img1\tstore"], 2),
+    "emoji-lexicon-repeated-emoji": (
+        load_emoji_lexicon, "senses.tsv", ["\N{HERB}\therb", "# comment", "\N{HERB}\tleaf"], 3
+    ),
     "text-model": (load_text_model, "model.txt", ["2 2", "foo 1.0 2.0", "bar 1.0 abc"], 3),
     "text-model-duplicate-word": (load_text_model, "model.txt", ["2 2", "foo 1.0 2.0", "foo 3.0 4.0"], 3),
 }

@@ -153,3 +153,10 @@ class TestExperiments:
         cme_sets = {"T+D": compose.build_cme(views, "T+D")}
         with pytest.raises(compose.CompositionError):
             pipeline.run_suites(cme_sets, dataset, suite_a_tags=("T+D", "T+E"), suite_b_tags=())
+
+    def test_empty_suite_a_rejected(self, small_run):
+        # the best suite-A tag is suite B's baseline; with none, max() used to raise ValueError
+        dataset, _, _, _, views = small_run
+        cme_sets = {"T+D": compose.build_cme(views, "T+D")}
+        with pytest.raises(compose.CompositionError, match="suite A"):
+            pipeline.run_suites(cme_sets, dataset, suite_a_tags=(), suite_b_tags=("T+D",))

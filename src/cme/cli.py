@@ -25,8 +25,12 @@ With [views] profile_images on, the views stage also reads the image tag
 file ([views] image_fixture, by default <corpus>/image_tags.tsv, which
 synth writes) and builds the ProfileImage view from it.
 
-The compose stage builds exactly the tags of [classify] suite_a_tags and
-suite_b_tags, each once; suite A needs a tag, suite B may have none.
+The suites are the whole plan. The compose stage builds exactly the tags
+of [classify] suite_a_tags and suite_b_tags, each once; suite A needs a
+tag, suite B may have none. The correlate stage screens each distinct
+unordered pair of views inside one of those tags, in plan order (suite A's
+tags, then suite B's). A tag naming ProfileImage needs [views]
+profile_images on.
 
 [netembed] k is an upper bound on the Network view's components: the
 netembed stage takes min(k, source rows), and k = 0 (the default) means
@@ -48,6 +52,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import itertools
 import json
 import sys
 from dataclasses import fields, replace
@@ -95,7 +100,7 @@ CONFIG_KEYS = {
         "image_fixture": str, "image_confidence_threshold": float,
     },
     "netembed": {"mode": str, "k": int},
-    "correlate": {"pairs": _list, "alpha": float},
+    "correlate": {"alpha": float},
     "classify": {
         "suite_a_tags": _list, "suite_b_tags": _list, "smote_k": int,
         "smote_duplicate_singletons": _bool, "l2_penalty": float, "epochs": int,
@@ -161,7 +166,6 @@ class RunContext:
         if self.profile_images and (fixture or directory) and not self.image_tags.is_file():
             raise CLIError(f"image tag file not found: {self.image_tags} (set [views] image_fixture)")
         self.net_mode, self.net_k = _netembed_settings(self)
-        self.pairs = _correlate_pairs(self)
         self.alpha = self.get("correlate", "alpha", compose.ALPHA)
         if not 0.0 < self.alpha < 1.0:
             raise CLIError(f"correlate.alpha must be in (0, 1), got {self.alpha}")
@@ -439,37 +443,21 @@ def cmd_netembed(ctx: RunContext) -> None:
             "mode": mode,
             "rows": len(embedding.row_ids),
             "components": embedding.k,
-            "zero_rows": len(embedding.zero_rows),
         },
     )
     print(f"[netembed] embedded {len(embedding.row_ids)} users, {embedding.k} components, mode={mode}")
 
 
-def _correlate_pairs(ctx: RunContext) -> list[tuple[str, str]]:
-    pairs_raw = ctx.get(
-        "correlate",
-        "pairs",
-        ["Tweet:TweetEmoji", "Description:DescriptionEmoji", "Tweet:Network", "Description:Network"],
-    )
-    pairs = []
-    for item in pairs_raw:
-        if ":" not in item:
-            raise CLIError(f"correlate.pairs entries must look like ViewA:ViewB, got {item!r}")
-        pairs.append(tuple(part.strip() for part in item.split(":", 1)))
-    names = sorted({name for pair in pairs for name in pair})
-    unknown = [name for name in names if name not in compose.VIEW_NAMES]
-    if unknown:
-        raise CLIError(
-            f"correlate.pairs: unknown view(s) {', '.join(map(repr, unknown))}; "
-            f"views are {', '.join(compose.VIEW_NAMES)}"
-        )
-    return pairs
-
-
 def cmd_correlate(ctx: RunContext) -> None:
-    views = _load_views(ctx, sorted({name for pair in ctx.pairs for name in pair}))
-    results = []
-    for name_a, name_b in ctx.pairs:
+    # each distinct unordered pair of views inside one tag, first seen first
+    pairs = {}
+    for names in ctx.tags.values():
+        for pair in itertools.combinations(names, 2):
+            pairs.setdefault(frozenset(pair), pair)
+    views, results = {}, []
+    for name_a, name_b in pairs.values():
+        # load a view when a pair first needs it, so the first pairs run with fewer views in memory
+        views |= _load_views(ctx, [name for name in (name_a, name_b) if name not in views])
         try:
             res = compose.correlate_views(views[name_a], views[name_b], alpha=ctx.alpha)
         except compose.UndefinedCorrelationError as exc:
@@ -493,6 +481,8 @@ def _suite_tags(ctx: RunContext) -> tuple[list[str], list[str], dict[str, tuple[
                 tags[tag] = compose.resolve_tag(tag)
             except compose.CompositionError as exc:
                 raise CLIError(f"classify.{key}: {exc}") from None
+            if "ProfileImage" in tags[tag] and not ctx.profile_images:
+                raise CLIError(f"classify.{key}: tag {tag!r} needs [views] profile_images on")
     if not suites[0]:
         raise CLIError("classify.suite_a_tags: suite A needs at least one tag")
     return suites[0], suites[1], tags
@@ -509,7 +499,6 @@ def cmd_compose(ctx: RunContext) -> None:
         meta[tag] = {
             "dimension": cme_set.dimension,
             "users": len(cme_set.vectors),
-            "sentinel_count": cme_set.sentinel_count,
             "per_view_sentinels": cme_set.sentinel_counts,
         }
     _write_json(out / "meta.json", meta)

@@ -268,16 +268,18 @@ def resolve_tag(tag: str) -> tuple[str, ...]:
     """Map a composition tag to its constituent view names.
 
     Canonical tags come from the registry; anything else must be a
-    '+'-joined list of view names.
+    '+'-joined list of distinct view names.
     """
     if tag in COMPOSITION_TAGS:
         return COMPOSITION_TAGS[tag]
     parts = tuple(p.strip() for p in tag.split("+"))
-    if parts and all(p in VIEW_NAMES for p in parts):
-        return parts
-    raise CompositionError(
-        f"tag {tag!r} is not a canonical tag and is not a '+'-joined list of view names"
-    )
+    if not all(p in VIEW_NAMES for p in parts):
+        raise CompositionError(
+            f"tag {tag!r} is not a canonical tag and is not a '+'-joined list of view names"
+        )
+    if len(set(parts)) < len(parts):
+        raise CompositionError(f"tag {tag!r} names a view more than once")
+    return parts
 
 
 def build_cme(

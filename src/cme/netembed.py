@@ -116,7 +116,6 @@ class NetworkEmbedding:
     matrix: np.ndarray
     row_ids: list[str]
     mode: str
-    zero_rows: list[int] = field(default_factory=list)
 
     @property
     def k(self) -> int:
@@ -256,7 +255,6 @@ def network_embedding(
     factors: SVDFactors,
     mode: str = DEFAULT_MODE,
     row_ids: Optional[Sequence[str]] = None,
-    zero_rows: Optional[Sequence[int]] = None,
 ) -> NetworkEmbedding:
     """Fold the factors into per-user rows.
 
@@ -279,4 +277,4 @@ def network_embedding(
     else:
         matrix = factors.u * sigma
     ids = list(row_ids) if row_ids is not None else [str(i) for i in range(matrix.shape[0])]
-    return NetworkEmbedding(matrix=matrix, row_ids=ids, mode=mode, zero_rows=list(zero_rows or []))
+    return NetworkEmbedding(matrix=matrix, row_ids=ids, mode=mode)

@@ -166,7 +166,7 @@ def build_network_view(
     if mode == "paper":
         keep = factors.sigma > netembed.sigma_floor(factors.sigma)
         factors = netembed.SVDFactors(u=factors.u[:, keep], sigma=factors.sigma[keep])
-    embedding = netembed.network_embedding(factors, mode=mode, row_ids=rows, zero_rows=cosine.zero_rows)
+    embedding = netembed.network_embedding(factors, mode=mode, row_ids=rows)
 
     padded = np.zeros((len(rows), dimension))
     padded[:, : embedding.k] = embedding.matrix

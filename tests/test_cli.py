@@ -149,6 +149,7 @@ class TestFullChain:
             ("train_we", "seed_offset = 1"),
             ("classify", "seed_offset = 1"),
             ("compose", "tags = T+D,T+E"),
+            ("correlate", "pairs = Tweet:TweetEmoji"),
         ],
         ids=[
             "removed-key", "removed-knob", "misspelt-key", "removed-family", "removed-method",
@@ -156,7 +157,7 @@ class TestFullChain:
             "removed-image-mode", "removed-image-endpoint", "removed-image-retries",
             "removed-image-cache-dir", "removed-rates", "removed-word-prob",
             "removed-seed-offset-synth", "removed-seed-offset-train-we", "removed-seed-offset-classify",
-            "removed-compose-tags",
+            "removed-compose-tags", "removed-correlate-pairs",
         ],
     )
     def test_unknown_config_key_is_error(self, tmp_path, capsys, section, line):
@@ -179,7 +180,6 @@ class TestFullChain:
             ("train_we", "dimension", "0", "train_we.dimension"),
             ("train_we", "window", "0", "train_we.window"),
             ("classify", "smote_k", "0", "classify.smote_k"),
-            ("correlate", "pairs", "Tweet:Nope", "correlate.pairs: unknown view(s) 'Nope'"),
             ("train_we", "epochs", "0", "train_we.epochs must be >= 1"),
             ("train_we", "learning_rate", "0", "train_we.learning_rate must be > 0"),
             ("train_we", "learning_rate", "1e-5", "train_we.learning_rate must be >= min_learning_rate"),
@@ -190,7 +190,7 @@ class TestFullChain:
         ids=[
             "unparsable-int", "unknown-mode", "k-above-rows", "split-ratio-above-1", "empty-vocabulary",
             "unparsable-class-size", "empty-class", "zero-dimension", "zero-window",
-            "zero-smote-k", "unknown-view-in-pairs",
+            "zero-smote-k",
             "zero-train-epochs", "zero-learning-rate", "learning-rate-below-floor", "zero-min-count",
             "zero-classify-epochs", "negative-l2-penalty",
         ],
@@ -208,6 +208,15 @@ class TestFullChain:
             ("train_we", "window", "0", "train_we.window"),
             ("classify", "suite_a_tags", "T+D,T+X", "classify.suite_a_tags: tag 'T+X' is not a canonical tag"),
             ("classify", "suite_a_tags", "", "classify.suite_a_tags: suite A needs at least one tag"),
+            (
+                "classify", "suite_a_tags", "T+D,Tweet+ProfileImage",
+                "classify.suite_a_tags: tag 'Tweet+ProfileImage' needs [views] profile_images on",
+            ),
+            (
+                "classify", "suite_b_tags", "Network+ProfileImage",
+                "classify.suite_b_tags: tag 'Network+ProfileImage' needs [views] profile_images on",
+            ),
+            ("classify", "suite_b_tags", "Tweet+Tweet", "classify.suite_b_tags: tag 'Tweet+Tweet' names a view more"),
             ("correlate", "alpha", "abc", "correlate.alpha"),
             ("correlate", "alpha", "5", "correlate.alpha must be in (0, 1)"),
             ("correlate", "alpha", "0", "correlate.alpha must be in (0, 1)"),
@@ -226,6 +235,7 @@ class TestFullChain:
         ],
         ids=[
             "zero-classify-epochs", "zero-window", "unknown-compose-tag", "empty-suite-a",
+            "unbuilt-view-in-suite-a", "unbuilt-view-in-suite-b", "repeated-view-in-tag",
             "unparsable-alpha", "alpha-above-1", "zero-alpha", "unparsable-bool",
             "unparsable-unused-threshold", "negative-k", "k-above-dimension",
             "negative-subsample-threshold", "missing-stopwords", "missing-lemmas",
@@ -360,6 +370,34 @@ class TestFullChain:
         ).stderr
         assert err.strip() == "[]"
 
+    def test_synth_import_loads_only_the_corpus_model(self):
+        # perfbench/workloads.py imports cme.synth, and its set-up time is a benchmark metric
+        code = (
+            "import sys, cme.synth; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('cme', 'scipy')))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cme.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "['cme', 'cme.corpus', 'cme.synth']"
+
+    def test_run_without_a_graph(self, tmp_path):
+        # a corpus with no interactions.tsv: the Network view is empty and suite B is skipped
+        assert main(["synth", "--config", _config(tmp_path)]) == 0
+        corpus_dir = _run_dir(tmp_path) / "synth"
+        (corpus_dir / "interactions.tsv").unlink()
+        cfg = _config(tmp_path, extra=f"[corpus]\ndirectory = {corpus_dir}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "nograph")]) == 0
+        run_dir = _run_dir(tmp_path, "nograph")
+        assert json.loads((run_dir / "netembed" / "meta.json").read_text())["components"] == 0
+        rows = [line.split("\t") for line in (run_dir / "correlate" / "correlations.tsv").read_text().splitlines()]
+        network = [row for row in rows if "Network" in row[:2]]
+        assert [row[:2] for row in network] == [["Network", "Tweet"], ["Network", "TweetEmoji"]]
+        for row in network:
+            assert row[4] == "0" and row[5].startswith("undefined: ")
+        assert json.loads((run_dir / "report" / "report.json").read_text())["suite_b_macro_f1"] == {}
+
     def test_run_parses_corpus_once_and_matches_stage_by_stage(self, tmp_path, monkeypatch):
         loads = []
         load_dataset = corpus.load_dataset
@@ -433,6 +471,9 @@ class TestArtifacts:
         for res in [*results["suite_a"].values(), *results["suite_b"].values()]:
             assert isinstance(res["converged"], bool)
             assert 1 <= res["epochs"] <= 150
+        assert set(json.loads((run_dir / "netembed" / "meta.json").read_text())) == {"mode", "rows", "components"}
+        for tag, meta in json.loads((run_dir / "compose" / "meta.json").read_text()).items():
+            assert set(meta) == {"dimension", "users", "per_view_sentinels"}, tag
 
     def test_compose_builds_exactly_the_suites_tags(self, tmp_path):
         # the suites name T+D, T+E and N+T+E; D+E used to be built by a default list of its own
@@ -454,11 +495,13 @@ class TestArtifacts:
             assert stats["pairs"] >= stats["batches"] >= 1
 
     def test_correlation_table_has_pairs(self, tmp_path):
+        # the distinct view pairs of T+D, T+E and N+T+E, in plan order
         cfg = _config(tmp_path)
         assert main(["run", "--config", cfg]) == 0
-        table = (_run_dir(tmp_path) / "correlate" / "correlations.tsv").read_text()
-        assert "Tweet\tTweetEmoji" in table
-        assert "Description\tNetwork" in table
+        lines = (_run_dir(tmp_path) / "correlate" / "correlations.tsv").read_text().splitlines()
+        assert [line.split("\t")[:2] for line in lines[1:]] == [
+            ["Tweet", "Description"], ["Tweet", "TweetEmoji"], ["Network", "Tweet"], ["Network", "TweetEmoji"],
+        ]
 
     def test_profile_image_view_opt_in(self, tmp_path):
         cfg = _config(tmp_path, extra="[views]\nprofile_images = true\n")

@@ -299,6 +299,13 @@ class TestBuildCME:
         with pytest.raises(CompositionError):
             resolve_tag("X+Y")
 
+    def test_tag_naming_a_view_twice_is_error(self):
+        # composing a view twice would double it and count its sentinels twice
+        with pytest.raises(CompositionError, match="names a view more than once"):
+            resolve_tag("Tweet+Tweet")
+        with pytest.raises(CompositionError, match="more than once"):
+            build_cme(self._views(), "Network+Tweet+Network")
+
 
 class TestReport:
     def test_report_file_layout(self, tmp_path):

@@ -72,39 +72,6 @@ class ClassifierModel:
         return int(self.weights.shape[1]) - 1
 
 
-@dataclass
-class FeatureMatrix:
-    """Row-aligned features and user ids, the classifier's input unit."""
-
-    features: np.ndarray
-    user_ids: list[str]
-    zero_filled: list[str] = field(default_factory=list)
-
-    @property
-    def dimension(self) -> int:
-        return int(self.features.shape[1])
-
-
-def feature_matrix_from_view(view_set, users: Optional[Sequence[str]] = None) -> FeatureMatrix:
-    """Stack a view's per-user vectors into a matrix.
-
-    Sentinel users get a zero row and are listed in zero_filled so reports
-    can flag them.
-    """
-    if users is None:
-        users = sorted(view_set.vectors.keys())
-    dim = view_set.dimension
-    rows = np.zeros((len(users), dim), dtype=np.float64)
-    zero_filled = []
-    for i, user in enumerate(users):
-        vec = view_set.vectors.get(user)
-        if vec is None:
-            zero_filled.append(user)
-        else:
-            rows[i] = vec
-    return FeatureMatrix(features=rows, user_ids=list(users), zero_filled=zero_filled)
-
-
 def _class_order(labels) -> list:
     distinct = list(dict.fromkeys(labels))
     if all(isinstance(lbl, ClassLabel) for lbl in distinct):

@@ -17,9 +17,11 @@ standalone stages read the file.
 Per-user matrices (the skip-gram models, the six views, the Network view and
 each composition) are written with wemodel.save_model as binary pairs:
 "<stem>.npy" holds the float64 matrix and "<stem>.words" the row labels, so
-the next stage reads back exactly the bits that were written. Each stage
-also writes a meta.json summary. The one text model the CLI reads is an
-optional external [views] emoji_background_model in word2vec text layout.
+the next stage reads back exactly the bits that were written. A view is
+saved as its present rows under their user ids (0 x dimension if it has
+no vector) and loads with every row present. Each stage also writes a
+meta.json summary. The one text model the CLI reads is an optional
+external [views] emoji_background_model in word2vec text layout.
 
 With [views] profile_images on, the views stage also reads the image tag
 file ([views] image_fixture, by default <corpus>/image_tags.tsv, which
@@ -240,11 +242,11 @@ def _write_json(path: Path, payload, indent: int | None = 2) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=indent) + "\n", encoding="utf-8")
 
 
-def _save_view(view: compose.ViewEmbeddingSet, path: Path) -> None:
-    present = view.users_with_vectors()
-    vectors = np.vstack([view.vectors[u] for u in present]) if present else np.zeros((0, view.dimension or 0))
-    model = wemodel.WEModel(vocabulary={u: i for i, u in enumerate(present)}, vectors=vectors)
-    wemodel.save_model(model, path)
+def _save_view(view: compose.ViewEmbeddingSet, out: Path) -> None:
+    """Write the present rows under their user ids in out, named after the view; sentinels are left out."""
+    users = list(itertools.compress(view.user_ids, view.present))
+    model = wemodel.WEModel(dict(zip(users, itertools.count())), view.matrix[view.present], users)
+    wemodel.save_model(model, out / _view_filename(view.name))
 
 
 def _load_matrix(ctx: RunContext, path: Path, producer: str) -> wemodel.WEModel:
@@ -257,10 +259,11 @@ def _load_matrix(ctx: RunContext, path: Path, producer: str) -> wemodel.WEModel:
         raise CLIError(f"unreadable artifact {path.name}: {exc}") from None
 
 
-def _load_view(ctx: RunContext, path: Path, name: str, producer: str) -> compose.ViewEmbeddingSet:
-    model = _load_matrix(ctx, path, producer)
-    vectors = {u: model.vectors[i].copy() for u, i in model.vocabulary.items()}
-    return compose.ViewEmbeddingSet(name, vectors)
+def _load_view(ctx: RunContext, stage: str, name: str) -> compose.ViewEmbeddingSet:
+    """The view named name that stage saved, every row present."""
+    model = _load_matrix(ctx, ctx.run_dir / stage / _view_filename(name), stage)
+    present = np.ones(len(model.words), dtype=bool)
+    return compose.ViewEmbeddingSet(name, user_ids=model.words, matrix=model.vectors, present=present)
 
 
 def _view_filename(tag: str) -> str:
@@ -394,24 +397,16 @@ def cmd_views(ctx: RunContext) -> None:
         views["ProfileImage"] = pipeline.build_image_view(dataset, people, _load_image_tags(ctx))
 
     out = ctx.stage_dir("views")
-    meta = {}
-    for name, view in views.items():
-        _save_view(view, out / _view_filename(name))
-        meta[name] = {
-            "dimension": view.dimension,
-            "users": len(view.vectors),
-            "sentinel_count": view.sentinel_count,
-        }
+    for view in views.values():
+        _save_view(view, out)
+    meta = {name: {"dimension": v.dimension, "users": len(v.user_ids), "sentinel_count": v.sentinel_count}
+            for name, v in views.items()}
     _write_json(out / "meta.json", meta)
     print(f"[views] built {', '.join(sorted(views))}")
 
 
 def _load_views(ctx: RunContext, names: list[str]) -> dict[str, compose.ViewEmbeddingSet]:
-    views = {}
-    for name in names:
-        producer = "netembed" if name == "Network" else "views"
-        views[name] = _load_view(ctx, ctx.run_dir / producer / _view_filename(name), name, producer)
-    return views
+    return {name: _load_view(ctx, "netembed" if name == "Network" else "views", name) for name in names}
 
 
 def _netembed_settings(ctx: RunContext) -> tuple[str, int]:
@@ -436,7 +431,7 @@ def cmd_netembed(ctx: RunContext) -> None:
     except ValueError as exc:
         raise CLIError(f"netembed: {exc}") from None
     out = ctx.stage_dir("netembed")
-    _save_view(view, out / _view_filename("Network"))
+    _save_view(view, out)
     _write_json(
         out / "meta.json",
         {
@@ -495,10 +490,10 @@ def cmd_compose(ctx: RunContext) -> None:
     meta = {}
     for tag in ctx.tags:
         cme_set = compose.build_cme(views, tag)
-        _save_view(cme_set, out / _view_filename(tag))
+        _save_view(cme_set, out)
         meta[tag] = {
             "dimension": cme_set.dimension,
-            "users": len(cme_set.vectors),
+            "users": len(cme_set.user_ids),
             "per_view_sentinels": cme_set.sentinel_counts,
         }
     _write_json(out / "meta.json", meta)
@@ -531,8 +526,7 @@ def _classify_settings(
 
 def cmd_classify(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
-    compose_dir = ctx.run_dir / "compose"
-    cme_sets = {tag: _load_view(ctx, compose_dir / _view_filename(tag), tag, "compose") for tag in ctx.tags}
+    cme_sets = {tag: _load_view(ctx, "compose", tag) for tag in ctx.tags}
     split_seed = ctx.smote.seed
     results = pipeline.run_suites(
         cme_sets,

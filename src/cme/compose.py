@@ -1,9 +1,13 @@
 """View correlation analysis and vector-addition composition.
 
-A view embedding set maps each user to one vector (or None, the empty-view
-sentinel, when the user has no usable content for that view). Views are
-screened pairwise with Spearman rank correlation, then composed into
-multiview vectors by plain component-wise addition.
+A view is one matrix: sorted user ids, an n x d float64 row per id, and a
+present mask; a user the view has no vector for (the empty-view sentinel)
+is not present and has a zero row. Views are screened pairwise with
+Spearman rank correlation, then composed by component-wise addition over
+the sorted union of their users. Summation rule: each element sorts its
+present values ascending and adds them pairwise (first half's sum plus
+second half's, so a + (b + c) for three), so constituent order never
+changes a bit and an absent constituent adds nothing.
 
 Decision rendering note: the composition gate inverts the textbook
 hypotheses. Its working null is "the two views are correlated", so a small
@@ -15,8 +19,9 @@ correlation; only the wording of the decision string follows the gate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -50,33 +55,52 @@ class CompositionError(Exception):
     """A composition request references views that are not available."""
 
 
-@dataclass
 class ViewEmbeddingSet:
-    """Per-user vectors for one view; None marks the empty-view sentinel."""
+    """One view as user_ids, matrix and present, or made from a user -> vector-or-None mapping.
 
-    name: str
-    vectors: dict[str, Optional[np.ndarray]]
-    dimension: int = 0
-    sentinel_counts: dict[str, int] = field(default_factory=dict)
+    sentinel_counts is set on a composition: per constituent, the users it does not cover.
+    """
 
-    def __post_init__(self):
-        dims = {int(v.shape[0]) for v in self.vectors.values() if v is not None}
-        if len(dims) > 1:
-            raise ValueError(f"view {self.name!r} mixes dimensions {sorted(dims)}")
-        if dims:
-            found = dims.pop()
-            if self.dimension and self.dimension != found:
-                raise ValueError(
-                    f"view {self.name!r}: declared dimension {self.dimension} != {found}"
-                )
-            self.dimension = found
+    def __init__(
+        self, name: str, vectors: Optional[Mapping[str, Optional[np.ndarray]]] = None, *,
+        user_ids: Sequence[str] = (), matrix: Optional[np.ndarray] = None,
+        present: Optional[np.ndarray] = None, sentinel_counts: Optional[dict[str, int]] = None,
+    ):
+        if vectors is not None:
+            user_ids = sorted(vectors)
+            present = np.array([vectors[u] is not None for u in user_ids], dtype=bool)
+            rows = [vectors[u] for u in user_ids if vectors[u] is not None]
+            matrix = np.zeros((len(user_ids), len(rows[0]) if rows else 0))
+            matrix[present] = rows
+        self.name, self.user_ids, self.matrix, self.present = name, list(user_ids), matrix, present
+        self.sentinel_counts = sentinel_counts or {}
+
+    @property
+    def dimension(self) -> int:
+        return int(self.matrix.shape[1])
 
     @property
     def sentinel_count(self) -> int:
-        return sum(1 for v in self.vectors.values() if v is None)
+        return int((~self.present).sum())
 
-    def users_with_vectors(self) -> list[str]:
-        return sorted(u for u, v in self.vectors.items() if v is not None)
+    @property
+    def vectors(self) -> Mapping[str, Optional[np.ndarray]]:
+        """Read-only user -> row, None for a sentinel."""
+        rows = self.matrix.view()
+        rows.flags.writeable = False
+        return MappingProxyType({u: r if p else None for u, r, p in zip(self.user_ids, rows, self.present)})
+
+    def take(self, users: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, present) of distinct users, in order; a user outside the view is absent, a zero row."""
+        rows, present = np.zeros((len(users), self.dimension)), np.zeros(len(users), dtype=bool)
+        at, source = _align(users, self.user_ids)
+        rows[at], present[at] = self.matrix[source], self.present[source]
+        return rows, present
+
+
+def _align(a: Sequence[str], b: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in a and in b (each of distinct ids) of the ids both hold, in sorted id order."""
+    return np.intersect1d(np.asarray(a, str), np.asarray(b, str), assume_unique=True, return_indices=True)[1:]
 
 
 @dataclass
@@ -221,47 +245,49 @@ def correlate_views(
     """Spearman correlation between two views over their shared users.
 
     Every (user, component) value of one view is paired with the same
-    position in the other, so n = shared_users * dimension.
+    position in the other, users in sorted order, so n = shared_users * dimension.
     """
-    shared = sorted(
-        u
-        for u, v in a.vectors.items()
-        if v is not None and b.vectors.get(u) is not None
-    )
-    if len(shared) < 3:
+    rows_a, rows_b = _align(a.user_ids, b.user_ids)
+    shared = a.present[rows_a] & b.present[rows_b]
+    if shared.sum() < 3:
         raise UndefinedCorrelationError(
-            f"views {a.name!r} and {b.name!r} share only {len(shared)} users with vectors"
+            f"views {a.name!r} and {b.name!r} share only {shared.sum()} users with vectors"
         )
-
-    xs = np.concatenate([a.vectors[u] for u in shared])
-    ys = np.concatenate([b.vectors[u] for u in shared])
-    return spearman(xs, ys, alpha=alpha)
+    return spearman(a.matrix[rows_a[shared]].ravel(), b.matrix[rows_b[shared]].ravel(), alpha=alpha)
 
 
-def _pairwise_sum(rows: list[np.ndarray]) -> np.ndarray:
-    if len(rows) == 1:
-        return rows[0].copy()
-    mid = len(rows) // 2
-    return _pairwise_sum(rows[:mid]) + _pairwise_sum(rows[mid:])
+def _masked_sum(stack: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """The summation rule over a (views, users, d) stack, leaving out absent rows; overwrites stack.
+
+    An absent row is -0.0, which adds nothing exactly, so one pass in view
+    order sums users with one or two present values (two add alike either
+    way round); users with more are summed again from sorted values.
+    """
+
+    def pairwise(values: np.ndarray) -> np.ndarray:
+        mid = len(values) // 2
+        return values[0] if mid == 0 else pairwise(values[:mid]) + pairwise(values[mid:])
+
+    stack[~present] = -0.0
+    out, counts = pairwise(stack), present.sum(axis=0)
+    out[counts == 0] = 0.0
+    for count in range(3, len(stack) + 1):
+        users = counts == count
+        ordered = np.sort(np.where(present[:, users, None], stack[:, users], np.inf), axis=0)  # absent last
+        out[users] = pairwise(ordered[:count])
+    return out
 
 
 def compose_add(vectors: Sequence[Optional[np.ndarray]], tag: str = "custom") -> CMEVector:
-    """Component-wise sum of the given vectors.
+    """Component-wise sum of the given vectors, by the summation rule (one user's row of build_cme).
 
-    Sentinel (None) constituents contribute nothing, i.e. the zero vector;
-    if every constituent is a sentinel the result is the sentinel. The
-    non-sentinel vectors are summed in a canonical order (sorted by byte
-    representation, pairwise), so any permutation of the argument list
-    produces a bit-identical result.
+    Sentinel (None) constituents contribute nothing; if every constituent
+    is a sentinel the result is the sentinel.
     """
-    present = [np.asarray(v, dtype=np.float64) for v in vectors if v is not None]
-    if not present:
+    rows = [np.asarray(v, dtype=np.float64) for v in vectors if v is not None]
+    if not rows:
         return CMEVector(tag=tag, vector=None)
-    dims = {v.shape for v in present}
-    if len(dims) > 1:
-        raise ValueError(f"dimension mismatch among constituents: {sorted(dims)}")
-    ordered = sorted(present, key=lambda v: v.tobytes())
-    return CMEVector(tag=tag, vector=_pairwise_sum(ordered))
+    return CMEVector(tag=tag, vector=_masked_sum(np.stack(rows)[:, None], np.ones((len(rows), 1), bool))[0])
 
 
 def resolve_tag(tag: str) -> tuple[str, ...]:
@@ -286,7 +312,7 @@ def build_cme(
     views: Mapping[str, ViewEmbeddingSet],
     tag: str,
 ) -> ViewEmbeddingSet:
-    """Compose per-user vectors for every user covered by the constituents.
+    """Compose the constituents of tag over the sorted union of their users.
 
     A user absent from one constituent view (or present with a sentinel)
     contributes zero for that view; the per-view counts of such users are
@@ -300,20 +326,15 @@ def build_cme(
             f"composition {tag!r} needs views {missing} which have not been built"
         )
     parts = [views[name] for name in names]
-    users = sorted({user for part in parts for user in part.vectors})
-
-    sentinel_counts = {name: 0 for name in names}
-    composed: dict[str, Optional[np.ndarray]] = {}
-    for user in users:
-        constituents_for_user = []
-        for name, part in zip(names, parts):
-            vec = part.vectors.get(user)
-            if vec is None:
-                sentinel_counts[name] += 1
-            constituents_for_user.append(vec)
-        composed[user] = compose_add(constituents_for_user, tag=tag).vector
-
-    return ViewEmbeddingSet(name=tag, vectors=composed, sentinel_counts=sentinel_counts)
+    users = sorted(set().union(*(part.user_ids for part in parts)))
+    stack, present = map(np.stack, zip(*(part.take(users) for part in parts)))
+    return ViewEmbeddingSet(
+        tag,
+        user_ids=users,
+        matrix=_masked_sum(stack, present),
+        present=present.any(axis=0),
+        sentinel_counts={name: int((~p).sum()) for name, p in zip(names, present)},
+    )
 
 
 def write_correlation_report(

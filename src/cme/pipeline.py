@@ -4,12 +4,15 @@ This module turns a LabeledDataset into per-view embedding sets and runs
 the two experiment suites: suite A evaluates text/emoji compositions over
 every labeled user, suite B adds the network view on the subset of users
 that actually interact, comparing against the best suite-A setting.
+
+A view builder fills one compose.ViewEmbeddingSet: a row per sorted user
+id, zero and not present where the view has no vector for the user.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +84,16 @@ def train_view_models(
     return content, people
 
 
+def _fill_view(name: str, user_ids: list[str], dimension: int, rows: Iterable) -> compose.ViewEmbeddingSet:
+    """The view of one vector-or-None per user id; None is a sentinel."""
+    matrix = np.zeros((len(user_ids), dimension))
+    present = np.zeros(len(user_ids), dtype=bool)
+    for i, row in enumerate(rows):
+        if row is not None:
+            matrix[i], present[i] = row, True
+    return compose.ViewEmbeddingSet(name, user_ids=user_ids, matrix=matrix, present=present)
+
+
 def build_text_views(
     prepared: dict[str, PreparedUser],
     content_model: WEModel,
@@ -94,17 +107,16 @@ def build_text_views(
     external pre-trained model is supplied.
     """
     background = emoji_background or content_model
-    tweet, desc, tweet_emoji, desc_emoji = {}, {}, {}, {}
-    for uid, rec in prepared.items():
-        tweet[uid] = view_embedding(rec.tweet_tokens, content_model)
-        desc[uid] = view_embedding(rec.desc_tokens, people_model)
-        tweet_emoji[uid] = emoji_embedding(rec.tweet_emoji, emoji_lexicon, background)
-        desc_emoji[uid] = emoji_embedding(rec.desc_emoji, emoji_lexicon, background)
+    users = sorted(prepared)
+    embeds = {
+        "Tweet": (content_model, lambda rec: view_embedding(rec.tweet_tokens, content_model)),
+        "Description": (people_model, lambda rec: view_embedding(rec.desc_tokens, people_model)),
+        "TweetEmoji": (background, lambda rec: emoji_embedding(rec.tweet_emoji, emoji_lexicon, background)),
+        "DescriptionEmoji": (background, lambda rec: emoji_embedding(rec.desc_emoji, emoji_lexicon, background)),
+    }
     return {
-        "Tweet": compose.ViewEmbeddingSet("Tweet", tweet),
-        "Description": compose.ViewEmbeddingSet("Description", desc),
-        "TweetEmoji": compose.ViewEmbeddingSet("TweetEmoji", tweet_emoji),
-        "DescriptionEmoji": compose.ViewEmbeddingSet("DescriptionEmoji", desc_emoji),
+        name: _fill_view(name, users, model.dimension, (embed(prepared[u]) for u in users))
+        for name, (model, embed) in embeds.items()
     }
 
 
@@ -119,18 +131,17 @@ def build_image_view(
     reads them from the tag file. A user without a profile_image_ref is a
     sentinel; a ref with no entry is a MissingImageTagsError.
     """
-    vectors = {}
-    for user in dataset.users:
+    users = sorted(dataset.users, key=lambda user: user.user_id)
+
+    def embed(user) -> Optional[np.ndarray]:
         ref = user.profile_image_ref
-        if ref is None:
-            vectors[user.user_id] = None
-        elif ref in tags_by_ref:
-            vectors[user.user_id] = view_embedding(tags_by_ref[ref], people_model)
-        else:
+        if ref is not None and ref not in tags_by_ref:
             raise MissingImageTagsError(
                 f"the image tag file has no line for {ref!r} (user {user.user_id})"
             )
-    return compose.ViewEmbeddingSet("ProfileImage", vectors)
+        return None if ref is None else view_embedding(tags_by_ref[ref], people_model)
+
+    return _fill_view("ProfileImage", [u.user_id for u in users], people_model.dimension, map(embed, users))
 
 
 def build_network_view(
@@ -147,19 +158,22 @@ def build_network_view(
     above dimension is a ValueError. In "paper" mode the singular values
     at or below netembed.sigma_floor are dropped before the division so
     the fold-back stays finite. Rows are zero-padded to the composition
-    dimension so the view composes with the text views.
+    dimension so the view composes with the text views; every other user
+    is a sentinel.
     """
     if k > dimension:
         raise ValueError(f"k must be <= dimension ({dimension}), got {k}")
-    sources = sorted({rec.source for rec in dataset.interactions})
-    user_ids = {u.user_id for u in dataset.users}
-    rows = [uid for uid in sources if uid in user_ids]
-    cols = sorted({rec.target for rec in dataset.interactions})
-    vectors: dict[str, Optional[np.ndarray]] = {u.user_id: None for u in dataset.users}
+    users = sorted(u.user_id for u in dataset.users)
+    sources = {rec.source for rec in dataset.interactions}
+    present = np.array([uid in sources for uid in users], dtype=bool)
+    rows = [uid for uid in users if uid in sources]
+    view = compose.ViewEmbeddingSet(
+        "Network", user_ids=users, matrix=np.zeros((len(users), dimension)), present=present
+    )
     if not rows:  # every source row has a target, so cols is empty only when rows is
-        empty = netembed.NetworkEmbedding(matrix=np.zeros((0, 0)), row_ids=[], mode=mode)
-        return compose.ViewEmbeddingSet("Network", vectors), empty
+        return view, netembed.NetworkEmbedding(matrix=np.zeros((0, 0)), row_ids=[], mode=mode)
 
+    cols = sorted({rec.target for rec in dataset.interactions})
     adjacency = netembed.row_normalize(netembed.build_adjacency(dataset.interactions, rows, cols))
     cosine = netembed.cosine_similarity_matrix(adjacency)
     factors = netembed.truncated_svd(cosine, min(k or dimension, len(rows)))
@@ -168,10 +182,8 @@ def build_network_view(
         factors = netembed.SVDFactors(u=factors.u[:, keep], sigma=factors.sigma[keep])
     embedding = netembed.network_embedding(factors, mode=mode, row_ids=rows)
 
-    padded = np.zeros((len(rows), dimension))
-    padded[:, : embedding.k] = embedding.matrix
-    vectors.update(zip(rows, padded))
-    return compose.ViewEmbeddingSet("Network", vectors), embedding
+    view.matrix[present, : embedding.k] = embedding.matrix
+    return view, embedding
 
 
 def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,11 +215,15 @@ def run_experiment(
 ) -> ExperimentResult:
     """Split, oversample the training fold, standardize, train, and evaluate one setting."""
     users = [u for u in users if u in labels_by_user]
-    matrix = classify.feature_matrix_from_view(feature_view, users)
-    y = [labels_by_user[u] for u in matrix.user_ids]
+    features, present = feature_view.take(users)
+    if not present.any():
+        raise classify.ClassifierError(
+            f"composition {feature_view.name!r} has no vector for any of its {len(users)} users"
+        )
+    y = [labels_by_user[u] for u in users]
 
     train_idx, test_idx = classify.stratified_split(y, ratio=split_ratio, seed=seed)
-    x_train, x_test = matrix.features[train_idx], matrix.features[test_idx]
+    x_train, x_test = features[train_idx], features[test_idx]
     y_train = [y[i] for i in train_idx]
     y_test = [y[i] for i in test_idx]
 
@@ -224,7 +240,7 @@ def run_experiment(
         report=report,
         n_train=len(y_train),
         n_test=len(y_test),
-        zero_filled=len(matrix.zero_filled),
+        zero_filled=int((~present).sum()),
         epochs=model.epochs,
         converged=model.converged,
     )

@@ -8,7 +8,6 @@ from cme.classify import (
     SMOTEConfig,
     compare_to_baseline,
     evaluate,
-    feature_matrix_from_view,
     format_report,
     logistic_loss_and_gradient,
     predict,
@@ -396,7 +395,7 @@ class TestFeatureMatrix:
         view = ViewEmbeddingSet(
             "T+D", {"u0": np.array([1.0, 2.0]), "u1": None, "u2": np.array([3.0, 4.0])}
         )
-        matrix = feature_matrix_from_view(view)
-        assert matrix.user_ids == ["u0", "u1", "u2"]
-        assert matrix.features[1].tolist() == [0.0, 0.0]
-        assert matrix.zero_filled == ["u1"]
+        features, present = view.take(["u0", "u1", "u2"])
+        assert view.user_ids == ["u0", "u1", "u2"]
+        assert features[1].tolist() == [0.0, 0.0]
+        assert [u for u, p in zip(view.user_ids, present) if not p] == ["u1"]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cme
-from cme import compose, corpus, netembed, pipeline
+from cme import cli, compose, corpus, netembed, pipeline
 from cme.classify import ClassifierConfig, SMOTEConfig
 from cme.cli import CONFIG_KEYS, STAGE_ORDER, RunContext, main
 from cme.emoji import load_emoji_lexicon
@@ -418,6 +418,55 @@ class TestFullChain:
         assert files == sorted(p.relative_to(staged) for p in staged.rglob("*") if p.is_file())
         for name in files:
             assert (whole / name).read_bytes() == (staged / name).read_bytes(), name
+
+
+class TestViewArtifacts:
+    def _context(self, tmp_path):
+        return RunContext(_config(tmp_path), None, str(tmp_path / "out"))
+
+    def test_round_trip_keeps_ids_and_bits(self, tmp_path):
+        rows = np.random.default_rng(5).standard_normal((4, 3))
+        rows[0, 0], rows[1, 1] = -0.0, np.nextafter(1.0, 2.0)
+        view = compose.ViewEmbeddingSet("Tweet", {f"u{i}": rows[i] for i in (3, 0, 2, 1)})
+        ctx = self._context(tmp_path)
+        cli._save_view(view, ctx.stage_dir("views"))
+        loaded = cli._load_view(ctx, "views", "Tweet")
+        assert loaded.user_ids == ["u0", "u1", "u2", "u3"]
+        assert loaded.present.all()
+        assert loaded.matrix.tobytes() == rows.tobytes()
+
+    def test_sentinel_users_are_not_written(self, tmp_path):
+        view = compose.ViewEmbeddingSet("Tweet", {"u0": np.ones(2), "u1": None, "u2": np.zeros(2)})
+        cli._save_view(view, tmp_path)
+        assert (tmp_path / "Tweet.words").read_text(encoding="utf-8") == "u0\nu2\n"
+        assert np.load(tmp_path / "Tweet.npy").tolist() == [[1.0, 1.0], [0.0, 0.0]]
+
+    def test_view_without_vectors_round_trips_at_its_width(self, tmp_path):
+        empty = compose.ViewEmbeddingSet(
+            "Network", user_ids=["u0", "u1"], matrix=np.zeros((2, 3)), present=np.zeros(2, dtype=bool)
+        )
+        ctx = self._context(tmp_path)
+        cli._save_view(empty, ctx.stage_dir("netembed"))
+        assert np.load(ctx.run_dir / "netembed" / "Network.npy").shape == (0, 3)
+        loaded = cli._load_view(ctx, "netembed", "Network")
+        assert (loaded.user_ids, loaded.dimension) == ([], 3)
+        tweet = compose.ViewEmbeddingSet("Tweet", {"u0": np.array([1.0, 2.0, 3.0]), "u1": None})
+        composed = compose.build_cme({"Network": loaded, "Tweet": tweet}, "Network+Tweet")
+        assert composed.matrix.tobytes() == tweet.matrix.tobytes()
+        assert composed.sentinel_counts == {"Network": 2, "Tweet": 1}
+
+    def test_tag_without_vectors_is_one_line_error(self, tmp_path, capsys):
+        # without a graph the Network view has no vector, so a tag of it alone has nothing to fit
+        assert main(["synth", "--config", _config(tmp_path)]) == 0
+        corpus_dir = _run_dir(tmp_path) / "synth"
+        (corpus_dir / "interactions.tsv").unlink()
+        cfg = _config(tmp_path, extra=f"[corpus]\ndirectory = {corpus_dir}\n")
+        _set_key(cfg, "classify", "suite_a_tags", "T+D,Network")
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "nograph")]) == 1
+        assert "composition 'Network' has no vector" in _one_line_error(capsys)
+        run_dir = _run_dir(tmp_path, "nograph")
+        assert np.load(run_dir / "netembed" / "Network.npy").shape == (0, 16)
 
 
 class TestDeterminismAndAddressing:

@@ -11,6 +11,7 @@ from cme.compose import (
     COMPOSITION_TAGS,
     CompositionError,
     UndefinedCorrelationError,
+    VIEW_NAMES,
     ViewEmbeddingSet,
     build_cme,
     compose_add,
@@ -184,8 +185,7 @@ class TestCorrelateViews:
 
     def test_sentinels_excluded_from_pairing(self):
         a = self._random_view("Tweet", 5, users=6, dim=3)
-        b = self._random_view("Network", 6, users=6, dim=3)
-        b.vectors["u0"] = None
+        b = _view("Network", dict(self._random_view("Network", 6, users=6, dim=3).vectors, u0=None))
         assert correlate_views(a, b).n == 15
 
     def test_too_few_shared_users(self):
@@ -305,6 +305,127 @@ class TestBuildCME:
             resolve_tag("Tweet+Tweet")
         with pytest.raises(CompositionError, match="more than once"):
             build_cme(self._views(), "Network+Tweet+Network")
+
+
+class TestViewEmbeddingSet:
+    def test_mapping_gives_sorted_ids_matrix_and_mask(self):
+        view = _view("Tweet", {"u2": [3.0, 4.0], "u0": [1.0, 2.0], "u1": None})
+        assert view.user_ids == ["u0", "u1", "u2"]
+        assert view.matrix.tolist() == [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]
+        assert view.present.tolist() == [True, False, True]
+        assert (view.dimension, view.sentinel_count) == (2, 1)
+
+    def test_vectors_is_read_only(self):
+        view = _view("Tweet", {"u0": [1.0, 2.0], "u1": None})
+        assert view.vectors["u1"] is None
+        with pytest.raises(TypeError):
+            view.vectors["u1"] = np.zeros(2)
+        with pytest.raises(ValueError):
+            view.vectors["u0"][0] = 5.0
+        assert view.matrix[0].tolist() == [1.0, 2.0]
+
+    def test_take_zero_fills_sentinels_and_outsiders(self):
+        view = _view("Tweet", {"u0": [1.0, 2.0], "u1": None})
+        rows, present = view.take(["u9", "u1", "u0"])
+        assert rows.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]]
+        assert present.tolist() == [False, False, True]
+
+
+def _reference_sum(values):
+    """The documented grouping over sorted values: the first half's sum plus the second half's."""
+    values = sorted(values)
+    if len(values) == 1:
+        return values[0]
+    mid = len(values) // 2
+    return _reference_sum(values[:mid]) + _reference_sum(values[mid:])
+
+
+def _random_views(seed, count):
+    """count views with random users, masks and widely scaled values (signed zeros included), in random tag order."""
+    rng = np.random.default_rng(seed)
+    names = [str(name) for name in rng.permutation(VIEW_NAMES)[:count]]
+    dim = int(rng.integers(1, 5))
+    pool = [f"u{i}" for i in range(8)]
+    views = {}
+    for name in names:
+        users = [u for u in pool if rng.random() < 0.7]
+        present = rng.random(len(users)) < 0.8
+        values = rng.standard_normal((len(users), dim)) * 10.0 ** rng.integers(-8, 9, (len(users), dim))
+        values[rng.random(values.shape) < 0.15] = 0.0
+        values[rng.random(values.shape) < 0.05] = -0.0
+        matrix = np.where(present[:, None], values, 0.0)
+        views[name] = ViewEmbeddingSet(name, user_ids=users, matrix=matrix, present=present)
+    return names, views
+
+
+def _bits(matrix):
+    return np.ascontiguousarray(matrix).view(np.uint64)
+
+
+class TestBuildCMEProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
+    def test_matches_per_user_reference(self, seed, count):
+        names, views = _random_views(seed, count)
+        out = build_cme(views, "+".join(names))
+        assert out.user_ids == sorted(set().union(*(views[n].user_ids for n in names)))
+        expected = np.zeros_like(out.matrix)
+        for i, user in enumerate(out.user_ids):
+            rows = [views[n].vectors.get(user) for n in names]
+            rows = [row for row in rows if row is not None]
+            assert out.present[i] == bool(rows)
+            for j in range(out.dimension):
+                if rows:
+                    expected[i, j] = _reference_sum([float(row[j]) for row in rows])
+            if rows:
+                assert _bits(compose_add(rows).vector).tolist() == _bits(out.matrix[i]).tolist()
+        assert _bits(out.matrix).tolist() == _bits(expected).tolist()
+        for name in names:
+            covered = {u for u, row in views[name].vectors.items() if row is not None}
+            assert out.sentinel_counts[name] == len(set(out.user_ids) - covered)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_two_views_are_plain_addition(self, seed):
+        names, views = _random_views(seed, 2)
+        out = build_cme(views, "+".join(names))
+        rows_a, present_a = views[names[0]].take(out.user_ids)
+        rows_b, present_b = views[names[1]].take(out.user_ids)
+        both = present_a & present_b
+        expected = np.where(present_a[:, None], rows_a, rows_b)
+        expected[both] = rows_a[both] + rows_b[both]
+        assert _bits(out.matrix).tolist() == _bits(expected).tolist()
+        assert out.present.tolist() == (present_a | present_b).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=3))
+    def test_absent_constituent_is_identity(self, seed, count):
+        names, views = _random_views(seed, count)
+        base = build_cme(views, "+".join(names))
+        extra = next(name for name in VIEW_NAMES if name not in views)
+        views[extra] = ViewEmbeddingSet(
+            extra, user_ids=base.user_ids, matrix=np.zeros_like(base.matrix),
+            present=np.zeros(len(base.user_ids), dtype=bool),
+        )
+        out = build_cme(views, "+".join([extra] + names))
+        assert _bits(out.matrix).tolist() == _bits(base.matrix).tolist()
+        assert out.present.tolist() == base.present.tolist()
+        assert out.sentinel_counts[extra] == len(base.user_ids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=2))
+    def test_all_zero_constituent_is_identity(self, seed, count):
+        # x + 0 = x, and for three values the pairwise grouping pairs a zero with one partner
+        names, views = _random_views(seed, count)
+        base = build_cme(views, "+".join(names))
+        extra = next(name for name in VIEW_NAMES if name not in views)
+        views[extra] = ViewEmbeddingSet(
+            extra, user_ids=base.user_ids, matrix=np.zeros_like(base.matrix),
+            present=np.ones(len(base.user_ids), dtype=bool),
+        )
+        out = build_cme(views, "+".join(names + [extra]))
+        assert np.array_equal(out.matrix, base.matrix)
+        assert out.sentinel_counts[extra] == 0
 
 
 class TestReport:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cme import compose, pipeline, synth
-from cme.classify import ClassifierConfig, SMOTEConfig
+from cme.classify import ClassifierConfig, ClassifierError, SMOTEConfig
 from cme.emoji import load_emoji_lexicon
 from cme.imagetags import MissingImageTagsError, load_image_tags
 from cme.preprocess import load_lemma_table, load_stopwords
@@ -67,6 +67,24 @@ class TestViews:
             pipeline.build_image_view(dataset, people, tags_by_ref)
         assert ref in str(err.value)
 
+    def test_builders_fill_sorted_rows_and_a_present_mask(self, small_run, tmp_path):
+        # perfbench's sentinel rate divides sentinel_count by len(vectors)
+        dataset, _, _, people, views = small_run
+        fixture = tmp_path / "tags.tsv"
+        synth.write_image_fixture(dataset, fixture)
+        built = list(views.values()) + [
+            pipeline.build_image_view(dataset, people, load_image_tags(fixture)),
+            pipeline.build_network_view(dataset, 20, mode="conventional", k=5)[0],
+        ]
+        users = sorted(u.user_id for u in dataset.users)
+        for view in built:
+            assert view.user_ids == users, view.name
+            assert view.matrix.shape == (len(users), 20), view.name
+            assert view.sentinel_count == int((~view.present).sum()), view.name
+            assert len(view.vectors) == len(view.user_ids), view.name
+            assert not view.matrix[~view.present].any(), view.name
+        assert any(view.sentinel_count for view in built)
+
 
 class TestNetworkView:
     def test_rows_padded_to_dimension(self, small_run):
@@ -125,6 +143,18 @@ class TestNetworkView:
 
 
 class TestExperiments:
+    def test_composition_without_vectors_is_named_error(self, small_run):
+        # an all-sentinel composition used to fit a bias-only model at chance level
+        dataset, _, _, _, views = small_run
+        bare = type(dataset)(
+            users=dataset.users, tweets_by_author={}, interactions=[], class_counts={}
+        )
+        net_view, _ = pipeline.build_network_view(bare, 20)
+        assert net_view.dimension == 20
+        composed = compose.build_cme({"Network": net_view}, "Network")
+        with pytest.raises(ClassifierError, match="'Network'"):
+            pipeline.run_experiment(composed, dataset.labels(), sorted(dataset.labels()))
+
     def test_run_experiment_and_suites(self, small_run):
         dataset, _, _, _, views = small_run
         net_view, _ = pipeline.build_network_view(dataset, 20, mode="conventional", k=6)

@@ -38,9 +38,7 @@ _SMOTE_BLOCK_BYTES = 2**20
 @dataclass
 class SMOTEConfig:
     k_neighbors: int = 5
-    target: Optional[int] = None  # None: oversample up to the majority count
     seed: int = 0
-    duplicate_singletons: bool = False
 
     def __post_init__(self):
         if self.k_neighbors < 1:
@@ -84,7 +82,7 @@ def smote(
     labels: Sequence,
     config: Optional[SMOTEConfig] = None,
 ) -> tuple[np.ndarray, list]:
-    """Oversample minority classes up to the target count.
+    """Oversample minority classes up to the majority count.
 
     Each synthetic sample is x_i + u * (x_nn - x_i) with u uniform in
     [0, 1] and x_nn one of the k nearest same-class neighbors of x_i by
@@ -99,7 +97,7 @@ def smote(
 
     order = _class_order(labels)
     counts = {cls: labels.count(cls) for cls in order}
-    target = config.target if config.target is not None else max(counts.values())
+    target = max(counts.values())
     rng = np.random.default_rng(config.seed)
 
     new_rows = [feats]
@@ -111,14 +109,7 @@ def smote(
         idx = np.array([i for i, lbl in enumerate(labels) if lbl == cls])
         members = feats[idx]
         if len(idx) == 1:
-            if not config.duplicate_singletons:
-                raise ClassifierError(
-                    f"class {cls!r} has a single sample; SMOTE needs >= 2 "
-                    "(set duplicate_singletons=True to fall back to duplication)"
-                )
-            new_rows.append(np.repeat(members, need, axis=0))
-            new_labels.extend([cls] * need)
-            continue
+            raise ClassifierError(f"class {cls!r} has a single sample; SMOTE needs >= 2")
 
         dists = _pairwise_distances(members)
         np.fill_diagonal(dists, np.inf)  # self is not a neighbor

@@ -18,9 +18,12 @@ Per-user matrices (the skip-gram models, the six views, the Network view and
 each composition) are written with wemodel.save_model as binary pairs:
 "<stem>.npy" holds the float64 matrix and "<stem>.words" the row labels, so
 the next stage reads back exactly the bits that were written. A view is
-saved as its present rows under their user ids (0 x dimension if it has
-no vector) and loads with every row present. Each stage also writes a
-meta.json summary. The one text model the CLI reads is an optional
+saved as its present rows under their user ids (0 x its width if it has
+no vector) and loads with every row present. The Network view is as wide
+as its kept components (netembed/meta.json "components"), so 0 x 0
+without a graph; a composition is as wide as its widest constituent
+(compose/meta.json "dimension"). Each stage also writes a meta.json
+summary. The one text model the CLI reads is an optional
 external [views] emoji_background_model in word2vec text layout.
 
 With [views] profile_images on, the views stage also reads the image tag
@@ -36,14 +39,17 @@ profile_images on.
 
 [netembed] k is an upper bound on the Network view's components: the
 netembed stage takes min(k, source rows), and k = 0 (the default) means
-[train_we] dimension, the largest k accepted.
+[train_we] dimension, the largest k accepted, since N is added to the
+word-vector views, not concatenated. The compose stage zero-extends the
+view to their width, and the correlate stage pairs only its components.
 
 The config file is flat INI with one section per stage. CONFIG_KEYS lists
 every key with the type its value is parsed with; any other section or key
-is an error before the run directory is made. RunContext reads the file in
-one pass: it parses every key, range-checks every stage's settings and
-reads the input files the config names, so an unusable value fails before
-the first stage runs. A key the file leaves out takes the default of the
+is an error. RunContext reads the file in one pass: it parses every key,
+range-checks every stage's settings and reads the input files the config
+names, so an unusable value fails before the first stage runs. The run
+directory is made by the first stage that writes to it, so a config that
+fails leaves none behind. A key the file leaves out takes the default of the
 setting it feeds (TrainingConfig, SMOTEConfig, ClassifierConfig, ...), so
 a minimal config can be empty. Values are taken literally: "%" is not
 an interpolation marker.
@@ -65,7 +71,7 @@ import numpy as np
 from . import classify, compose, corpus, netembed, pipeline, synth, wemodel
 from .emoji import load_emoji_lexicon
 from .imagetags import CONFIDENCE_THRESHOLD, MissingImageTagsError, load_image_tags
-from .preprocess import KEEP_HASHTAG_BODY, load_lemma_table, load_stopwords
+from .preprocess import load_lemma_table, load_stopwords
 
 
 class CLIError(Exception):
@@ -92,7 +98,7 @@ CONFIG_KEYS = {
     "global": {"seed": int, "out_dir": str},
     "corpus": {"directory": str},
     "synth": {"users_per_class": _counts},
-    "preprocess": {"stopwords": str, "lemmas": str, "keep_hashtag_body": _bool},
+    "preprocess": {"stopwords": str, "lemmas": str},
     "train_we": {
         "dimension": int, "window": int, "negatives": int, "epochs": int, "learning_rate": float,
         "min_count": int, "subsample_threshold": float,
@@ -104,9 +110,8 @@ CONFIG_KEYS = {
     "netembed": {"mode": str, "k": int},
     "correlate": {"alpha": float},
     "classify": {
-        "suite_a_tags": _list, "suite_b_tags": _list, "smote_k": int,
-        "smote_duplicate_singletons": _bool, "l2_penalty": float, "epochs": int,
-        "split_ratio": float,
+        "suite_a_tags": _list, "suite_b_tags": _list, "smote_k": int, "l2_penalty": float,
+        "epochs": int, "split_ratio": float,
     },
 }
 
@@ -134,7 +139,6 @@ class RunContext:
         self.seed = file_seed if seed is None else seed
         out = out_dir or self.get("global", "out_dir", "cme-out")
         self.run_dir = Path(out) / f"run-{self._fingerprint()}"
-        self.run_dir.mkdir(parents=True, exist_ok=True)
         directory = self.get("corpus", "directory")
         self.external_corpus = bool(directory)
         self.corpus_dir = Path(directory) if directory else self.run_dir / "synth"
@@ -146,7 +150,6 @@ class RunContext:
         self.synth = _synth_config(self)
         self.stopwords = self._load("preprocess", "stopwords", load_stopwords)
         self.lemmas = self._load("preprocess", "lemmas", load_lemma_table)
-        self.keep_hashtags = self.get("preprocess", "keep_hashtag_body", KEEP_HASHTAG_BODY)
         try:
             self.training = wemodel.TrainingConfig(
                 seed=self.seed, **self.given("train_we", *CONFIG_KEYS["train_we"])
@@ -322,7 +325,7 @@ _TOKEN_FIELDS = [f.name for f in fields(pipeline.PreparedUser) if f.name != "use
 
 def cmd_preprocess(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
-    prepared = pipeline.prepare_users(dataset, ctx.stopwords, ctx.lemmas, ctx.keep_hashtags)
+    prepared = pipeline.prepare_users(dataset, ctx.stopwords, ctx.lemmas)
     payload = {
         uid: {name: getattr(rec, name) for name in _TOKEN_FIELDS} for uid, rec in prepared.items()
     }
@@ -505,12 +508,7 @@ def _classify_settings(
 ) -> tuple[classify.SMOTEConfig, classify.ClassifierConfig, float]:
     """(SMOTE config, classifier config, split ratio); the SMOTE seed is the split seed."""
     try:
-        smote_config = classify.SMOTEConfig(
-            seed=ctx.seed,
-            **ctx.given(
-                "classify", k_neighbors="smote_k", duplicate_singletons="smote_duplicate_singletons"
-            ),
-        )
+        smote_config = classify.SMOTEConfig(seed=ctx.seed, **ctx.given("classify", k_neighbors="smote_k"))
     except ValueError as exc:
         raise CLIError(f"classify.smote_k: {exc}") from None
     try:

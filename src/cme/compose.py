@@ -2,12 +2,15 @@
 
 A view is one matrix: sorted user ids, an n x d float64 row per id, and a
 present mask; a user the view has no vector for (the empty-view sentinel)
-is not present and has a zero row. Views are screened pairwise with
-Spearman rank correlation, then composed by component-wise addition over
-the sorted union of their users. Summation rule: each element sorts its
-present values ascending and adds them pairwise (first half's sum plus
-second half's, so a + (b + c) for three), so constituent order never
-changes a bit and an absent constituent adds nothing.
+is not present and has a zero row. Views may differ in width: the Network
+view is as wide as its kept components. Views are screened pairwise with
+Spearman rank correlation over their leading common columns, then composed
+by component-wise addition over the sorted union of their users.
+Zero-extension rule: a narrower constituent's present row is extended
+with +0.0 to the widest constituent's width. Summation rule: each element
+sorts its present values ascending and adds them pairwise (first half's
+sum plus second half's, so a + (b + c) for three), so constituent order
+never changes a bit and an absent constituent adds nothing.
 
 Decision rendering note: the composition gate inverts the textbook
 hypotheses. Its working null is "the two views are correlated", so a small
@@ -245,7 +248,9 @@ def correlate_views(
     """Spearman correlation between two views over their shared users.
 
     Every (user, component) value of one view is paired with the same
-    position in the other, users in sorted order, so n = shared_users * dimension.
+    position in the other, users in sorted order, over the leading
+    min(a.dimension, b.dimension) components that both views have, so
+    n = shared_users * min(a.dimension, b.dimension).
     """
     rows_a, rows_b = _align(a.user_ids, b.user_ids)
     shared = a.present[rows_a] & b.present[rows_b]
@@ -253,7 +258,10 @@ def correlate_views(
         raise UndefinedCorrelationError(
             f"views {a.name!r} and {b.name!r} share only {shared.sum()} users with vectors"
         )
-    return spearman(a.matrix[rows_a[shared]].ravel(), b.matrix[rows_b[shared]].ravel(), alpha=alpha)
+    width = min(a.dimension, b.dimension)
+    return spearman(
+        a.matrix[rows_a[shared], :width].ravel(), b.matrix[rows_b[shared], :width].ravel(), alpha=alpha
+    )
 
 
 def _masked_sum(stack: np.ndarray, present: np.ndarray) -> np.ndarray:
@@ -279,7 +287,7 @@ def _masked_sum(stack: np.ndarray, present: np.ndarray) -> np.ndarray:
 
 
 def compose_add(vectors: Sequence[Optional[np.ndarray]], tag: str = "custom") -> CMEVector:
-    """Component-wise sum of the given vectors, by the summation rule (one user's row of build_cme).
+    """Component-wise sum by the zero-extension and summation rules (one user's row of build_cme).
 
     Sentinel (None) constituents contribute nothing; if every constituent
     is a sentinel the result is the sentinel.
@@ -287,7 +295,10 @@ def compose_add(vectors: Sequence[Optional[np.ndarray]], tag: str = "custom") ->
     rows = [np.asarray(v, dtype=np.float64) for v in vectors if v is not None]
     if not rows:
         return CMEVector(tag=tag, vector=None)
-    return CMEVector(tag=tag, vector=_masked_sum(np.stack(rows)[:, None], np.ones((len(rows), 1), bool))[0])
+    stack = np.zeros((len(rows), 1, max(len(row) for row in rows)))
+    for extended, row in zip(stack, rows):
+        extended[0, : len(row)] = row
+    return CMEVector(tag=tag, vector=_masked_sum(stack, np.ones((len(rows), 1), bool))[0])
 
 
 def resolve_tag(tag: str) -> tuple[str, ...]:
@@ -314,10 +325,11 @@ def build_cme(
 ) -> ViewEmbeddingSet:
     """Compose the constituents of tag over the sorted union of their users.
 
-    A user absent from one constituent view (or present with a sentinel)
-    contributes zero for that view; the per-view counts of such users are
-    kept in sentinel_counts on the returned set, since silently zeroed
-    views can bias classes.
+    The composition is as wide as its widest constituent; a narrower one is
+    zero-extended. A user absent from one constituent view (or present with
+    a sentinel) contributes zero for that view; the per-view counts of such
+    users are kept in sentinel_counts on the returned set, since silently
+    zeroed views can bias classes.
     """
     names = resolve_tag(tag)
     missing = [name for name in names if name not in views]
@@ -327,7 +339,11 @@ def build_cme(
         )
     parts = [views[name] for name in names]
     users = sorted(set().union(*(part.user_ids for part in parts)))
-    stack, present = map(np.stack, zip(*(part.take(users) for part in parts)))
+    stack = np.zeros((len(parts), len(users), max(part.dimension for part in parts)))
+    present = np.zeros(stack.shape[:2], dtype=bool)
+    for part, rows, mask in zip(parts, stack, present):
+        at, source = _align(users, part.user_ids)
+        rows[at, : part.dimension], mask[at] = part.matrix[source], part.present[source]
     return ViewEmbeddingSet(
         tag,
         user_ids=users,

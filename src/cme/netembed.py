@@ -21,6 +21,8 @@ Where each rule of the Network view's shape is decided:
 
 - k: pipeline.build_network_view takes min(k or dimension, source rows)
   components; truncated_svd only checks 1 <= k <= rows.
+- width: the view is as wide as the kept components (0 without a graph);
+  compose.build_cme zero-extends it where it is added to wider views.
 - the sigma floor: sigma_floor; "paper" mode keeps, and divides by, only
   the singular values above it.
 - symmetry: cosine_similarity_matrix's output is exactly symmetric by

@@ -20,7 +20,7 @@ from . import classify, compose, netembed
 from .corpus import ClassLabel, LabeledDataset
 from .emoji import EmojiSenseEntry, emoji_embedding
 from .imagetags import MissingImageTagsError
-from .preprocess import KEEP_HASHTAG_BODY, extract_entities, token_cleaner
+from .preprocess import extract_entities, token_cleaner
 from .wemodel import TrainingConfig, WEModel, train_skipgram, view_embedding
 
 # the experiment defaults; the CLI falls back to the same values
@@ -45,17 +45,14 @@ class PreparedUser:
 
 
 def prepare_users(
-    dataset: LabeledDataset,
-    stopwords: set[str],
-    lemma_table: dict[str, str],
-    keep_hashtag_body: bool = KEEP_HASHTAG_BODY,
+    dataset: LabeledDataset, stopwords: set[str], lemma_table: dict[str, str]
 ) -> dict[str, PreparedUser]:
     """Extract emoji and clean tokens for every user's text.
 
     Tokens are lemmatize(clean_tokens(...)) of each text's residual; the
     cleaner memoises per distinct raw token for the length of this call.
     """
-    clean = token_cleaner(stopwords, lemma_table, keep_hashtag_body)
+    clean = token_cleaner(stopwords, lemma_table)
     prepared: dict[str, PreparedUser] = {}
     for user in dataset.users:
         rec = PreparedUser(user_id=user.user_id)
@@ -155,11 +152,12 @@ def build_network_view(
     Rows are labeled users that act as interaction sources; columns are
     every distinct target. This is where the number of components is
     decided: min(k or dimension, rows), so k is an upper bound and a k
-    above dimension is a ValueError. In "paper" mode the singular values
-    at or below netembed.sigma_floor are dropped before the division so
-    the fold-back stays finite. Rows are zero-padded to the composition
-    dimension so the view composes with the text views; every other user
-    is a sentinel.
+    above dimension is a ValueError (N is added to the word-vector views,
+    not concatenated, so it is no wider than they are). In "paper" mode
+    the singular values at or below netembed.sigma_floor are dropped before
+    the division so the fold-back stays finite. The view is as wide as the
+    kept components, 0 wide without a graph; every user that is not a
+    source is a sentinel.
     """
     if k > dimension:
         raise ValueError(f"k must be <= dimension ({dimension}), got {k}")
@@ -167,22 +165,20 @@ def build_network_view(
     sources = {rec.source for rec in dataset.interactions}
     present = np.array([uid in sources for uid in users], dtype=bool)
     rows = [uid for uid in users if uid in sources]
-    view = compose.ViewEmbeddingSet(
-        "Network", user_ids=users, matrix=np.zeros((len(users), dimension)), present=present
-    )
-    if not rows:  # every source row has a target, so cols is empty only when rows is
-        return view, netembed.NetworkEmbedding(matrix=np.zeros((0, 0)), row_ids=[], mode=mode)
+    embedding = netembed.NetworkEmbedding(matrix=np.zeros((0, 0)), row_ids=[], mode=mode)
+    if rows:  # every source row has a target, so cols is empty only when rows is
+        cols = sorted({rec.target for rec in dataset.interactions})
+        adjacency = netembed.row_normalize(netembed.build_adjacency(dataset.interactions, rows, cols))
+        cosine = netembed.cosine_similarity_matrix(adjacency)
+        factors = netembed.truncated_svd(cosine, min(k or dimension, len(rows)))
+        if mode == "paper":
+            keep = factors.sigma > netembed.sigma_floor(factors.sigma)
+            factors = netembed.SVDFactors(u=factors.u[:, keep], sigma=factors.sigma[keep])
+        embedding = netembed.network_embedding(factors, mode=mode, row_ids=rows)
 
-    cols = sorted({rec.target for rec in dataset.interactions})
-    adjacency = netembed.row_normalize(netembed.build_adjacency(dataset.interactions, rows, cols))
-    cosine = netembed.cosine_similarity_matrix(adjacency)
-    factors = netembed.truncated_svd(cosine, min(k or dimension, len(rows)))
-    if mode == "paper":
-        keep = factors.sigma > netembed.sigma_floor(factors.sigma)
-        factors = netembed.SVDFactors(u=factors.u[:, keep], sigma=factors.sigma[keep])
-    embedding = netembed.network_embedding(factors, mode=mode, row_ids=rows)
-
-    view.matrix[present, : embedding.k] = embedding.matrix
+    matrix = np.zeros((len(users), embedding.k))
+    matrix[present] = embedding.matrix
+    view = compose.ViewEmbeddingSet("Network", user_ids=users, matrix=matrix, present=present)
     return view, embedding
 
 

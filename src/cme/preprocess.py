@@ -12,8 +12,7 @@ Two reading notes that differ from naive expectations:
 - "alphanumeric removal" is implemented as dropping tokens that contain a
   digit (codes, prices, handles). Dropping every alphanumeric character
   would delete the corpus.
-- hashtags keep their body as a plain token by default ("#weed" -> "weed");
-  pass keep_hashtag_body=False to drop them instead.
+- hashtags keep their body as a plain token ("#weed" -> "weed").
 
 Preprocessing costs what the vocabulary costs, not what the corpus costs:
 
@@ -57,9 +56,6 @@ _DIGIT_RE = re.compile(r"\d")
 
 # edge punctuation stripped from tokens; includes common unicode quotes/dashes
 _EDGE_PUNCT = string.punctuation + "‘’“”…«»–—"
-
-# "#weed" -> "weed" unless a caller passes keep_hashtag_body=False
-KEEP_HASHTAG_BODY = True
 
 
 def _data_path(name: str) -> Path:
@@ -141,10 +137,8 @@ def extract_entities(raw_text: str) -> tuple[list[str], str]:
     return parts[1::2], _squash_whitespace(" ".join(parts[::2]))
 
 
-def _clean_token(raw: str, stopwords: set[str], keep_hashtag_body: bool) -> Optional[str]:
+def _clean_token(raw: str, stopwords: set[str]) -> Optional[str]:
     """One casefolded whitespace token, edge-stripped, or None when it is dropped."""
-    if raw.startswith("#") and not keep_hashtag_body:
-        return None
     tok = raw.strip(_EDGE_PUNCT)
     if not tok:
         return None
@@ -157,11 +151,7 @@ def _clean_token(raw: str, stopwords: set[str], keep_hashtag_body: bool) -> Opti
     return tok
 
 
-def clean_tokens(
-    residual_text: str,
-    stopwords: Iterable[str],
-    keep_hashtag_body: bool = KEEP_HASHTAG_BODY,
-) -> list[str]:
+def clean_tokens(residual_text: str, stopwords: Iterable[str]) -> list[str]:
     """Lowercase and tokenize residual text, dropping noise tokens.
 
     Dropped: stopwords, tokens with no letters, and tokens containing any
@@ -170,7 +160,7 @@ def clean_tokens(
     stopset = stopwords if isinstance(stopwords, (set, frozenset)) else set(stopwords)
     tokens = []
     for raw in (residual_text or "").casefold().split():
-        tok = _clean_token(raw, stopset, keep_hashtag_body)
+        tok = _clean_token(raw, stopset)
         if tok is not None:
             tokens.append(tok)
     return tokens
@@ -184,14 +174,13 @@ def lemmatize(tokens: list[str], lemma_table: Mapping[str, str]) -> list[str]:
 class _LemmaMemo(dict):
     """Casefolded raw token -> its lemma, or None when the token is dropped."""
 
-    def __init__(self, stopwords: set[str], lemma_table: Mapping[str, str], keep_hashtag_body: bool):
+    def __init__(self, stopwords: set[str], lemma_table: Mapping[str, str]):
         super().__init__()
         self.stopwords = stopwords
         self.lemma_table = lemma_table
-        self.keep_hashtag_body = keep_hashtag_body
 
     def __missing__(self, raw: str) -> Optional[str]:
-        tok = _clean_token(raw, self.stopwords, self.keep_hashtag_body)
+        tok = _clean_token(raw, self.stopwords)
         lemma = self[raw] = None if tok is None else self.lemma_table.get(tok, tok)
         return lemma
 
@@ -199,7 +188,6 @@ class _LemmaMemo(dict):
 def token_cleaner(
     stopwords: Iterable[str],
     lemma_table: Mapping[str, str],
-    keep_hashtag_body: bool = KEEP_HASHTAG_BODY,
 ) -> Callable[[str], list[str]]:
     """A function equal to lemmatize(clean_tokens(text, ...), lemma_table).
 
@@ -208,7 +196,7 @@ def token_cleaner(
     as long as the returned function.
     """
     stopset = stopwords if isinstance(stopwords, (set, frozenset)) else set(stopwords)
-    lemma = _LemmaMemo(stopset, lemma_table, keep_hashtag_body).__getitem__
+    lemma = _LemmaMemo(stopset, lemma_table).__getitem__
 
     def clean(residual_text: str) -> list[str]:
         words = (residual_text or "").casefold().split()

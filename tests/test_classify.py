@@ -77,18 +77,11 @@ class TestSmote:
         X2, _ = smote(X, y, SMOTEConfig(seed=7))
         assert X2[:20].tobytes() == original.tobytes()
 
-    def test_singleton_class_error_suggests_flag(self):
+    def test_singleton_class_is_named_error(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = ["solo", "big", "big"]
-        with pytest.raises(ClassifierError, match="duplicate_singletons"):
+        with pytest.raises(ClassifierError, match="class 'solo' has a single sample"):
             smote(X, y, SMOTEConfig(seed=0))
-
-    def test_singleton_duplication_fallback(self):
-        X = np.array([[5.0], [1.0], [2.0]])
-        y = ["solo", "big", "big"]
-        X2, y2 = smote(X, y, SMOTEConfig(seed=0, duplicate_singletons=True))
-        assert y2.count("solo") == 2
-        assert X2[3].tolist() == [5.0]
 
     def test_synthetics_pass_segment_oracle(self):
         rng = np.random.default_rng(11)
@@ -112,10 +105,12 @@ class TestSmote:
         assert blocked_labels == whole_labels
 
     def test_explicit_target_reached(self):
-        X = np.vstack([np.eye(2), np.eye(2) + 4])
-        y = ["a", "a", "b", "b"]
-        X2, y2 = smote(X, y, SMOTEConfig(k_neighbors=1, target=6, seed=2))
-        assert y2.count("a") == 6 and y2.count("b") == 6
+        # every class is oversampled to the majority count, and the majority gains nothing
+        X = np.vstack([np.eye(2), np.eye(2) + 4, np.eye(2) + 8, np.ones((3, 2))])
+        y = ["a", "a", "b", "b", "c", "c", "c", "c", "c"]
+        X2, y2 = smote(X, y, SMOTEConfig(k_neighbors=1, seed=2))
+        assert (y2.count("a"), y2.count("b"), y2.count("c")) == (5, 5, 5)
+        assert X2.shape == (15, 2)
 
 
 class TestClassifier:

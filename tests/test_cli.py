@@ -150,6 +150,8 @@ class TestFullChain:
             ("classify", "seed_offset = 1"),
             ("compose", "tags = T+D,T+E"),
             ("correlate", "pairs = Tweet:TweetEmoji"),
+            ("preprocess", "keep_hashtag_body = false"),
+            ("classify", "smote_duplicate_singletons = true"),
         ],
         ids=[
             "removed-key", "removed-knob", "misspelt-key", "removed-family", "removed-method",
@@ -157,7 +159,8 @@ class TestFullChain:
             "removed-image-mode", "removed-image-endpoint", "removed-image-retries",
             "removed-image-cache-dir", "removed-rates", "removed-word-prob",
             "removed-seed-offset-synth", "removed-seed-offset-train-we", "removed-seed-offset-classify",
-            "removed-compose-tags", "removed-correlate-pairs",
+            "removed-compose-tags", "removed-correlate-pairs", "removed-keep-hashtag-body",
+            "removed-smote-duplicate-singletons",
         ],
     )
     def test_unknown_config_key_is_error(self, tmp_path, capsys, section, line):
@@ -250,7 +253,7 @@ class TestFullChain:
         _set_key(cfg, section, key, value.format(**_faulty_inputs(tmp_path)))
         assert main(["run", "--config", cfg]) == 1
         assert named in _one_line_error(capsys)
-        assert not (_run_dir(tmp_path) / "preprocess" / "tokens.json").exists()
+        assert not list((tmp_path / "out").glob("run-*"))
 
     def test_malformed_lemma_table_names_path_and_line(self, tmp_path, capsys):
         # a line without a tab used to be dropped, and the run ended 0
@@ -259,7 +262,7 @@ class TestFullChain:
         cfg = _config(tmp_path, extra=f"[preprocess]\nlemmas = {lemmas}\n")
         assert main(["run", "--config", cfg]) == 1
         assert _one_line_error(capsys).startswith(f"error: preprocess.lemmas: {lemmas}:3: ")
-        assert not list(_run_dir(tmp_path).iterdir())
+        assert not list((tmp_path / "out").glob("run-*"))
 
     def test_missing_corpus_file_is_one_line_error(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
@@ -293,7 +296,6 @@ class TestFullChain:
         def default(function, name):
             return inspect.signature(function).parameters[name].default
 
-        assert ctx.keep_hashtags == default(pipeline.prepare_users, "keep_hashtag_body")
         assert ctx.image_threshold == default(load_image_tags, "confidence_threshold")
         assert ctx.net_mode == default(pipeline.build_network_view, "mode")
         assert ctx.net_mode == default(netembed.network_embedding, "mode")
@@ -466,7 +468,22 @@ class TestViewArtifacts:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "nograph")]) == 1
         assert "composition 'Network' has no vector" in _one_line_error(capsys)
         run_dir = _run_dir(tmp_path, "nograph")
-        assert np.load(run_dir / "netembed" / "Network.npy").shape == (0, 16)
+        assert np.load(run_dir / "netembed" / "Network.npy").shape == (0, 0)
+
+    def test_artifact_widths_follow_the_kept_components(self, tmp_path):
+        # the Network view is as wide as its components; a composition as wide as its widest part
+        assert main(["run", "--config", _config(tmp_path)]) == 0
+        run_dir = _run_dir(tmp_path)
+
+        def meta(stage):
+            return json.loads((run_dir / stage / "meta.json").read_text(encoding="utf-8"))
+
+        widths = {path.stem: np.load(path).shape[1] for path in run_dir.glob("views/*.npy")}
+        widths["Network"] = np.load(run_dir / "netembed" / "Network.npy").shape[1]
+        assert widths["Network"] == meta("netembed")["components"] < 16
+        for tag, entry in meta("compose").items():
+            assert entry["dimension"] == max(widths[name] for name in compose.resolve_tag(tag)), tag
+            assert np.load(run_dir / "compose" / cli._view_filename(tag)).shape[1] == entry["dimension"], tag
 
 
 class TestDeterminismAndAddressing:

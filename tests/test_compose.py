@@ -183,6 +183,18 @@ class TestCorrelateViews:
         b = self._random_view("Network", 4, users=10, dim=4)
         assert correlate_views(a, b).n == 40
 
+    def test_narrower_view_pairs_only_its_leading_components(self):
+        # a k-wide Network view is screened on its k components, not on zeros beyond them
+        tweet = self._random_view("Tweet", 7, users=10, dim=6)
+        network = self._random_view("Network", 8, users=8, dim=2)
+        shared = network.user_ids  # u0..u7, in sorted order
+        expected = spearman(
+            np.ravel([tweet.vectors[u][:2] for u in shared]), np.ravel([network.vectors[u] for u in shared])
+        )
+        for res in (correlate_views(tweet, network), correlate_views(network, tweet)):
+            assert res.n == 8 * 2
+            assert (res.rho, res.p_value) == (expected.rho, expected.p_value)
+
     def test_sentinels_excluded_from_pairing(self):
         a = self._random_view("Tweet", 5, users=6, dim=3)
         b = _view("Network", dict(self._random_view("Network", 6, users=6, dim=3).vectors, u0=None))
@@ -229,9 +241,15 @@ class TestComposeAdd:
     def test_all_sentinels_give_sentinel(self):
         assert compose_add([None, None]).vector is None
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            compose_add([np.ones(2), np.ones(3)])
+    def test_narrower_vector_is_zero_extended(self):
+        out = compose_add([np.array([1.0, -0.0]), np.array([2.0, -0.0, 3.0]), np.array([-0.0])])
+        assert out.vector.tolist() == [3.0, 0.0, 3.0]
+        # the extension is +0.0: -0.0 + +0.0 is +0.0, where two -0.0 would stay -0.0
+        assert np.signbit(out.vector).tolist() == [False, False, False]
+        padded = compose_add(
+            [np.array([1.0, -0.0, 0.0]), np.array([2.0, -0.0, 3.0]), np.array([-0.0, 0.0, 0.0])]
+        )
+        assert _bits(out.vector).tolist() == _bits(padded.vector).tolist()
 
     def test_commutative_bitwise(self):
         rng = np.random.default_rng(30)
@@ -341,13 +359,14 @@ def _reference_sum(values):
 
 
 def _random_views(seed, count):
-    """count views with random users, masks and widely scaled values (signed zeros included), in random tag order."""
+    """count views with random users, widths (0 to 4), masks and widely scaled values
+    (signed zeros included), in random tag order."""
     rng = np.random.default_rng(seed)
     names = [str(name) for name in rng.permutation(VIEW_NAMES)[:count]]
-    dim = int(rng.integers(1, 5))
     pool = [f"u{i}" for i in range(8)]
     views = {}
     for name in names:
+        dim = int(rng.integers(0, 5))
         users = [u for u in pool if rng.random() < 0.7]
         present = rng.random(len(users)) < 0.8
         values = rng.standard_normal((len(users), dim)) * 10.0 ** rng.integers(-8, 9, (len(users), dim))
@@ -369,6 +388,7 @@ class TestBuildCMEProperties:
         names, views = _random_views(seed, count)
         out = build_cme(views, "+".join(names))
         assert out.user_ids == sorted(set().union(*(views[n].user_ids for n in names)))
+        assert out.dimension == max(views[n].dimension for n in names)
         expected = np.zeros_like(out.matrix)
         for i, user in enumerate(out.user_ids):
             rows = [views[n].vectors.get(user) for n in names]
@@ -376,9 +396,12 @@ class TestBuildCMEProperties:
             assert out.present[i] == bool(rows)
             for j in range(out.dimension):
                 if rows:
-                    expected[i, j] = _reference_sum([float(row[j]) for row in rows])
+                    # a narrower row is extended with +0.0
+                    expected[i, j] = _reference_sum([float(row[j]) if j < len(row) else 0.0 for row in rows])
             if rows:
-                assert _bits(compose_add(rows).vector).tolist() == _bits(out.matrix[i]).tolist()
+                # compose_add extends to the widest present row; the composition's width is +0.0 beyond it
+                row = compose_add(rows).vector
+                assert _bits(row).tolist() + [0] * (out.dimension - len(row)) == _bits(out.matrix[i]).tolist()
         assert _bits(out.matrix).tolist() == _bits(expected).tolist()
         for name in names:
             covered = {u for u, row in views[name].vectors.items() if row is not None}
@@ -389,8 +412,11 @@ class TestBuildCMEProperties:
     def test_two_views_are_plain_addition(self, seed):
         names, views = _random_views(seed, 2)
         out = build_cme(views, "+".join(names))
-        rows_a, present_a = views[names[0]].take(out.user_ids)
-        rows_b, present_b = views[names[1]].take(out.user_ids)
+        (rows_a, present_a), (rows_b, present_b) = (views[name].take(out.user_ids) for name in names)
+        # the narrower view's rows are extended with +0.0
+        rows_a, rows_b = (
+            np.pad(rows, ((0, 0), (0, out.dimension - rows.shape[1]))) for rows in (rows_a, rows_b)
+        )
         both = present_a & present_b
         expected = np.where(present_a[:, None], rows_a, rows_b)
         expected[both] = rows_a[both] + rows_b[both]

@@ -79,7 +79,7 @@ class TestViews:
         users = sorted(u.user_id for u in dataset.users)
         for view in built:
             assert view.user_ids == users, view.name
-            assert view.matrix.shape == (len(users), 20), view.name
+            assert view.matrix.shape == (len(users), 5 if view.name == "Network" else 20), view.name
             assert view.sentinel_count == int((~view.present).sum()), view.name
             assert len(view.vectors) == len(view.user_ids), view.name
             assert not view.matrix[~view.present].any(), view.name
@@ -87,12 +87,13 @@ class TestViews:
 
 
 class TestNetworkView:
-    def test_rows_padded_to_dimension(self, small_run):
+    def test_rows_are_the_kept_components(self, small_run):
+        # the view is as wide as the embedding, not padded to the composition dimension
         dataset, *_ = small_run
         view, embedding = pipeline.build_network_view(dataset, 20, mode="conventional", k=5)
-        present = [v for v in view.vectors.values() if v is not None]
-        assert all(v.shape == (20,) for v in present)
-        assert embedding.k == 5
+        assert embedding.k == view.dimension == 5
+        assert [u for u, p in zip(view.user_ids, view.present) if p] == embedding.row_ids
+        assert view.matrix[view.present].tobytes() == embedding.matrix.tobytes()
 
     def test_k_above_dimension_rejected(self, small_run):
         # a k wider than the composition dimension used to be cut to it without a word
@@ -109,9 +110,9 @@ class TestNetworkView:
             view, embedding = pipeline.build_network_view(dataset, dimension, mode=mode, k=dimension)
             assert len(embedding.row_ids) == rows
             assert embedding.k <= rows
-            present = [v for v in view.vectors.values() if v is not None]
-            assert len(present) == rows and all(v.shape == (dimension,) for v in present)
-            assert all(not v[embedding.k:].any() for v in present)
+            assert view.dimension == embedding.k
+            assert int(view.present.sum()) == rows
+            assert view.matrix[view.present].tobytes() == embedding.matrix.tobytes()
 
     def test_k_zero_means_the_dimension(self, small_run):
         dataset, *_ = small_run
@@ -138,6 +139,7 @@ class TestNetworkView:
         )
         view, embedding = pipeline.build_network_view(bare, 20)
         assert all(v is None for v in view.vectors.values())
+        assert view.matrix.shape == (len(dataset.users), 0)
         assert embedding.matrix.shape[0] == 0
         assert embedding.k == 0
 
@@ -150,7 +152,7 @@ class TestExperiments:
             users=dataset.users, tweets_by_author={}, interactions=[], class_counts={}
         )
         net_view, _ = pipeline.build_network_view(bare, 20)
-        assert net_view.dimension == 20
+        assert net_view.dimension == 0
         composed = compose.build_cme({"Network": net_view}, "Network")
         with pytest.raises(ClassifierError, match="'Network'"):
             pipeline.run_experiment(composed, dataset.labels(), sorted(dataset.labels()))

@@ -99,9 +99,6 @@ class TestCleanTokens:
     def test_hashtag_body_kept_by_default(self):
         assert clean_tokens("#weed rocks", set()) == ["weed", "rocks"]
 
-    def test_hashtag_dropped_when_configured(self):
-        assert clean_tokens("#weed rocks", set(), keep_hashtag_body=False) == ["rocks"]
-
     def test_rescan_invariant(self):
         stop = load_stopwords()
         tokens = clean_tokens("The thing!! cost $50, call 555-0199 -- maybe läter", stop)
@@ -198,7 +195,7 @@ class TestFastPaths:
         assert set(re.findall("w", every, re.IGNORECASE)) == {"w", "W"}
 
     @staticmethod
-    def _check_prepared(texts, keep_hashtag_body):
+    def _check_prepared(texts):
         stop, table = load_stopwords(), load_lemma_table()
         # two users share every text, so the memo is hit as well as filled
         users = [UserRecord(f"u{i}", description=texts[i % len(texts)]) for i in range(2)]
@@ -207,11 +204,11 @@ class TestFastPaths:
             for u in users
         }
         dataset = LabeledDataset(users=users, tweets_by_author=tweets, interactions=[])
-        prepared = prepare_users(dataset, stop, table, keep_hashtag_body)
+        prepared = prepare_users(dataset, stop, table)
 
         def reference(text):
             emoji, residual = _unguarded_extract(text)
-            return emoji, lemmatize(clean_tokens(residual, stop, keep_hashtag_body), table)
+            return emoji, lemmatize(clean_tokens(residual, stop), table)
 
         for user in users:
             rec = prepared[user.user_id]
@@ -221,11 +218,10 @@ class TestFastPaths:
             assert rec.tweet_tokens == [tok for _, tokens in per_tweet for tok in tokens]
             assert rec.tweet_emoji == [e for emoji, _ in per_tweet for e in emoji]
 
-    @pytest.mark.parametrize("keep_hashtag_body", [True, False])
-    def test_prepare_users_matches_per_text_reference(self, keep_hashtag_body):
-        self._check_prepared(EDGE_TEXTS, keep_hashtag_body)
+    def test_prepare_users_matches_per_text_reference(self):
+        self._check_prepared(EDGE_TEXTS)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(EDGE_STRATEGY, min_size=1, max_size=6), st.booleans())
-    def test_prepare_users_matches_per_text_reference_property(self, texts, keep_hashtag_body):
-        self._check_prepared(texts, keep_hashtag_body)
+    @given(st.lists(EDGE_STRATEGY, min_size=1, max_size=6))
+    def test_prepare_users_matches_per_text_reference_property(self, texts):
+        self._check_prepared(texts)

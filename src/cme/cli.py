@@ -248,7 +248,8 @@ def _write_json(path: Path, payload, indent: int | None = 2) -> None:
 def _save_view(view: compose.ViewEmbeddingSet, out: Path) -> None:
     """Write the present rows under their user ids in out, named after the view; sentinels are left out."""
     users = list(itertools.compress(view.user_ids, view.present))
-    model = wemodel.WEModel(dict(zip(users, itertools.count())), view.matrix[view.present], users)
+    rows = view.matrix if len(users) == len(view.user_ids) else view.matrix[view.present]
+    model = wemodel.WEModel(dict(zip(users, itertools.count())), rows, users)
     wemodel.save_model(model, out / _view_filename(view.name))
 
 
@@ -408,10 +409,6 @@ def cmd_views(ctx: RunContext) -> None:
     print(f"[views] built {', '.join(sorted(views))}")
 
 
-def _load_views(ctx: RunContext, names: list[str]) -> dict[str, compose.ViewEmbeddingSet]:
-    return {name: _load_view(ctx, "netembed" if name == "Network" else "views", name) for name in names}
-
-
 def _netembed_settings(ctx: RunContext) -> tuple[str, int]:
     """(mode, k); k bounds the components from above, and 0 stands for the dimension."""
     mode = ctx.get("netembed", "mode", netembed.DEFAULT_MODE)
@@ -446,16 +443,24 @@ def cmd_netembed(ctx: RunContext) -> None:
     print(f"[netembed] embedded {len(embedding.row_ids)} users, {embedding.k} components, mode={mode}")
 
 
+def _views_in_turn(ctx: RunContext, steps: list[tuple[str, ...]]):
+    """{name: view} for each step's names; a view is loaded when first named and dropped after its last step."""
+    views = {}
+    for at, names in enumerate(steps):
+        for name in (name for name in names if name not in views):
+            views[name] = _load_view(ctx, "netembed" if name == "Network" else "views", name)
+        yield {name: views[name] for name in names}
+        views = {name: view for name, view in views.items() if any(name in step for step in steps[at + 1:])}
+
+
 def cmd_correlate(ctx: RunContext) -> None:
     # each distinct unordered pair of views inside one tag, first seen first
     pairs = {}
     for names in ctx.tags.values():
         for pair in itertools.combinations(names, 2):
             pairs.setdefault(frozenset(pair), pair)
-    views, results = {}, []
-    for name_a, name_b in pairs.values():
-        # load a view when a pair first needs it, so the first pairs run with fewer views in memory
-        views |= _load_views(ctx, [name for name in (name_a, name_b) if name not in views])
+    results = []
+    for (name_a, name_b), views in zip(pairs.values(), _views_in_turn(ctx, list(pairs.values()))):
         try:
             res = compose.correlate_views(views[name_a], views[name_b], alpha=ctx.alpha)
         except compose.UndefinedCorrelationError as exc:
@@ -487,11 +492,9 @@ def _suite_tags(ctx: RunContext) -> tuple[list[str], list[str], dict[str, tuple[
 
 
 def cmd_compose(ctx: RunContext) -> None:
-    needed = sorted({name for names in ctx.tags.values() for name in names})
-    views = _load_views(ctx, needed)
     out = ctx.stage_dir("compose")
     meta = {}
-    for tag in ctx.tags:
+    for tag, views in zip(ctx.tags, _views_in_turn(ctx, list(ctx.tags.values()))):
         cme_set = compose.build_cme(views, tag)
         _save_view(cme_set, out)
         meta[tag] = {
@@ -522,12 +525,18 @@ def _classify_settings(
     return smote_config, classifier_config, split_ratio
 
 
+class _Compositions(dict):
+    """Tag -> the RunContext that saved it; a lookup reads the composition, which is not kept."""
+
+    def __getitem__(self, tag: str) -> compose.ViewEmbeddingSet:
+        return _load_view(super().__getitem__(tag), "compose", tag)
+
+
 def cmd_classify(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
-    cme_sets = {tag: _load_view(ctx, "compose", tag) for tag in ctx.tags}
     split_seed = ctx.smote.seed
     results = pipeline.run_suites(
-        cme_sets,
+        _Compositions.fromkeys(ctx.tags, ctx),
         dataset,
         suite_a_tags=ctx.suite_a,
         suite_b_tags=ctx.suite_b,

@@ -11,6 +11,9 @@ with +0.0 to the widest constituent's width. Summation rule: each element
 sorts its present values ascending and adds them pairwise (first half's
 sum plus second half's, so a + (b + c) for three), so constituent order
 never changes a bit and an absent constituent adds nothing.
+Scratch-memory rule: beyond its inputs a step holds a few view-sized arrays
+at most. The screen ranks one side at a time from its rows; the sum runs in
+place on its stack, sorting one copy of the users with three or more values.
 
 Decision rendering note: the composition gate inverts the textbook
 hypotheses. Its working null is "the two views are correlated", so a small
@@ -121,18 +124,27 @@ class CMEVector:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1, ties getting the average of their positions.
+    """Ranks starting at 1 of values' elements in C order, ties getting the average of their positions.
 
     Every member of a run of equal values gets the same rank, so the order
     the sort leaves inside a run does not matter and it need not be stable.
+    A NaN or infinite value, which the sort puts at an end, is an
+    UndefinedCorrelationError. A temporary argument is freed once sorted.
     """
-    order = np.argsort(values)
-    sorted_vals = values[order]
-    # [start, end) of each run of equal values in sorted order
-    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    ends = np.r_[starts[1:], values.size]
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.repeat((starts + ends - 1) / 2.0 + 1.0, ends - starts)
+    order = np.argsort(values, axis=None)
+    values = np.ravel(values)[order]
+    if values.size and not (np.isfinite(values[0]) and np.isfinite(values[-1])):
+        raise UndefinedCorrelationError("a sample is NaN or infinite")
+    # [start, start + count) of each run of equal values in sorted order
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    del values
+    counts = np.diff(starts, append=order.size)
+    starts += starts + counts + 1  # twice a run's average rank: (start + 1) + (start + count)
+    twice = np.repeat(starts, counts)
+    del starts, counts
+    ranks = np.empty(order.size)
+    ranks[order] = twice
+    ranks /= 2.0
     return ranks
 
 
@@ -200,32 +212,27 @@ def spearman(x: Sequence[float], y: Sequence[float], alpha: float = ALPHA) -> Co
     ranks for ties). The p-value uses t = rho * sqrt((n-2)/(1-rho^2))
     against a Student-t reference with n-2 degrees of freedom. Its tail is
     _t_two_sided_p, an incomplete beta in plain floats; the tests hold it to
-    scipy.special.stdtr within 1e-8 relative error.
+    scipy.special.stdtr within 1e-8 relative error. A NaN or infinite
+    sample is an UndefinedCorrelationError.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D and the same length")
-    n = int(x.size)
+    return _rank_correlation(_average_ranks(x), _average_ranks(y), alpha)
+
+
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray, alpha: float) -> CorrelationResult:
+    """spearman's rho, p-value and decision from the average ranks of the paired samples; overwrites both."""
+    n = int(rx.size)
     if n < 3:
         raise UndefinedCorrelationError(f"need at least 3 paired samples, got {n}")
-
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
     rx -= rx.mean()
     ry -= ry.mean()
-    var_x = float(rx @ rx)
-    var_y = float(ry @ ry)
+    var_x, var_y = float(rx @ rx), float(ry @ ry)
     if var_x == 0.0 or var_y == 0.0:
         raise UndefinedCorrelationError("constant input: rank variance is zero")
-    rho = float((rx @ ry) / np.sqrt(var_x * var_y))
-    rho = min(1.0, max(-1.0, rho))
-
-    if abs(rho) >= 1.0:
-        p_value = 0.0
-    else:
-        t_stat = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-        p_value = _t_two_sided_p(float(t_stat), n - 2)
+    rho = min(1.0, max(-1.0, float((rx @ ry) / np.sqrt(var_x * var_y))))
+    p_value = 0.0 if abs(rho) >= 1.0 else _t_two_sided_p(float(rho * np.sqrt((n - 2) / (1.0 - rho * rho))), n - 2)
 
     if p_value < alpha:
         decision = (
@@ -259,8 +266,9 @@ def correlate_views(
             f"views {a.name!r} and {b.name!r} share only {shared.sum()} users with vectors"
         )
     width = min(a.dimension, b.dimension)
-    return spearman(
-        a.matrix[rows_a[shared], :width].ravel(), b.matrix[rows_b[shared], :width].ravel(), alpha=alpha
+    rows_a, rows_b = rows_a[shared], rows_b[shared]
+    return _rank_correlation(
+        _average_ranks(a.matrix[rows_a, :width]), _average_ranks(b.matrix[rows_b, :width]), alpha
     )
 
 
@@ -269,20 +277,30 @@ def _masked_sum(stack: np.ndarray, present: np.ndarray) -> np.ndarray:
 
     An absent row is -0.0, which adds nothing exactly, so one pass in view
     order sums users with one or two present values (two add alike either
-    way round); users with more are summed again from sorted values.
+    way round). Users with more are summed first, from their values sorted
+    in one scratch copy per count, and parked in the last view's rows: the
+    in-place view-order pass reads those but never writes them.
     """
 
-    def pairwise(values: np.ndarray) -> np.ndarray:
+    def pairwise(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        # the sum goes to out, else to values[0]; a single view is its own sum
         mid = len(values) // 2
-        return values[0] if mid == 0 else pairwise(values[:mid]) + pairwise(values[mid:])
+        return values[0] if mid == 0 else np.add(
+            pairwise(values[:mid]), pairwise(values[mid:]), out=values[0] if out is None else out
+        )
 
+    counts = present.sum(axis=0)
     stack[~present] = -0.0
-    out, counts = pairwise(stack), present.sum(axis=0)
-    out[counts == 0] = 0.0
     for count in range(3, len(stack) + 1):
         users = counts == count
-        ordered = np.sort(np.where(present[:, users, None], stack[:, users], np.inf), axis=0)  # absent last
-        out[users] = pairwise(ordered[:count])
+        ordered = stack[:, users]
+        ordered[~present[:, users]] = np.inf  # absent last
+        ordered.sort(axis=0)
+        stack[-1, users] = pairwise(ordered[:count])
+        del ordered  # before the pass allocates its output
+    out = pairwise(stack, np.empty(stack.shape[1:]))
+    out[counts >= 3] = stack[-1, counts >= 3]
+    out[counts == 0] = 0.0
     return out
 
 

@@ -12,7 +12,7 @@ id, zero and not present where the view has no vector for the user.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -183,10 +183,11 @@ def build_network_view(
 
 
 def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both scaled in place by train's column means and standard deviations."""
     mean = train.mean(axis=0)
     std = train.std(axis=0)
     std[std == 0] = 1.0
-    return (train - mean) / std, (test - mean) / std
+    return tuple(np.divide(np.subtract(rows, mean, out=rows), std, out=rows) for rows in (train, test))
 
 
 @dataclass
@@ -251,7 +252,7 @@ class SuiteResults:
 
 
 def run_suites(
-    cme_sets: dict[str, compose.ViewEmbeddingSet],
+    cme_sets: Mapping[str, compose.ViewEmbeddingSet],
     dataset: LabeledDataset,
     suite_a_tags: Sequence[str] = SUITE_A_TAGS,
     suite_b_tags: Sequence[str] = SUITE_B_TAGS,
@@ -260,7 +261,7 @@ def run_suites(
     smote_config: Optional[classify.SMOTEConfig] = None,
     classifier_config: Optional[classify.ClassifierConfig] = None,
 ) -> SuiteResults:
-    """The two experiment suites over pre-composed embedding sets.
+    """The two experiment suites over pre-composed embedding sets, each looked up per experiment.
 
     Suite A runs text/emoji compositions over all labeled users. Suite B
     runs network compositions over the interaction-connected subset, using

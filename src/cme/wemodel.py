@@ -382,6 +382,8 @@ def load_text_model(path, dimension: Optional[int] = None) -> WEModel:
                 vectors[idx] = [float(v) for v in parts[1:]]
             except ValueError:
                 raise ParseError(path, idx + 2, f"a value of {parts[0]!r} is not a number") from None
+            if not np.isfinite(vectors[idx]).all():
+                raise ParseError(path, idx + 2, f"a value of {parts[0]!r} is not finite")
     if dimension is not None and dim != dimension:
         raise ValueError(f"{path}: vectors are {dim} wide, expected {dimension}")
     return WEModel(vocabulary=vocab, vectors=vectors)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +519,69 @@ class TestDeterminismAndAddressing:
         assert main(["synth", "--config", cfg]) == 0
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "other")]) == 0
         assert _run_dir(tmp_path, "out").name == _run_dir(tmp_path, "other").name
+
+
+class TestViewsHeld:
+    """Past netembed a stage holds only the views its current and later steps name."""
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        """(stage, name, weak reference, names that stage's loads still hold) per load, in order."""
+        loaded, load_view = [], cli._load_view
+
+        def tracking(ctx, stage, name):
+            held = self._alive(loaded, {stage})
+            view = load_view(ctx, stage, name)
+            loaded.append((stage, name, weakref.ref(view), held))
+            return view
+
+        monkeypatch.setattr(cli, "_load_view", tracking)
+        return loaded
+
+    @staticmethod
+    def _alive(loaded, stages=("views", "netembed")) -> set[str]:
+        return {name for stage, name, ref, _ in loaded if stage in stages and ref() is not None}
+
+    def _config(self, tmp_path):
+        cfg = _config(tmp_path)
+        _set_key(cfg, "classify", "suite_a_tags", "T+D,T+E,D+E")
+        return cfg
+
+    def test_correlate_and_compose_drop_a_view_after_its_last_step(self, tmp_path, monkeypatch, loaded):
+        steps, correlate, build = [], compose.correlate_views, compose.build_cme
+
+        def correlating(a, b, alpha):
+            steps.append(("correlate", {a.name, b.name}, self._alive(loaded)))
+            return correlate(a, b, alpha=alpha)
+
+        def building(views, tag):
+            steps.append(("compose", set(compose.resolve_tag(tag)), self._alive(loaded)))
+            return build(views, tag)
+
+        monkeypatch.setattr(compose, "correlate_views", correlating)
+        monkeypatch.setattr(compose, "build_cme", building)
+        assert main(["run", "--config", self._config(tmp_path)]) == 0
+        for stage, count in (("correlate", 5), ("compose", 4)):
+            names = [step_names for s, step_names, _ in steps if s == stage]
+            held = [alive for s, _, alive in steps if s == stage]
+            assert len(names) == count
+            for at in range(count):
+                assert names[at] <= held[at] <= set().union(*names[at:]), (stage, at, held[at])
+        # each of the five views is loaded once by correlate and once by compose
+        views = [name for stage, name, _, _ in loaded if stage != "compose"]
+        assert len(views) == 2 * len(set(views)) == 10
+
+    def test_classify_holds_one_composition_at_a_time(self, tmp_path, loaded):
+        cfg = self._config(tmp_path)
+        for stage in STAGE_ORDER[:-2]:
+            assert main([stage, "--config", cfg]) == 0
+        loaded.clear()
+        assert main(["classify", "--config", cfg]) == 0
+        # suite A's three tags, the suite-B baseline, then N+T+E, each read when its experiment runs
+        tags = [name for _, name, _, _ in loaded]
+        assert tags[:3] == ["T+D", "T+E", "D+E"] and tags[3] in tags[:3] and tags[4:] == ["N+T+E"]
+        assert [held for _, _, _, held in loaded] == [set()] * 5
+        assert self._alive(loaded, {"compose"}) == set()
 
 
 class TestArtifacts:

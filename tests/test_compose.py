@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,25 @@ class TestSpearman:
         assert np.array_equal(_average_ranks(np.array([7.0])), [1.0])
         assert np.array_equal(_average_ranks(np.array([2.0, 2.0, 2.0])), [2.0, 2.0, 2.0])
         assert np.array_equal(_average_ranks(np.array([3.0, -0.0, 0.0, 1.0])), [4.0, 1.5, 1.5, 3.0])
+
+    def test_average_ranks_tie_run_at_the_end(self):
+        assert np.array_equal(_average_ranks(np.array([5.0, 1.0, 5.0, 3.0, 5.0])), [4.0, 1.0, 4.0, 2.0, 4.0])
+        assert np.array_equal(_average_ranks(np.array([2.0, 1.0, 1.0, 2.0])), [3.5, 1.5, 1.5, 3.5])
+        values = np.r_[np.random.default_rng(3).standard_normal(50), np.full(7, 9.0)]
+        assert np.array_equal(_average_ranks(values), rankdata(values, method="average"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_average_ranks_refuse_non_finite(self, bad):
+        with pytest.raises(UndefinedCorrelationError, match="NaN or infinite"):
+            _average_ranks(np.array([1.0, bad, 3.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_undefined(self, bad):
+        # unrefused, a NaN sorts last as a run of its own and reads as the largest rank (rho 0.4 here)
+        with pytest.raises(UndefinedCorrelationError, match="NaN or infinite"):
+            spearman([1, bad, 3, 4, 5], [1, 2, 3, 4, 5])
+        with pytest.raises(UndefinedCorrelationError, match="NaN or infinite"):
+            spearman([1, 2, 3, 4, 5], [5, 4, bad, 2, 1])
 
     def test_t_tail_matches_scipy(self):
         # df 1-60 and up to 1e6, t from 1e-8 to 1e4, plus the t where p is 1e-300
@@ -200,6 +221,13 @@ class TestCorrelateViews:
         b = _view("Network", dict(self._random_view("Network", 6, users=6, dim=3).vectors, u0=None))
         assert correlate_views(a, b).n == 15
 
+    def test_non_finite_value_is_undefined(self):
+        a = self._random_view("Tweet", 9)
+        rows = dict(self._random_view("TweetEmoji", 10).vectors, u3=np.array([0, 0, np.nan, 0, 0]))
+        b = _view("TweetEmoji", rows)
+        with pytest.raises(UndefinedCorrelationError, match="NaN or infinite"):
+            correlate_views(a, b)
+
     def test_too_few_shared_users(self):
         a = _view("Tweet", {"u0": [1.0, 2.0], "u1": [2.0, 1.0]})
         b = _view("Network", {"u0": [1.0, 2.0], "u1": [0.0, 1.0]})
@@ -221,6 +249,44 @@ class TestCorrelateViews:
                 hits += 1
         assert hits <= 5
         assert worst < 0.2
+
+
+def _random_matrix_view(name, users, dim, seed, absent=0.0):
+    rng = np.random.default_rng(seed)
+    present = rng.random(users) >= absent
+    matrix = np.where(present[:, None], rng.standard_normal((users, dim)), 0.0)
+    return ViewEmbeddingSet(name, user_ids=[f"u{i:05d}" for i in range(users)], matrix=matrix, present=present)
+
+
+def _traced_peak(call) -> int:
+    """Bytes call() allocates at its peak, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratchMemory:
+    """Stages past netembed hold a small, fixed number of view-sized arrays beyond their inputs."""
+
+    def test_correlate_views_within_six_view_sized_arrays(self):
+        # one side ranked at a time needs about 5; both raveled copies ranked side by side, about 11
+        a, b = _random_matrix_view("Tweet", 2000, 50, 1), _random_matrix_view("Description", 2000, 50, 2)
+        peak = _traced_peak(lambda: correlate_views(a, b))
+        assert peak <= 6 * 2000 * 50 * 8
+
+    def test_build_cme_within_five_and_a_half_stack_units(self):
+        # a stack unit is one constituent's users x d slice: the stack is 3, and the sorted copy of the
+        # three-value users (1.5 here) is freed before the 1-unit output is made; two copies made 7
+        views = {
+            "Network": _random_matrix_view("Network", 2000, 10, 5, absent=0.2),
+            "Tweet": _random_matrix_view("Tweet", 2000, 50, 6, absent=0.1),
+            "TweetEmoji": _random_matrix_view("TweetEmoji", 2000, 50, 7, absent=0.3),
+        }
+        peak = _traced_peak(lambda: build_cme(views, "N+T+E"))
+        assert peak <= 5.5 * 2000 * 50 * 8
 
 
 class TestComposeAdd:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cme.corpus import ParseError
 from cme.wemodel import (
     BATCH_PAIRS,
     TrainingConfig,
@@ -356,4 +357,11 @@ class TestPersistence:
         path = tmp_path / "bad.txt"
         path.write_text("1 3\nfoo 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_text_model(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e400"])
+    def test_non_finite_value_refused_naming_line_and_word(self, tmp_path, value):
+        path = tmp_path / "ext.txt"
+        path.write_text(f"2 3\nfoo 1.0 2.0 3.0\nbar 0.5 {value} -1.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"ext\.txt:3: .*'bar' is not finite"):
             load_text_model(path)

@@ -14,23 +14,27 @@ sentences, description tokens, emoji) as compact JSON with sorted keys;
 `cme run` hands the same records to train-we and views in memory, and the
 standalone stages read the file.
 
-Per-user matrices (the skip-gram models, the six views, the Network view and
-each composition) are written with wemodel.save_model as binary pairs:
-"<stem>.npy" holds the float64 matrix and "<stem>.words" the row labels, so
-the next stage reads back exactly the bits that were written. A view is
-saved as its present rows under their user ids (0 x its width if it has
-no vector) and loads with every row present. The Network view is as wide
-as its kept components (netembed/meta.json "components"), so 0 x 0
-without a graph; a composition is as wide as its widest constituent
-(compose/meta.json "dimension"). Each stage also writes a meta.json
-summary. The one text model the CLI reads is an optional
-external [views] emoji_background_model in word2vec text layout.
+Per-user matrices (the skip-gram models, the text and image views in
+views/, the Network view in netembed/) are written with wemodel.save_model
+as binary pairs: "<name>.npy" holds the float64 matrix and "<name>.words"
+the row labels, so the next stage reads back exactly the bits that were
+written. A view is saved as its present rows under their user ids (0 x its
+width if it has no vector) and loads with every row present. The Network
+view is as wide as its kept components (netembed/meta.json "components"),
+so 0 x 0 without a graph. Each stage also writes a meta.json summary. The
+one text model the CLI reads is an optional external [views]
+emoji_background_model in word2vec text layout.
+
+Compositions are not files. compose/meta.json is the plan: each suite tag
+and the views it adds. The classify stage builds each tag from the saved
+views when that tag's experiment runs, holds it for that experiment only,
+and reads nothing under compose/.
 
 With [views] profile_images on, the views stage also reads the image tag
 file ([views] image_fixture, by default <corpus>/image_tags.tsv, which
 synth writes) and builds the ProfileImage view from it.
 
-The suites are the whole plan. The compose stage builds exactly the tags
+The suites are the whole plan. The compose stage plans exactly the tags
 of [classify] suite_a_tags and suite_b_tags, each once; suite A needs a
 tag, suite B may have none. The correlate stage screens each distinct
 unordered pair of views inside one of those tags, in plan order (suite A's
@@ -40,8 +44,8 @@ profile_images on.
 [netembed] k is an upper bound on the Network view's components: the
 netembed stage takes min(k, source rows), and k = 0 (the default) means
 [train_we] dimension, the largest k accepted, since N is added to the
-word-vector views, not concatenated. The compose stage zero-extends the
-view to their width, and the correlate stage pairs only its components.
+word-vector views, not concatenated. A composition zero-extends the view
+to their width, and the correlate stage pairs only its components.
 
 The config file is flat INI with one section per stage. CONFIG_KEYS lists
 every key with the type its value is parsed with; any other section or key
@@ -250,7 +254,7 @@ def _save_view(view: compose.ViewEmbeddingSet, out: Path) -> None:
     users = list(itertools.compress(view.user_ids, view.present))
     rows = view.matrix if len(users) == len(view.user_ids) else view.matrix[view.present]
     model = wemodel.WEModel(dict(zip(users, itertools.count())), rows, users)
-    wemodel.save_model(model, out / _view_filename(view.name))
+    wemodel.save_model(model, out / f"{view.name}.npy")
 
 
 def _load_matrix(ctx: RunContext, path: Path, producer: str) -> wemodel.WEModel:
@@ -263,15 +267,12 @@ def _load_matrix(ctx: RunContext, path: Path, producer: str) -> wemodel.WEModel:
         raise CLIError(f"unreadable artifact {path.name}: {exc}") from None
 
 
-def _load_view(ctx: RunContext, stage: str, name: str) -> compose.ViewEmbeddingSet:
-    """The view named name that stage saved, every row present."""
-    model = _load_matrix(ctx, ctx.run_dir / stage / _view_filename(name), stage)
+def _load_view(ctx: RunContext, name: str) -> compose.ViewEmbeddingSet:
+    """The saved view named name, every row present: netembed saves Network, views saves the rest."""
+    stage = "netembed" if name == "Network" else "views"
+    model = _load_matrix(ctx, ctx.run_dir / stage / f"{name}.npy", stage)
     present = np.ones(len(model.words), dtype=bool)
     return compose.ViewEmbeddingSet(name, user_ids=model.words, matrix=model.vectors, present=present)
-
-
-def _view_filename(tag: str) -> str:
-    return tag.replace("+", "_") + ".npy"
 
 
 # ---- stage commands -----------------------------------------------------
@@ -448,7 +449,7 @@ def _views_in_turn(ctx: RunContext, steps: list[tuple[str, ...]]):
     views = {}
     for at, names in enumerate(steps):
         for name in (name for name in names if name not in views):
-            views[name] = _load_view(ctx, "netembed" if name == "Network" else "views", name)
+            views[name] = _load_view(ctx, name)
         yield {name: views[name] for name in names}
         views = {name: view for name, view in views.items() if any(name in step for step in steps[at + 1:])}
 
@@ -492,18 +493,9 @@ def _suite_tags(ctx: RunContext) -> tuple[list[str], list[str], dict[str, tuple[
 
 
 def cmd_compose(ctx: RunContext) -> None:
-    out = ctx.stage_dir("compose")
-    meta = {}
-    for tag, views in zip(ctx.tags, _views_in_turn(ctx, list(ctx.tags.values()))):
-        cme_set = compose.build_cme(views, tag)
-        _save_view(cme_set, out)
-        meta[tag] = {
-            "dimension": cme_set.dimension,
-            "users": len(cme_set.user_ids),
-            "per_view_sentinels": cme_set.sentinel_counts,
-        }
-    _write_json(out / "meta.json", meta)
-    print(f"[compose] built {', '.join(ctx.tags)}")
+    """Write the plan, each tag and the views it adds; classify builds the compositions."""
+    _write_json(ctx.stage_dir("compose") / "meta.json", {tag: list(names) for tag, names in ctx.tags.items()})
+    print(f"[compose] planned {', '.join(ctx.tags)}")
 
 
 def _classify_settings(
@@ -526,10 +518,11 @@ def _classify_settings(
 
 
 class _Compositions(dict):
-    """Tag -> the RunContext that saved it; a lookup reads the composition, which is not kept."""
+    """Tag -> the RunContext; a lookup builds the composition from the saved views, and keeps neither."""
 
     def __getitem__(self, tag: str) -> compose.ViewEmbeddingSet:
-        return _load_view(super().__getitem__(tag), "compose", tag)
+        ctx = super().__getitem__(tag)
+        return compose.build_cme({name: _load_view(ctx, name) for name in ctx.tags[tag]}, tag)
 
 
 def cmd_classify(ctx: RunContext) -> None:

@@ -14,12 +14,12 @@ never changes a bit and an absent constituent adds nothing.
 Scratch-memory rule: beyond its inputs a step holds a few view-sized arrays
 at most. The screen ranks one side at a time from its rows; the sum runs in
 place on its stack, sorting one copy of the users with three or more values.
+A composition is a pure function of its views, so it is never saved: it is
+built where it is scored, and its constituents are dropped before the fit.
 
-Decision rendering note: the composition gate inverts the textbook
-hypotheses. Its working null is "the two views are correlated", so a small
-p-value is read as license to compose the pair by addition. The number
-computed underneath is the standard two-sided test of zero rank
-correlation; only the wording of the decision string follows the gate.
+The screen's decision names its test and what it found: a p-value below
+alpha rejects rho = 0, so the views are correlated; otherwise there is no
+evidence of correlation. It chooses no operator; composition always adds.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-# a Spearman p-value below this rejects correlation
+# a Spearman p-value below this rejects rho = 0
 ALPHA = 0.01
 
 VIEW_NAMES = (
@@ -62,15 +62,11 @@ class CompositionError(Exception):
 
 
 class ViewEmbeddingSet:
-    """One view as user_ids, matrix and present, or made from a user -> vector-or-None mapping.
-
-    sentinel_counts is set on a composition: per constituent, the users it does not cover.
-    """
+    """One view as user_ids, matrix and present, or made from a user -> vector-or-None mapping."""
 
     def __init__(
         self, name: str, vectors: Optional[Mapping[str, Optional[np.ndarray]]] = None, *,
-        user_ids: Sequence[str] = (), matrix: Optional[np.ndarray] = None,
-        present: Optional[np.ndarray] = None, sentinel_counts: Optional[dict[str, int]] = None,
+        user_ids: Sequence[str] = (), matrix: Optional[np.ndarray] = None, present: Optional[np.ndarray] = None,
     ):
         if vectors is not None:
             user_ids = sorted(vectors)
@@ -79,7 +75,6 @@ class ViewEmbeddingSet:
             matrix = np.zeros((len(user_ids), len(rows[0]) if rows else 0))
             matrix[present] = rows
         self.name, self.user_ids, self.matrix, self.present = name, list(user_ids), matrix, present
-        self.sentinel_counts = sentinel_counts or {}
 
     @property
     def dimension(self) -> int:
@@ -235,15 +230,9 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray, alpha: float) -> Correlati
     p_value = 0.0 if abs(rho) >= 1.0 else _t_two_sided_p(float(rho * np.sqrt((n - 2) / (1.0 - rho * rho))), n - 2)
 
     if p_value < alpha:
-        decision = (
-            f"correlation rejected (p={p_value:.3g} < {alpha:g}): "
-            "treat views as uncorrelated; compose by vector addition"
-        )
+        decision = f"rho = 0 rejected (p={p_value:.3g} < {alpha:g}): views correlated"
     else:
-        decision = (
-            f"correlation not rejected (p={p_value:.3g} >= {alpha:g}): "
-            "views may be correlated"
-        )
+        decision = f"rho = 0 not rejected (p={p_value:.3g} >= {alpha:g}): no evidence of correlation"
     return CorrelationResult(rho=rho, p_value=p_value, n=n, decision=decision)
 
 
@@ -345,9 +334,8 @@ def build_cme(
 
     The composition is as wide as its widest constituent; a narrower one is
     zero-extended. A user absent from one constituent view (or present with
-    a sentinel) contributes zero for that view; the per-view counts of such
-    users are kept in sentinel_counts on the returned set, since silently
-    zeroed views can bias classes.
+    a sentinel) contributes nothing for that view, and a user no constituent
+    covers is a sentinel of the composition.
     """
     names = resolve_tag(tag)
     missing = [name for name in names if name not in views]
@@ -362,13 +350,7 @@ def build_cme(
     for part, rows, mask in zip(parts, stack, present):
         at, source = _align(users, part.user_ids)
         rows[at, : part.dimension], mask[at] = part.matrix[source], part.present[source]
-    return ViewEmbeddingSet(
-        tag,
-        user_ids=users,
-        matrix=_masked_sum(stack, present),
-        present=present.any(axis=0),
-        sentinel_counts={name: int((~p).sum()) for name, p in zip(names, present)},
-    )
+    return ViewEmbeddingSet(tag, user_ids=users, matrix=_masked_sum(stack, present), present=present.any(axis=0))
 
 
 def write_correlation_report(

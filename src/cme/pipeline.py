@@ -261,8 +261,10 @@ def run_suites(
     smote_config: Optional[classify.SMOTEConfig] = None,
     classifier_config: Optional[classify.ClassifierConfig] = None,
 ) -> SuiteResults:
-    """The two experiment suites over pre-composed embedding sets, each looked up per experiment.
+    """The two experiment suites over cme_sets, tag -> composition, looked up once per experiment.
 
+    A lookup may build its composition there and then (the CLI's builds it
+    from the saved views), so only the running experiment's need be held.
     Suite A runs text/emoji compositions over all labeled users. Suite B
     runs network compositions over the interaction-connected subset, using
     the best suite-A setting (re-run on that subset) as its baseline.

@@ -18,7 +18,7 @@ because no reference figure exists for that class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,16 +125,6 @@ def default_profiles() -> dict[ClassLabel, ClassProfile]:
 class SynthConfig:
     profiles: dict[ClassLabel, ClassProfile] = field(default_factory=default_profiles)
     seed: int = 7
-
-    def scaled(self, factor: float) -> "SynthConfig":
-        """Copy with every class size scaled (rates untouched)."""
-        return SynthConfig(
-            profiles={
-                cls: replace(p, users=max(1, int(round(p.users * factor))))
-                for cls, p in self.profiles.items()
-            },
-            seed=self.seed,
-        )
 
 
 _CLASS_WORDS = {

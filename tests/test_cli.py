@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cme
-from cme import cli, compose, corpus, netembed, pipeline
+from cme import classify, cli, compose, corpus, netembed, pipeline
 from cme.classify import ClassifierConfig, SMOTEConfig
 from cme.cli import CONFIG_KEYS, STAGE_ORDER, RunContext, main
 from cme.emoji import load_emoji_lexicon
@@ -116,16 +116,20 @@ class TestFullChain:
     def test_stage_order_enforced(self, tmp_path, capsys):
         cfg = _config(tmp_path)
         assert main(["synth", "--config", cfg]) == 0
-        # compose before views must fail and name the producing command
-        assert main(["compose", "--config", cfg]) == 1
-        err = capsys.readouterr().err
-        assert "cme views" in err
-
-    def test_classify_before_compose_names_compose(self, tmp_path, capsys):
-        cfg = _config(tmp_path)
-        assert main(["synth", "--config", cfg]) == 0
+        # classify before views must fail and name the producing command
         assert main(["classify", "--config", cfg]) == 1
-        assert "cme compose" in capsys.readouterr().err
+        err = _one_line_error(capsys)
+        assert "cme views" in err
+        assert not (_run_dir(tmp_path) / "classify").exists()
+
+    def test_classify_before_netembed_names_netembed(self, tmp_path, capsys):
+        # suite A's tags need only views/; suite B's N+T+E needs the Network view
+        cfg = _config(tmp_path)
+        for stage in ("synth", "preprocess", "train-we", "views"):
+            assert main([stage, "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["classify", "--config", cfg]) == 1
+        assert "Network.npy: run `cme netembed` first" in _one_line_error(capsys)
 
     def test_missing_config_is_error(self, tmp_path, capsys):
         assert main(["synth", "--config", str(tmp_path / "absent.ini")]) == 1
@@ -333,7 +337,7 @@ class TestFullChain:
 
     @pytest.mark.parametrize(
         "stage, artifact",
-        [("classify", "compose/T_D.words"), ("compose", "views/Tweet.npy")],
+        [("classify", "views/TweetEmoji.words"), ("classify", "views/Tweet.npy")],
         ids=["missing-words", "truncated-npy"],
     )
     def test_broken_artifact_is_one_line_error(self, tmp_path, capsys, stage, artifact):
@@ -433,7 +437,7 @@ class TestViewArtifacts:
         view = compose.ViewEmbeddingSet("Tweet", {f"u{i}": rows[i] for i in (3, 0, 2, 1)})
         ctx = self._context(tmp_path)
         cli._save_view(view, ctx.stage_dir("views"))
-        loaded = cli._load_view(ctx, "views", "Tweet")
+        loaded = cli._load_view(ctx, "Tweet")
         assert loaded.user_ids == ["u0", "u1", "u2", "u3"]
         assert loaded.present.all()
         assert loaded.matrix.tobytes() == rows.tobytes()
@@ -451,12 +455,12 @@ class TestViewArtifacts:
         ctx = self._context(tmp_path)
         cli._save_view(empty, ctx.stage_dir("netembed"))
         assert np.load(ctx.run_dir / "netembed" / "Network.npy").shape == (0, 3)
-        loaded = cli._load_view(ctx, "netembed", "Network")
+        loaded = cli._load_view(ctx, "Network")
         assert (loaded.user_ids, loaded.dimension) == ([], 3)
         tweet = compose.ViewEmbeddingSet("Tweet", {"u0": np.array([1.0, 2.0, 3.0]), "u1": None})
         composed = compose.build_cme({"Network": loaded, "Tweet": tweet}, "Network+Tweet")
         assert composed.matrix.tobytes() == tweet.matrix.tobytes()
-        assert composed.sentinel_counts == {"Network": 2, "Tweet": 1}
+        assert (composed.user_ids, composed.present.tolist()) == (["u0", "u1"], [True, False])
 
     def test_tag_without_vectors_is_one_line_error(self, tmp_path, capsys):
         # without a graph the Network view has no vector, so a tag of it alone has nothing to fit
@@ -471,20 +475,26 @@ class TestViewArtifacts:
         run_dir = _run_dir(tmp_path, "nograph")
         assert np.load(run_dir / "netembed" / "Network.npy").shape == (0, 0)
 
-    def test_artifact_widths_follow_the_kept_components(self, tmp_path):
+    def test_artifact_widths_follow_the_kept_components(self, tmp_path, monkeypatch):
         # the Network view is as wide as its components; a composition as wide as its widest part
+        built, build = {}, compose.build_cme
+
+        def building(views, tag):
+            cme_set = build(views, tag)
+            built[tag] = cme_set.dimension
+            return cme_set
+
+        monkeypatch.setattr(compose, "build_cme", building)
         assert main(["run", "--config", _config(tmp_path)]) == 0
         run_dir = _run_dir(tmp_path)
-
-        def meta(stage):
-            return json.loads((run_dir / stage / "meta.json").read_text(encoding="utf-8"))
-
         widths = {path.stem: np.load(path).shape[1] for path in run_dir.glob("views/*.npy")}
         widths["Network"] = np.load(run_dir / "netembed" / "Network.npy").shape[1]
-        assert widths["Network"] == meta("netembed")["components"] < 16
-        for tag, entry in meta("compose").items():
-            assert entry["dimension"] == max(widths[name] for name in compose.resolve_tag(tag)), tag
-            assert np.load(run_dir / "compose" / cli._view_filename(tag)).shape[1] == entry["dimension"], tag
+        meta = json.loads((run_dir / "netembed" / "meta.json").read_text(encoding="utf-8"))
+        assert widths["Network"] == meta["components"] < 16
+        assert sorted(built) == ["N+T+E", "T+D", "T+E"]
+        for tag, width in built.items():
+            assert width == max(widths[name] for name in compose.resolve_tag(tag)), tag
+        assert built["N+T+E"] == 16 > widths["Network"]
 
 
 class TestDeterminismAndAddressing:
@@ -501,7 +511,7 @@ class TestDeterminismAndAddressing:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
         first, second = _run_dir(tmp_path, "a"), _run_dir(tmp_path, "b")
-        for stage in ("models", "views", "netembed", "compose"):
+        for stage in ("models", "views", "netembed"):
             names = sorted(p.name for p in (first / stage).iterdir())
             assert names == sorted(p.name for p in (second / stage).iterdir())
             assert any(name.endswith(".npy") for name in names)
@@ -526,62 +536,112 @@ class TestViewsHeld:
 
     @pytest.fixture
     def loaded(self, monkeypatch):
-        """(stage, name, weak reference, names that stage's loads still hold) per load, in order."""
-        loaded, load_view = [], cli._load_view
+        """(stage, name, weak reference, names earlier loads still hold) per view load, in order."""
+        loaded, load_view, running = [], cli._load_view, [None]
 
-        def tracking(ctx, stage, name):
-            held = self._alive(loaded, {stage})
-            view = load_view(ctx, stage, name)
-            loaded.append((stage, name, weakref.ref(view), held))
+        def tracking(ctx, name):
+            held = self._alive(loaded)
+            view = load_view(ctx, name)
+            loaded.append((running[0], name, weakref.ref(view), held))
             return view
 
+        def staged(stage, command):
+            def run(ctx):
+                running[0] = stage
+                command(ctx)
+            return run
+
         monkeypatch.setattr(cli, "_load_view", tracking)
+        for stage, command in cli.COMMANDS.items():
+            monkeypatch.setitem(cli.COMMANDS, stage, staged(stage, command))
         return loaded
 
     @staticmethod
-    def _alive(loaded, stages=("views", "netembed")) -> set[str]:
-        return {name for stage, name, ref, _ in loaded if stage in stages and ref() is not None}
+    def _alive(loaded) -> set[str]:
+        return {name for _, name, ref, _ in loaded if ref() is not None}
 
     def _config(self, tmp_path):
         cfg = _config(tmp_path)
         _set_key(cfg, "classify", "suite_a_tags", "T+D,T+E,D+E")
         return cfg
 
-    def test_correlate_and_compose_drop_a_view_after_its_last_step(self, tmp_path, monkeypatch, loaded):
-        steps, correlate, build = [], compose.correlate_views, compose.build_cme
-
-        def correlating(a, b, alpha):
-            steps.append(("correlate", {a.name, b.name}, self._alive(loaded)))
-            return correlate(a, b, alpha=alpha)
-
-        def building(views, tag):
-            steps.append(("compose", set(compose.resolve_tag(tag)), self._alive(loaded)))
-            return build(views, tag)
-
-        monkeypatch.setattr(compose, "correlate_views", correlating)
-        monkeypatch.setattr(compose, "build_cme", building)
-        assert main(["run", "--config", self._config(tmp_path)]) == 0
-        for stage, count in (("correlate", 5), ("compose", 4)):
-            names = [step_names for s, step_names, _ in steps if s == stage]
-            held = [alive for s, _, alive in steps if s == stage]
-            assert len(names) == count
-            for at in range(count):
-                assert names[at] <= held[at] <= set().union(*names[at:]), (stage, at, held[at])
-        # each of the five views is loaded once by correlate and once by compose
-        views = [name for stage, name, _, _ in loaded if stage != "compose"]
-        assert len(views) == 2 * len(set(views)) == 10
-
-    def test_classify_holds_one_composition_at_a_time(self, tmp_path, loaded):
+    def _classify_alone(self, tmp_path, loaded):
+        """Run every stage before classify, then classify with loaded cleared; its tags in experiment order."""
         cfg = self._config(tmp_path)
         for stage in STAGE_ORDER[:-2]:
             assert main([stage, "--config", cfg]) == 0
         loaded.clear()
         assert main(["classify", "--config", cfg]) == 0
-        # suite A's three tags, the suite-B baseline, then N+T+E, each read when its experiment runs
-        tags = [name for _, name, _, _ in loaded]
-        assert tags[:3] == ["T+D", "T+E", "D+E"] and tags[3] in tags[:3] and tags[4:] == ["N+T+E"]
-        assert [held for _, _, _, held in loaded] == [set()] * 5
-        assert self._alive(loaded, {"compose"}) == set()
+        best = json.loads((_run_dir(tmp_path) / "classify" / "results.json").read_text())["best_suite_a_tag"]
+        return ["T+D", "T+E", "D+E", best, "N+T+E"]
+
+    def test_correlate_and_compose_drop_a_view_after_its_last_step(self, tmp_path, monkeypatch, loaded):
+        steps, correlate = [], compose.correlate_views
+
+        def correlating(a, b, alpha):
+            steps.append(({a.name, b.name}, self._alive(loaded)))
+            return correlate(a, b, alpha=alpha)
+
+        monkeypatch.setattr(compose, "correlate_views", correlating)
+        assert main(["run", "--config", self._config(tmp_path)]) == 0
+        names = [step_names for step_names, _ in steps]
+        assert len(names) == 5
+        for at, (_, held) in enumerate(steps):
+            assert names[at] <= held <= set().union(*names[at:]), (at, held)
+        # correlate loads each of the five views once; compose, which writes only the plan, loads none
+        views = [name for stage, name, _, _ in loaded if stage == "correlate"]
+        assert len(views) == len(set(views)) == 5
+        assert "compose" not in {stage for stage, _, _, _ in loaded}
+
+    def test_classify_holds_one_composition_at_a_time(self, tmp_path, monkeypatch, loaded):
+        built, build = [], compose.build_cme
+
+        def building(views, tag):
+            alive = [earlier for earlier, ref in built if ref() is not None]
+            cme_set = build(views, tag)
+            built.append((tag, weakref.ref(cme_set)))
+            assert alive == [], (tag, alive)
+            return cme_set
+
+        monkeypatch.setattr(compose, "build_cme", building)
+        tags = self._classify_alone(tmp_path, loaded)
+        # each composition is built from the saved views when its experiment runs
+        assert [tag for tag, _ in built] == tags
+        assert [name for _, name, _, _ in loaded] == [name for tag in tags for name in compose.resolve_tag(tag)]
+        # a load holds at most the earlier constituents of its own tag
+        at = 0
+        for tag in tags:
+            names = compose.resolve_tag(tag)
+            for i in range(len(names)):
+                assert loaded[at + i][3] <= set(names[:i]), (tag, loaded[at + i][3])
+            at += len(names)
+        assert self._alive(loaded) == set() and [tag for tag, ref in built if ref() is not None] == []
+
+    def test_classify_holds_no_view_during_a_fit(self, tmp_path, monkeypatch, loaded):
+        fits, train = [], classify.train_classifier
+
+        def training(*args, **kwargs):
+            fits.append((len(loaded), self._alive(loaded)))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "train_classifier", training)
+        tags = self._classify_alone(tmp_path, loaded)
+        assert [alive for _, alive in fits] == [set()] * len(tags)
+        # each experiment loads exactly its tag's constituents, in tag order
+        bounds = [0] + [count for count, _ in fits]
+        for tag, start, stop in zip(tags, bounds, bounds[1:]):
+            assert [name for _, name, _, _ in loaded[start:stop]] == list(compose.resolve_tag(tag)), tag
+
+    def test_classify_without_compose_matches_run(self, tmp_path):
+        # classify reads no file under compose/, so skipping the stage changes nothing it writes
+        cfg = _config(tmp_path)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+        for stage in ("synth", "preprocess", "train-we", "views", "netembed", "classify"):
+            assert main([stage, "--config", cfg, "--out", str(tmp_path / "staged")]) == 0
+        whole, staged = _run_dir(tmp_path, "whole"), _run_dir(tmp_path, "staged")
+        assert not (staged / "compose").exists()
+        for name in ("results.json", "results.txt"):
+            assert (staged / "classify" / name).read_bytes() == (whole / "classify" / name).read_bytes()
 
 
 class TestArtifacts:
@@ -595,22 +655,27 @@ class TestArtifacts:
         assert (run_dir / "views" / "Tweet.npy").exists()
         assert (run_dir / "netembed" / "Network.npy").exists()
         assert (run_dir / "correlate" / "correlations.tsv").exists()
-        assert (run_dir / "compose" / "N_T_E.npy").exists()
+        assert sorted(p.name for p in (run_dir / "compose").iterdir()) == ["meta.json"]
         results = json.loads((run_dir / "classify" / "results.json").read_text())
         assert "suite_a" in results and "suite_b" in results
         for res in [*results["suite_a"].values(), *results["suite_b"].values()]:
             assert isinstance(res["converged"], bool)
             assert 1 <= res["epochs"] <= 150
         assert set(json.loads((run_dir / "netembed" / "meta.json").read_text())) == {"mode", "rows", "components"}
-        for tag, meta in json.loads((run_dir / "compose" / "meta.json").read_text()).items():
-            assert set(meta) == {"dimension", "users", "per_view_sentinels"}, tag
+        plan = json.loads((run_dir / "compose" / "meta.json").read_text())
+        assert plan == {"T+D": ["Tweet", "Description"], "T+E": ["Tweet", "TweetEmoji"],
+                        "N+T+E": ["Network", "Tweet", "TweetEmoji"]}
 
     def test_compose_builds_exactly_the_suites_tags(self, tmp_path):
         # the suites name T+D, T+E and N+T+E; D+E used to be built by a default list of its own
-        assert main(["run", "--config", _config(tmp_path)]) == 0
+        cfg = _config(tmp_path)
+        _set_key(cfg, "classify", "suite_b_tags", "Network+Description,N+T+E")
+        assert main(["run", "--config", cfg]) == 0
         compose_dir = _run_dir(tmp_path) / "compose"
-        assert sorted(p.name for p in compose_dir.glob("*.npy")) == ["N_T_E.npy", "T_D.npy", "T_E.npy"]
-        assert sorted(json.loads((compose_dir / "meta.json").read_text())) == ["N+T+E", "T+D", "T+E"]
+        plan = json.loads((compose_dir / "meta.json").read_text())
+        assert sorted(plan) == ["N+T+E", "Network+Description", "T+D", "T+E"]
+        assert all(plan[tag] == list(compose.resolve_tag(tag)) for tag in plan)
+        assert not list(compose_dir.glob("*.npy")) and not list(compose_dir.glob("*.words"))
 
     def test_trainer_stats_in_model_meta(self, tmp_path):
         cfg = _config(tmp_path)

@@ -161,12 +161,18 @@ class TestSpearman:
         assert strong.p_value < weak.p_value
 
     def test_decision_text_renders_gate(self):
+        # p < alpha rejects rho = 0: the views are correlated, and the text must say so
         rng = np.random.default_rng(24)
         x = np.arange(200.0)
-        y = x + rng.standard_normal(200) * 0.01
-        res = spearman(x, y)
+        res = spearman(x, x + rng.standard_normal(200) * 0.01)
         assert res.p_value < 0.01
-        assert "compose by vector addition" in res.decision
+        assert res.decision.startswith("rho = 0 rejected (p=")
+        assert res.decision.endswith("views correlated")
+        independent = spearman(rng.standard_normal(200), rng.standard_normal(200))
+        assert independent.p_value >= 0.01
+        assert independent.decision.startswith("rho = 0 not rejected (p=")
+        assert "no evidence of correlation" in independent.decision
+        assert "uncorrelated" not in res.decision + independent.decision
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -364,9 +370,10 @@ class TestBuildCME:
     def test_user_absent_from_network_flagged(self):
         views = self._views()
         out = build_cme(views, "N+T+E")
-        # u1 has no network vector: composes as zero, counted in the report
+        # u1 has no network vector: Network adds nothing, and the text views keep u1 present
+        assert "u1" not in views["Network"].user_ids
         np.testing.assert_allclose(out.vectors["u1"], [0.0, 1.0], atol=1e-15)
-        assert out.sentinel_counts["Network"] == 1
+        assert out.present.tolist() == [True, True]
 
     def test_missing_view_is_configuration_error(self):
         views = self._views()
@@ -469,9 +476,6 @@ class TestBuildCMEProperties:
                 row = compose_add(rows).vector
                 assert _bits(row).tolist() + [0] * (out.dimension - len(row)) == _bits(out.matrix[i]).tolist()
         assert _bits(out.matrix).tolist() == _bits(expected).tolist()
-        for name in names:
-            covered = {u for u, row in views[name].vectors.items() if row is not None}
-            assert out.sentinel_counts[name] == len(set(out.user_ids) - covered)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -501,8 +505,7 @@ class TestBuildCMEProperties:
         )
         out = build_cme(views, "+".join([extra] + names))
         assert _bits(out.matrix).tolist() == _bits(base.matrix).tolist()
-        assert out.present.tolist() == base.present.tolist()
-        assert out.sentinel_counts[extra] == len(base.user_ids)
+        assert (out.user_ids, out.present.tolist()) == (base.user_ids, base.present.tolist())
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=2))
@@ -517,7 +520,7 @@ class TestBuildCMEProperties:
         )
         out = build_cme(views, "+".join(names + [extra]))
         assert np.array_equal(out.matrix, base.matrix)
-        assert out.sentinel_counts[extra] == 0
+        assert out.user_ids == base.user_ids
 
 
 class TestReport:

@@ -118,7 +118,3 @@ class TestStructure:
         lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l]
         assert len(lines) == len(ds.users)
         assert all(len(line.split("\t")) == 3 for line in lines)
-
-    def test_scaled_copy(self):
-        config = _small_config(seed=1).scaled(2.0)
-        assert all(p.users == 24 for p in config.profiles.values())

@@ -4,9 +4,9 @@ SMOTE balances the training folds by interpolating between same-class
 nearest neighbors; the classifier is multinomial logistic regression fit
 by limited-memory BFGS (L-BFGS) with an Armijo backtracking line search,
 run until the relative loss change meets a tolerance or an iteration cap
-is reached. Evaluation reports per-class and aggregate
-precision/recall/F1 plus a confusion matrix, with optional deltas against
-a named baseline run.
+is reached. Evaluation reports per-class and macro-averaged
+precision/recall/F1, accuracy and a confusion matrix for one run;
+comparing runs is the report stage's job.
 
 Oversampling is applied to training folds only; evaluation data is never
 resampled.
@@ -277,14 +277,12 @@ class EvaluationReport:
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    micro_f1: float
     accuracy: float
     confusion: np.ndarray  # rows gold, columns predicted
     flags: list[str] = field(default_factory=list)
-    comparison: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "classes": [_label_text(c) for c in self.classes],
             "per_class": {
                 _label_text(c): {
@@ -298,18 +296,14 @@ class EvaluationReport:
             "macro_precision": self.macro_precision,
             "macro_recall": self.macro_recall,
             "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
             "accuracy": self.accuracy,
             "confusion": [[int(v) for v in row] for row in self.confusion],
             "flags": list(self.flags),
         }
-        if self.comparison is not None:
-            out["comparison"] = self.comparison
-        return out
 
 
 def evaluate(predicted: Sequence, gold: Sequence, classes: Optional[list] = None) -> EvaluationReport:
-    """Standard per-class precision/recall/F1 with macro and micro pooling.
+    """Standard per-class precision/recall/F1 with their macro averages, and accuracy.
 
     Zero-support or never-predicted classes report 0 for the undefined
     rates and are flagged rather than silently averaged away.
@@ -341,7 +335,6 @@ def evaluate(predicted: Sequence, gold: Sequence, classes: Optional[list] = None
         if predicted_count == 0 or gold_count == 0
     ]
 
-    # micro-F1 equals accuracy for single-label data
     accuracy = float(np.trace(confusion)) / max(1, len(gold))
     return EvaluationReport(
         classes=classes,
@@ -352,7 +345,6 @@ def evaluate(predicted: Sequence, gold: Sequence, classes: Optional[list] = None
         macro_precision=float(np.mean(precision)),
         macro_recall=float(np.mean(recall)),
         macro_f1=float(np.mean(f1)),
-        micro_f1=accuracy,
         accuracy=accuracy,
         confusion=confusion,
         flags=flags,
@@ -361,17 +353,6 @@ def evaluate(predicted: Sequence, gold: Sequence, classes: Optional[list] = None
 
 def _label_text(cls) -> str:
     return cls.name if isinstance(cls, ClassLabel) else str(cls)
-
-
-def compare_to_baseline(report: EvaluationReport, baseline: EvaluationReport, name: str) -> None:
-    """Attach macro-F1 / accuracy deltas against a named baseline run."""
-    report.comparison = {
-        "baseline": name,
-        "macro_f1_delta": report.macro_f1 - baseline.macro_f1,
-        "accuracy_delta": report.accuracy - baseline.accuracy,
-        "baseline_macro_f1": baseline.macro_f1,
-        "baseline_accuracy": baseline.accuracy,
-    }
 
 
 def format_report(report: EvaluationReport, title: str = "") -> str:
@@ -390,7 +371,7 @@ def format_report(report: EvaluationReport, title: str = "") -> str:
         f"{'macro':<18}{report.macro_precision:>10.4f}{report.macro_recall:>10.4f}"
         f"{report.macro_f1:>10.4f}{sum(report.support.values()):>10d}"
     )
-    lines.append(f"accuracy {report.accuracy:.4f}   micro-f1 {report.micro_f1:.4f}")
+    lines.append(f"accuracy {report.accuracy:.4f}")
     lines.append("confusion (rows gold, cols predicted):")
     header = "        " + "".join(f"{_label_text(c):>10}" for c in report.classes)
     lines.append(header)
@@ -399,12 +380,6 @@ def format_report(report: EvaluationReport, title: str = "") -> str:
         lines.append(f"{_label_text(cls):<8}" + row)
     for flag in report.flags:
         lines.append(f"note: {flag}")
-    if report.comparison:
-        cmp = report.comparison
-        lines.append(
-            f"vs baseline {cmp['baseline']}: macro-f1 {cmp['macro_f1_delta']:+.4f}, "
-            f"accuracy {cmp['accuracy_delta']:+.4f}"
-        )
     return "\n".join(lines) + "\n"
 
 

@@ -30,6 +30,11 @@ and the views it adds. The classify stage builds each tag from the saved
 views when that tag's experiment runs, holds it for that experiment only,
 and reads nothing under compose/.
 
+Classify records; report compares. classify/results.json holds each
+experiment's figures, and suite B's entries include the best suite-A tag
+re-run on the connected users, their baseline. The report stage derives
+each other suite-B tag's macro-F1 delta against that baseline.
+
 With [views] profile_images on, the views stage also reads the image tag
 file ([views] image_fixture, by default <corpus>/image_tags.tsv, which
 synth writes) and builds the ProfileImage view from it.
@@ -572,14 +577,15 @@ def cmd_report(ctx: RunContext) -> None:
     lines.append(f"best suite A setting: {best}")
     lines.append("")
     lines.append(f"suite B (connected subset, {results['connected_users']} users):")
+    # suite B's baseline is the best suite-A tag re-run on the connected subset
+    baseline = results["suite_b"].get(best)
     deltas = {}
     for tag, res in sorted(results["suite_b"].items()):
         report = res["report"]
         line = f"  {tag:<10} macro-F1 {report['macro_f1']:.4f}  accuracy {report['accuracy']:.4f}"
-        if report.get("comparison"):
-            delta = report["comparison"]["macro_f1_delta"]
-            line += f"  (macro-F1 {delta:+.4f} vs {report['comparison']['baseline']})"
-            deltas[tag] = delta
+        if tag != best and baseline is not None:
+            deltas[tag] = report["macro_f1"] - baseline["report"]["macro_f1"]
+            line += f"  (macro-F1 {deltas[tag]:+.4f} vs {best} (connected subset))"
         lines.append(line)
     text = "\n".join(lines) + "\n"
     (out / "report.txt").write_text(text, encoding="utf-8")

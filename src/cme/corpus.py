@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping, Optional
@@ -119,19 +119,19 @@ class LabeledDataset:
     users: list[UserRecord]
     tweets_by_author: dict[str, list[TweetRecord]]
     interactions: list[InteractionRecord]
-    class_counts: dict[ClassLabel, int] = field(default_factory=dict)
 
     @property
     def tweets(self) -> list[TweetRecord]:
         return [t for group in self.tweets_by_author.values() for t in group]
 
+    @property
+    def class_counts(self) -> dict[ClassLabel, int]:
+        """Labeled users per class, in ClassLabel order, 0 for a class nobody has."""
+        counts = Counter(u.label for u in self.users)
+        return {label: counts[label] for label in ClassLabel}
+
     def labels(self) -> dict[str, ClassLabel]:
         return {u.user_id: u.label for u in self.users if u.label is not None}
-
-    def recount_labels(self) -> dict[ClassLabel, int]:
-        """Independent recount, used to assert the class_counts invariant."""
-        counts = Counter(u.label for u in self.users if u.label is not None)
-        return {label: counts.get(label, 0) for label in ClassLabel}
 
 
 def read_lines(path, resource: bool = False) -> Iterator[tuple[int, str]]:
@@ -151,7 +151,12 @@ def read_lines(path, resource: bool = False) -> Iterator[tuple[int, str]]:
 
 
 def _json_objects(path, id_key: str, *required: str) -> Iterator[dict]:
-    """Each line's JSON object; id_key and required must be non-empty strings, id_key unique."""
+    """Each line's JSON object; id_key and required must be non-empty strings, id_key unique.
+
+    They are ids, which later stages write one per line (the .words files)
+    or tab-separated (labels.tsv, interactions.tsv), so a tab or a line
+    break in one is a ParseError here.
+    """
     seen = set()
     for line_no, line in read_lines(path):
         try:
@@ -164,6 +169,8 @@ def _json_objects(path, id_key: str, *required: str) -> Iterator[dict]:
             value = raw.get(key)
             if not value or not isinstance(value, str):
                 raise ParseError(path, line_no, f"missing or empty {key}")
+            if any(ch in value for ch in "\t\n\r"):
+                raise ParseError(path, line_no, f"{key} {value!r} holds a tab or line break")
         if raw[id_key] in seen:
             raise ValidationError(f"{path}:{line_no}: duplicate {id_key} {raw[id_key]!r}")
         seen.add(raw[id_key])
@@ -263,13 +270,10 @@ def assemble_dataset(
     for tweet in tweets:
         tweets_by_author.setdefault(tweet.author_id, []).append(tweet)
 
-    counts = Counter(label for label in labels.values())
-    class_counts = {label: counts.get(label, 0) for label in ClassLabel}
     return LabeledDataset(
         users=labeled_users,
         tweets_by_author=tweets_by_author,
         interactions=list(interactions),
-        class_counts=class_counts,
     )
 
 

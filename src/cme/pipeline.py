@@ -3,7 +3,8 @@
 This module turns a LabeledDataset into per-view embedding sets and runs
 the two experiment suites: suite A evaluates text/emoji compositions over
 every labeled user, suite B adds the network view on the subset of users
-that actually interact, comparing against the best suite-A setting.
+that actually interact, next to the best suite-A setting re-run on that
+subset as its baseline. The report stage compares the results.
 
 A view builder fills one compose.ViewEmbeddingSet: a row per sorted user
 id, zero and not present where the view has no vector for the user.
@@ -194,8 +195,9 @@ def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.nd
 class ExperimentResult:
     tag: str
     report: classify.EvaluationReport
-    n_train: int
+    n_train: int  # the split's training rows
     n_test: int
+    synthetic: int  # rows SMOTE added to the training rows
     zero_filled: int
     epochs: int
     converged: bool
@@ -225,11 +227,11 @@ def run_experiment(
     y_test = [y[i] for i in test_idx]
 
     smote_config = smote_config or classify.SMOTEConfig(seed=seed)
-    x_train, y_train = classify.smote(x_train, y_train, smote_config)
+    x_train, y_fit = classify.smote(x_train, y_train, smote_config)
     x_train, x_test = _standardize(x_train, x_test)
 
     classifier_config = classifier_config or classify.ClassifierConfig()
-    model = classify.train_classifier(x_train, y_train, classifier_config)
+    model = classify.train_classifier(x_train, y_fit, classifier_config)
     predicted = classify.predict(model, x_test)
     report = classify.evaluate(predicted, y_test, classes=model.classes)
     return ExperimentResult(
@@ -237,6 +239,7 @@ def run_experiment(
         report=report,
         n_train=len(y_train),
         n_test=len(y_test),
+        synthetic=len(y_fit) - len(y_train),
         zero_filled=int((~present).sum()),
         epochs=model.epochs,
         converged=model.converged,
@@ -266,9 +269,12 @@ def run_suites(
     A lookup may build its composition there and then (the CLI's builds it
     from the saved views), so only the running experiment's need be held.
     Suite A runs text/emoji compositions over all labeled users. Suite B
-    runs network compositions over the interaction-connected subset, using
-    the best suite-A setting (re-run on that subset) as its baseline.
-    Suite A must name at least one composition; suite B may name none.
+    runs network compositions over the interaction-connected subset, and
+    records the best suite-A setting re-run on that subset as
+    suite_b[best_a_tag], their baseline; a suite-B tag that is that setting
+    is scored once. Nothing here compares: the report stage derives each
+    tag's delta against the baseline. Suite A must name at least one
+    composition; suite B may name none.
     """
     labels = dataset.labels()
     all_users = sorted(labels)
@@ -291,13 +297,8 @@ def run_suites(
     )
     suite_b: dict[str, ExperimentResult] = {}
     if connected and suite_b_tags:
-        baseline = score(best_a_tag, connected)
-        suite_b[best_a_tag] = baseline
-        for tag in suite_b_tags:
+        for tag in dict.fromkeys([best_a_tag, *suite_b_tags]):
             suite_b[tag] = score(tag, connected)
-            classify.compare_to_baseline(
-                suite_b[tag].report, baseline.report, f"{best_a_tag} (connected subset)"
-            )
     return SuiteResults(
         suite_a=suite_a,
         suite_b=suite_b,

@@ -102,6 +102,49 @@ class TestFullChain:
         out = capsys.readouterr().out
         assert "effective seed" in out
 
+    def test_results_record_no_comparison(self, tmp_path):
+        assert main(["run", "--config", _config(tmp_path)]) == 0
+        results = json.loads((_run_dir(tmp_path) / "classify" / "results.json").read_text())
+
+        def keys(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield key
+                    yield from keys(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from keys(value)
+
+        assert not {"comparison", "micro_f1"} & set(keys(results))
+        # n_train counts the split's rows, so with n_test it covers the users scored
+        for suite, scored in (("suite_a", 24 + 12 + 8), ("suite_b", results["connected_users"])):
+            for res in results[suite].values():
+                assert res["n_train"] + res["n_test"] == scored
+        assert set(results["suite_b"]) == {results["best_suite_a_tag"], "N+T+E"}
+
+    def test_report_derives_the_suite_b_deltas(self, tmp_path):
+        cfg = _config(tmp_path)
+        classified = RunContext(cfg, None, None).run_dir / "classify"
+        classified.mkdir(parents=True)
+
+        def entry(macro_f1, accuracy):
+            return {"report": {"macro_f1": macro_f1, "accuracy": accuracy}}
+
+        (classified / "results.json").write_text(json.dumps({
+            "best_suite_a_tag": "T+E",
+            "connected_users": 40,
+            "suite_a": {"T+D": entry(0.5, 0.625), "T+E": entry(0.75, 0.8125)},
+            "suite_b": {"T+E": entry(0.25, 0.5), "N+T+E": entry(0.625, 0.75)},
+        }), encoding="utf-8")
+        assert main(["report", "--config", cfg]) == 0
+        report = classified.parent / "report"
+        assert json.loads((report / "report.json").read_text())["suite_b_macro_f1_delta_vs_baseline"] == {
+            "N+T+E": 0.375
+        }
+        lines = (report / "report.txt").read_text().splitlines()
+        assert "  N+T+E      macro-F1 0.6250  accuracy 0.7500  (macro-F1 +0.3750 vs T+E (connected subset))" in lines
+        assert "  T+E        macro-F1 0.2500  accuracy 0.5000" in lines
+
     def test_k_above_the_source_count_is_an_upper_bound(self, tmp_path):
         # k <= dimension passes the config check, so the netembed stage must not refuse it
         cfg = _config(tmp_path)
@@ -276,6 +319,18 @@ class TestFullChain:
         cfg = _config(tmp_path, extra=f"[corpus]\ndirectory = {corpus_dir}\n")
         assert main(["run", "--config", cfg]) == 1
         assert "tweets.jsonl" in _one_line_error(capsys)
+
+    def test_user_id_with_a_line_break_is_one_line_error(self, tmp_path, capsys):
+        # views/*.words hold one id per line; this id used to end the views stage in a traceback
+        assert main(["synth", "--config", _config(tmp_path)]) == 0
+        users = _run_dir(tmp_path) / "synth" / "users.jsonl"
+        first = json.loads(users.read_text(encoding="utf-8").splitlines()[0])
+        with open(users, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(first | {"user_id": first["user_id"] + "\nx"}) + "\n")
+        line_no = len(users.read_text(encoding="utf-8").splitlines())
+        cfg = _config(tmp_path, extra=f"[corpus]\ndirectory = {users.parent}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "broken")]) == 1
+        assert _one_line_error(capsys).startswith(f"error: {users}:{line_no}: user_id ")
 
     def test_percent_in_a_value_is_taken_literally(self, tmp_path):
         # "%" used to start an interpolation and end the command in a traceback

@@ -39,6 +39,12 @@ MALFORMED_INPUTS = {
         ['{"tweet_id": "t0", "author_id": "u0"}', '{"tweet_id": "t1", "raw_text": "hi"}'],
         2,
     ),
+    # ids are written one per line (.words) and tab-separated (labels.tsv, interactions.tsv)
+    "users-id-with-newline": (
+        load_users, "users.jsonl", ['{"user_id": "u0"}', '{"user_id": "p0000\\nx"}'], 2
+    ),
+    "tweets-id-with-tab": (load_tweets, "tweets.jsonl", ['{"tweet_id": "t\\t0", "author_id": "u0"}'], 1),
+    "tweets-author-with-cr": (load_tweets, "tweets.jsonl", ['{"tweet_id": "t0", "author_id": "u0\\r"}'], 1),
     "interactions": (load_interactions, "interactions.tsv", ["u1\tu2\tmention\t1", "u1\tu2\tmention"], 2),
     "labels": (load_labels, "labels.tsv", ["u1\tP", "", "u2\tX"], 3),
     "lemmas": (load_lemma_table, "lemmas.tsv", ["# token\tlemma", "am\tbe", "were be"], 3),
@@ -163,8 +169,9 @@ class TestAssemble:
             "u2": ClassLabel.RETAIL,
         }
         ds = assemble_dataset(_three_users(), [], [], labels)
-        assert ds.class_counts == {c: 1 for c in ClassLabel}
-        assert ds.class_counts == ds.recount_labels()
+        assert ds.class_counts == {
+            ClassLabel.PERSONAL: 1, ClassLabel.INFORMED_AGENCY: 1, ClassLabel.RETAIL: 1
+        }
 
     def test_no_labels_is_valid(self):
         ds = assemble_dataset(_three_users(), [], [], {})

@@ -1,10 +1,12 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cme import compose, pipeline, synth
-from cme.classify import ClassifierConfig, ClassifierError, SMOTEConfig
+from cme.classify import ClassifierConfig, ClassifierError, SMOTEConfig, stratified_split
+from cme.corpus import ClassLabel
 from cme.emoji import load_emoji_lexicon
 from cme.imagetags import MissingImageTagsError, load_image_tags
 from cme.preprocess import load_lemma_table, load_stopwords
@@ -134,9 +136,7 @@ class TestNetworkView:
 
     def test_empty_interactions_give_empty_view(self, small_run):
         dataset, *_ = small_run
-        bare = type(dataset)(
-            users=dataset.users, tweets_by_author={}, interactions=[], class_counts={}
-        )
+        bare = type(dataset)(users=dataset.users, tweets_by_author={}, interactions=[])
         view, embedding = pipeline.build_network_view(bare, 20)
         assert all(v is None for v in view.vectors.values())
         assert view.matrix.shape == (len(dataset.users), 0)
@@ -148,9 +148,7 @@ class TestExperiments:
     def test_composition_without_vectors_is_named_error(self, small_run):
         # an all-sentinel composition used to fit a bias-only model at chance level
         dataset, _, _, _, views = small_run
-        bare = type(dataset)(
-            users=dataset.users, tweets_by_author={}, interactions=[], class_counts={}
-        )
+        bare = type(dataset)(users=dataset.users, tweets_by_author={}, interactions=[])
         net_view, _ = pipeline.build_network_view(bare, 20)
         assert net_view.dimension == 0
         composed = compose.build_cme({"Network": net_view}, "Network")
@@ -175,10 +173,46 @@ class TestExperiments:
             classifier_config=ClassifierConfig(epochs=150),
         )
         assert results.best_a_tag in ("T+D", "T+E")
-        assert "N+T+E" in results.suite_b
-        comparison = results.suite_b["N+T+E"].report.comparison
-        assert comparison is not None and "macro_f1_delta" in comparison
+        # suite B holds the baseline, the best suite-A tag re-run on the connected users
+        assert list(results.suite_b) == [results.best_a_tag, "N+T+E"]
         assert results.connected_users
+        for res in list(results.suite_a.values()) + list(results.suite_b.values()):
+            assert not hasattr(res.report, "comparison")
+
+    def test_experiment_counts_real_training_rows(self, small_run):
+        dataset, _, _, _, views = small_run
+        labels = dataset.labels()
+        # half the Retail users, so SMOTE has rows to add
+        retail = sorted(u for u, lbl in labels.items() if lbl is ClassLabel.RETAIL)
+        users = sorted(set(labels) - set(retail[::2]))
+        res = pipeline.run_experiment(
+            compose.build_cme(views, "T+D"), labels, users,
+            classifier_config=ClassifierConfig(epochs=50),
+        )
+        train, test = stratified_split([labels[u] for u in users], ratio=pipeline.SPLIT_RATIO)
+        per_class = Counter(labels[users[i]] for i in train)
+        assert res.n_train + res.n_test == len(users)
+        assert (res.n_train, res.n_test) == (len(train), len(test))
+        assert res.synthetic == len(per_class) * max(per_class.values()) - len(train) > 0
+
+    def test_suite_b_tag_that_is_the_baseline_is_scored_once(self, small_run, monkeypatch):
+        dataset, _, _, _, views = small_run
+        cme_sets = {tag: compose.build_cme(views, tag) for tag in ("T+D", "T+E")}
+        scored = []
+        run_experiment = pipeline.run_experiment
+
+        def counting(view, *args, **kwargs):
+            scored.append(view.name)
+            return run_experiment(view, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_experiment", counting)
+        results = pipeline.run_suites(
+            cme_sets, dataset, suite_a_tags=("T+D",), suite_b_tags=("T+D", "T+E"),
+            classifier_config=ClassifierConfig(epochs=50),
+        )
+        assert results.best_a_tag == "T+D"
+        assert scored == ["T+D", "T+D", "T+E"]
+        assert list(results.suite_b) == ["T+D", "T+E"]
 
     def test_unbuilt_tag_rejected(self, small_run):
         dataset, _, _, _, views = small_run

@@ -87,7 +87,8 @@ def smote(
     Each synthetic sample is x_i + u * (x_nn - x_i) with u uniform in
     [0, 1] and x_nn one of the k nearest same-class neighbors of x_i by
     Euclidean distance. Original rows are preserved verbatim, in their
-    original order, ahead of the synthetics.
+    original order, ahead of the synthetics. A class with one row has no
+    neighbor to interpolate toward and is kept as it is.
     """
     config = config or SMOTEConfig()
     feats = np.asarray(features, dtype=np.float64)
@@ -104,12 +105,10 @@ def smote(
     new_labels = list(labels)
     for cls in order:
         need = target - counts[cls]
-        if need <= 0:
+        if need <= 0 or counts[cls] == 1:
             continue
         idx = np.array([i for i, lbl in enumerate(labels) if lbl == cls])
         members = feats[idx]
-        if len(idx) == 1:
-            raise ClassifierError(f"class {cls!r} has a single sample; SMOTE needs >= 2")
 
         dists = _pairwise_distances(members)
         np.fill_diagonal(dists, np.inf)  # self is not a neighbor

@@ -25,10 +25,12 @@ so 0 x 0 without a graph. Each stage also writes a meta.json summary. The
 one text model the CLI reads is an optional external [views]
 emoji_background_model in word2vec text layout.
 
-Compositions are not files. compose/meta.json is the plan: each suite tag
-and the views it adds. The classify stage builds each tag from the saved
-views when that tag's experiment runs, holds it for that experiment only,
-and reads nothing under compose/.
+Past netembed, each stage loads the saved views it names when it uses
+them and keeps none: correlate loads the two views of each pair it
+screens, and classify builds each tag from its constituents when that
+tag's experiment runs and holds it for that experiment only. Compositions
+are not files. compose/meta.json is the plan, each suite tag and the views
+it adds; classify reads nothing under compose/.
 
 Classify records; report compares. classify/results.json holds each
 experiment's figures, and suite B's entries include the best suite-A tag
@@ -176,6 +178,8 @@ class RunContext:
         fixture = self.get("views", "image_fixture")
         self.image_tags = Path(fixture or self.corpus_dir / "image_tags.tsv")
         self.image_threshold = self.get("views", "image_confidence_threshold", CONFIDENCE_THRESHOLD)
+        if not 0.0 <= self.image_threshold <= 1.0:
+            raise CLIError(f"views.image_confidence_threshold must be in [0, 1], got {self.image_threshold}")
         # synth writes the default tag file; any other must exist before the first stage
         if self.profile_images and (fixture or directory) and not self.image_tags.is_file():
             raise CLIError(f"image tag file not found: {self.image_tags} (set [views] image_fixture)")
@@ -449,16 +453,6 @@ def cmd_netembed(ctx: RunContext) -> None:
     print(f"[netembed] embedded {len(embedding.row_ids)} users, {embedding.k} components, mode={mode}")
 
 
-def _views_in_turn(ctx: RunContext, steps: list[tuple[str, ...]]):
-    """{name: view} for each step's names; a view is loaded when first named and dropped after its last step."""
-    views = {}
-    for at, names in enumerate(steps):
-        for name in (name for name in names if name not in views):
-            views[name] = _load_view(ctx, name)
-        yield {name: views[name] for name in names}
-        views = {name: view for name, view in views.items() if any(name in step for step in steps[at + 1:])}
-
-
 def cmd_correlate(ctx: RunContext) -> None:
     # each distinct unordered pair of views inside one tag, first seen first
     pairs = {}
@@ -466,9 +460,9 @@ def cmd_correlate(ctx: RunContext) -> None:
         for pair in itertools.combinations(names, 2):
             pairs.setdefault(frozenset(pair), pair)
     results = []
-    for (name_a, name_b), views in zip(pairs.values(), _views_in_turn(ctx, list(pairs.values()))):
+    for name_a, name_b in pairs.values():
         try:
-            res = compose.correlate_views(views[name_a], views[name_b], alpha=ctx.alpha)
+            res = compose.correlate_views(_load_view(ctx, name_a), _load_view(ctx, name_b), alpha=ctx.alpha)
         except compose.UndefinedCorrelationError as exc:
             res = compose.CorrelationResult(
                 rho=float("nan"), p_value=float("nan"), n=0, decision=f"undefined: {exc}"
@@ -481,10 +475,14 @@ def cmd_correlate(ctx: RunContext) -> None:
 
 
 def _suite_tags(ctx: RunContext) -> tuple[list[str], list[str], dict[str, tuple[str, ...]]]:
-    """(suite A tags, suite B tags, each tag of either suite and the views it adds)."""
+    """(suite A tags, suite B tags, each tag of either suite and the views it adds).
+
+    A suite names each composition once; a suite-B tag may also be in suite A.
+    """
     suites, tags = [], {}
     for key, default in (("suite_a_tags", pipeline.SUITE_A_TAGS), ("suite_b_tags", pipeline.SUITE_B_TAGS)):
         suites.append(list(ctx.get("classify", key, default)))
+        named = {}  # the suite's tags by the set of views each adds
         for tag in suites[-1]:
             try:
                 tags[tag] = compose.resolve_tag(tag)
@@ -492,6 +490,10 @@ def _suite_tags(ctx: RunContext) -> tuple[list[str], list[str], dict[str, tuple[
                 raise CLIError(f"classify.{key}: {exc}") from None
             if "ProfileImage" in tags[tag] and not ctx.profile_images:
                 raise CLIError(f"classify.{key}: tag {tag!r} needs [views] profile_images on")
+            views = frozenset(tags[tag])
+            if views in named:
+                raise CLIError(f"classify.{key}: tags {named[views]!r} and {tag!r} name the same composition")
+            named[views] = tag
     if not suites[0]:
         raise CLIError("classify.suite_a_tags: suite A needs at least one tag")
     return suites[0], suites[1], tags
@@ -522,19 +524,16 @@ def _classify_settings(
     return smote_config, classifier_config, split_ratio
 
 
-class _Compositions(dict):
-    """Tag -> the RunContext; a lookup builds the composition from the saved views, and keeps neither."""
-
-    def __getitem__(self, tag: str) -> compose.ViewEmbeddingSet:
-        ctx = super().__getitem__(tag)
-        return compose.build_cme({name: _load_view(ctx, name) for name in ctx.tags[tag]}, tag)
-
-
 def cmd_classify(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
     split_seed = ctx.smote.seed
+
+    def build(tag: str) -> compose.ViewEmbeddingSet:
+        # from the saved views, keeping neither them nor the composition
+        return compose.build_cme({name: _load_view(ctx, name) for name in ctx.tags[tag]}, tag)
+
     results = pipeline.run_suites(
-        _Compositions.fromkeys(ctx.tags, ctx),
+        build,
         dataset,
         suite_a_tags=ctx.suite_a,
         suite_b_tags=ctx.suite_b,

@@ -16,6 +16,8 @@ at most. The screen ranks one side at a time from its rows; the sum runs in
 place on its stack, sorting one copy of the users with three or more values.
 A composition is a pure function of its views, so it is never saved: it is
 built where it is scored, and its constituents are dropped before the fit.
+A caller loads only the views a step names, when the step runs: a screen
+holds its pair, a build its tag's constituents.
 
 The screen's decision names its test and what it found: a p-value below
 alpha rejects rho = 0, so the views are correlated; otherwise there is no

@@ -150,12 +150,13 @@ def read_lines(path, resource: bool = False) -> Iterator[tuple[int, str]]:
                 yield line_no, line.rstrip("\n")
 
 
-def _json_objects(path, id_key: str, *required: str) -> Iterator[dict]:
+def _json_objects(path, id_key: str, *required: str, text: tuple[str, ...] = ()) -> Iterator[dict]:
     """Each line's JSON object; id_key and required must be non-empty strings, id_key unique.
 
     They are ids, which later stages write one per line (the .words files)
     or tab-separated (labels.tsv, interactions.tsv), so a tab or a line
-    break in one is a ParseError here.
+    break in one is a ParseError here. Each key in text may be absent or
+    null; any other value that is not a string is a ParseError.
     """
     seen = set()
     for line_no, line in read_lines(path):
@@ -171,6 +172,9 @@ def _json_objects(path, id_key: str, *required: str) -> Iterator[dict]:
                 raise ParseError(path, line_no, f"missing or empty {key}")
             if any(ch in value for ch in "\t\n\r"):
                 raise ParseError(path, line_no, f"{key} {value!r} holds a tab or line break")
+        for key in text:
+            if raw.get(key) is not None and not isinstance(raw[key], str):
+                raise ParseError(path, line_no, f"{key} must be a string or null, got {type(raw[key]).__name__}")
         if raw[id_key] in seen:
             raise ValidationError(f"{path}:{line_no}: duplicate {id_key} {raw[id_key]!r}")
         seen.add(raw[id_key])
@@ -196,7 +200,9 @@ def load_users(path) -> list[UserRecord]:
             description=raw.get("description", "") or "",
             profile_image_ref=raw.get("profile_image_ref"),
         )
-        for raw in _json_objects(path, "user_id")
+        for raw in _json_objects(
+            path, "user_id", text=("name", "screen_name", "description", "profile_image_ref")
+        )
     ]
 
 
@@ -209,7 +215,7 @@ def load_tweets(path) -> list[TweetRecord]:
             raw_text=raw.get("raw_text", "") or "",
             retweet_of=raw.get("retweet_of"),
         )
-        for raw in _json_objects(path, "tweet_id", "author_id")
+        for raw in _json_objects(path, "tweet_id", "author_id", text=("raw_text", "retweet_of"))
     ]
 
 

@@ -13,7 +13,7 @@ id, zero and not present where the view has no vector for the user.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -212,7 +212,11 @@ def run_experiment(
     smote_config: Optional[classify.SMOTEConfig] = None,
     classifier_config: Optional[classify.ClassifierConfig] = None,
 ) -> ExperimentResult:
-    """Split, oversample the training fold, standardize, train, and evaluate one setting."""
+    """Split, oversample the training fold, standardize, train, and evaluate one setting.
+
+    The evaluation covers every class among the users, so a class whose
+    users all fall in the test fold is scored, and flagged as never predicted.
+    """
     users = [u for u in users if u in labels_by_user]
     features, present = feature_view.take(users)
     if not present.any():
@@ -233,7 +237,7 @@ def run_experiment(
     classifier_config = classifier_config or classify.ClassifierConfig()
     model = classify.train_classifier(x_train, y_fit, classifier_config)
     predicted = classify.predict(model, x_test)
-    report = classify.evaluate(predicted, y_test, classes=model.classes)
+    report = classify.evaluate(predicted, y_test, classes=[c for c in ClassLabel if c in y])
     return ExperimentResult(
         tag=feature_view.name,
         report=report,
@@ -255,7 +259,7 @@ class SuiteResults:
 
 
 def run_suites(
-    cme_sets: Mapping[str, compose.ViewEmbeddingSet],
+    build: Callable[[str], compose.ViewEmbeddingSet],
     dataset: LabeledDataset,
     suite_a_tags: Sequence[str] = SUITE_A_TAGS,
     suite_b_tags: Sequence[str] = SUITE_B_TAGS,
@@ -264,30 +268,25 @@ def run_suites(
     smote_config: Optional[classify.SMOTEConfig] = None,
     classifier_config: Optional[classify.ClassifierConfig] = None,
 ) -> SuiteResults:
-    """The two experiment suites over cme_sets, tag -> composition, looked up once per experiment.
+    """The two experiment suites; build(tag) gives the tag's composition, once per experiment.
 
-    A lookup may build its composition there and then (the CLI's builds it
-    from the saved views), so only the running experiment's need be held.
-    Suite A runs text/emoji compositions over all labeled users. Suite B
-    runs network compositions over the interaction-connected subset, and
-    records the best suite-A setting re-run on that subset as
-    suite_b[best_a_tag], their baseline; a suite-B tag that is that setting
-    is scored once. Nothing here compares: the report stage derives each
-    tag's delta against the baseline. Suite A must name at least one
-    composition; suite B may name none.
+    Nothing here keeps a composition past its experiment, so a builder
+    that makes it there and then (the CLI's builds it from the saved views)
+    holds only the running experiment's. Suite A runs text/emoji
+    compositions over all labeled users. Suite B runs network compositions
+    over the interaction-connected subset, and records the best suite-A
+    setting re-run on that subset as suite_b[best_a_tag], their baseline; a
+    suite-B tag that is that setting is scored once. Nothing here compares:
+    the report stage derives each tag's delta against the baseline. Suite A
+    must name at least one composition; suite B may name none.
     """
     labels = dataset.labels()
     all_users = sorted(labels)
     if not suite_a_tags:
         raise compose.CompositionError("suite A needs at least one composition")
-    missing = [t for t in list(suite_a_tags) + list(suite_b_tags) if t not in cme_sets]
-    if missing:
-        raise compose.CompositionError(f"suites reference unbuilt compositions: {missing}")
 
     def score(tag: str, users: list[str]) -> ExperimentResult:
-        return run_experiment(
-            cme_sets[tag], labels, users, split_ratio, seed, smote_config, classifier_config
-        )
+        return run_experiment(build(tag), labels, users, split_ratio, seed, smote_config, classifier_config)
 
     suite_a = {tag: score(tag, all_users) for tag in suite_a_tags}
     best_a_tag = max(suite_a, key=lambda t: suite_a[t].report.macro_f1)

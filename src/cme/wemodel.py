@@ -39,6 +39,7 @@ as an emoji background model; the pipeline never writes that layout.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -362,12 +363,25 @@ def load_model(path) -> WEModel:
 
 
 def load_text_model(path, dimension: Optional[int] = None) -> WEModel:
-    """Read a word2vec text model ("<vocab> <dim>", then "<word> <values>" rows) of a given width."""
+    """Read a word2vec text model ("<vocab> <dim>", then "<word> <values>" rows) of a given width.
+
+    The header is checked before the rows are allocated: a row of dim
+    values takes at least 2 * dim + 1 bytes, so a header promising more
+    rows than the rest of the file can hold is refused at line 1.
+    """
     with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
         try:
-            size, dim = map(int, fh.readline().split())
+            size, dim = map(int, header.split())
         except ValueError:
             raise ParseError(path, 1, "expected '<vocab_size> <dim>' header") from None
+        if size < 0 or dim < 0:
+            raise ParseError(path, 1, f"negative header value in {header.strip()!r}")
+        if dimension is not None and dim != dimension:
+            raise ParseError(path, 1, f"vectors are {dim} wide, expected {dimension}")
+        room = os.fstat(fh.fileno()).st_size - len(header.encode("utf-8"))
+        if size * (2 * dim + 1) > room:
+            raise ParseError(path, 1, f"{size} rows of {dim} values cannot fit in the {room} bytes that follow")
         vocab: dict[str, int] = {}
         vectors = np.empty((size, dim), dtype=np.float64)
         # row idx is on line idx + 2, after the header
@@ -384,6 +398,4 @@ def load_text_model(path, dimension: Optional[int] = None) -> WEModel:
                 raise ParseError(path, idx + 2, f"a value of {parts[0]!r} is not a number") from None
             if not np.isfinite(vectors[idx]).all():
                 raise ParseError(path, idx + 2, f"a value of {parts[0]!r} is not finite")
-    if dimension is not None and dim != dimension:
-        raise ValueError(f"{path}: vectors are {dim} wide, expected {dimension}")
     return WEModel(vocabulary=vocab, vectors=vectors)

@@ -76,11 +76,13 @@ class TestSmote:
         X2, _ = smote(X, y, SMOTEConfig(seed=7))
         assert X2[:20].tobytes() == original.tobytes()
 
-    def test_singleton_class_is_named_error(self):
-        X = np.array([[0.0], [1.0], [2.0]])
-        y = ["solo", "big", "big"]
-        with pytest.raises(ClassifierError, match="class 'solo' has a single sample"):
-            smote(X, y, SMOTEConfig(seed=0))
+    def test_singleton_class_is_kept_as_is(self):
+        # one row has no neighbor to interpolate toward; it used to end the run
+        X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
+        y = ["solo", "mid", "mid", "big", "big", "big"]
+        X2, y2 = smote(X, y, SMOTEConfig(seed=0))
+        assert X2[:6].tobytes() == X.tobytes() and y2[:6] == y
+        assert y2[6:] == ["mid"] and 1.0 <= X2[6, 0] <= 2.0
 
     def test_synthetics_pass_segment_oracle(self):
         rng = np.random.default_rng(11)

@@ -75,14 +75,18 @@ def _faulty_inputs(tmp_path) -> dict[str, str]:
     lexicon = tmp_path / "lexicon.tsv"
     lexicon.write_text("\N{HERB}\tleaf,plant\n\N{FIRE}\n", encoding="utf-8")
     background = tmp_path / "background.txt"
-    background.write_text("2 3\nleaf 0.1 0.2 0.3\nplant 0.1 0.2\n", encoding="utf-8")
+    background.write_text(f"2 16\nleaf{' 0.1' * 16}\nplant{' 0.1' * 15}\n", encoding="utf-8")
     narrow = tmp_path / "narrow.txt"
     narrow.write_text(f"1 8\nleaf {' '.join(['0.5'] * 8)}\n", encoding="utf-8")
+    # a header that used to allocate 14.6 TiB before reading a row
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"100000000000 16\nleaf{' 0.5' * 16}\n", encoding="utf-8")
     return {
         "absent": str(tmp_path / "absent.txt"),
         "lexicon_without_tab": str(lexicon),
         "short_row": str(background),
         "narrow_model": str(narrow),
+        "huge_header": str(huge),
     }
 
 
@@ -268,11 +272,21 @@ class TestFullChain:
                 "classify.suite_b_tags: tag 'Network+ProfileImage' needs [views] profile_images on",
             ),
             ("classify", "suite_b_tags", "Tweet+Tweet", "classify.suite_b_tags: tag 'Tweet+Tweet' names a view more"),
+            (
+                "classify", "suite_a_tags", "T+D,T+D,Tweet+Description",
+                "classify.suite_a_tags: tags 'T+D' and 'T+D' name the same composition",
+            ),
+            (
+                "classify", "suite_b_tags", "N+T+E,TweetEmoji+Network+Tweet",
+                "classify.suite_b_tags: tags 'N+T+E' and 'TweetEmoji+Network+Tweet' name the same composition",
+            ),
             ("correlate", "alpha", "abc", "correlate.alpha"),
             ("correlate", "alpha", "5", "correlate.alpha must be in (0, 1)"),
             ("correlate", "alpha", "0", "correlate.alpha must be in (0, 1)"),
             ("views", "profile_images", "maybe", "views.profile_images"),
             ("views", "image_confidence_threshold", "abc", "views.image_confidence_threshold"),
+            ("views", "image_confidence_threshold", "2", "views.image_confidence_threshold must be in [0, 1], got 2.0"),
+            ("views", "image_confidence_threshold", "-0.5", "views.image_confidence_threshold must be in [0, 1]"),
             ("netembed", "k", "-3", "netembed.k must be in [0, 16]"),
             ("netembed", "k", "30", "netembed.k must be in [0, 16]"),
             ("train_we", "subsample_threshold", "-1", "train_we.subsample_threshold must be >= 0"),
@@ -283,15 +297,17 @@ class TestFullChain:
             ("views", "emoji_lexicon", "{lexicon_without_tab}", "views.emoji_lexicon"),
             ("views", "emoji_background_model", "{short_row}", "views.emoji_background_model"),
             ("views", "emoji_background_model", "{narrow_model}", "vectors are 8 wide, expected 16"),
+            ("views", "emoji_background_model", "{huge_header}", "huge.txt:1: 100000000000 rows of 16 values cannot fit"),
         ],
         ids=[
             "zero-classify-epochs", "zero-window", "unknown-compose-tag", "empty-suite-a",
             "unbuilt-view-in-suite-a", "unbuilt-view-in-suite-b", "repeated-view-in-tag",
+            "repeated-tag-in-suite-a", "same-views-twice-in-suite-b",
             "unparsable-alpha", "alpha-above-1", "zero-alpha", "unparsable-bool",
-            "unparsable-unused-threshold", "negative-k", "k-above-dimension",
+            "unparsable-unused-threshold", "threshold-above-1", "negative-threshold", "negative-k", "k-above-dimension",
             "negative-subsample-threshold", "missing-stopwords", "missing-lemmas",
             "missing-lexicon", "missing-background-model", "lexicon-line-without-tab",
-            "background-row-too-short", "background-narrower-than-dimension",
+            "background-row-too-short", "background-narrower-than-dimension", "background-header-past-the-file",
         ],
     )
     def test_run_checks_late_stage_config_before_any_stage(
@@ -347,6 +363,12 @@ class TestFullChain:
         assert ctx.training == TrainingConfig(seed=7)
         assert ctx.smote == SMOTEConfig(seed=7)
         assert ctx.classifier == ClassifierConfig()
+
+    def test_suite_b_may_repeat_a_suite_a_tag(self, tmp_path):
+        cfg = _config(tmp_path)
+        _set_key(cfg, "classify", "suite_b_tags", "T+D,N+T+E")
+        ctx = RunContext(cfg, None, None)
+        assert (ctx.suite_a, ctx.suite_b) == (["T+D", "T+E"], ["T+D", "N+T+E"])
 
     def test_unset_keys_fall_back_to_the_library_signature_defaults(self, tmp_path):
         cfg = tmp_path / "empty.ini"
@@ -587,7 +609,7 @@ class TestDeterminismAndAddressing:
 
 
 class TestViewsHeld:
-    """Past netembed a stage holds only the views its current and later steps name."""
+    """Past netembed a stage holds only the views its current step names."""
 
     @pytest.fixture
     def loaded(self, monkeypatch):
@@ -639,13 +661,13 @@ class TestViewsHeld:
 
         monkeypatch.setattr(compose, "correlate_views", correlating)
         assert main(["run", "--config", self._config(tmp_path)]) == 0
-        names = [step_names for step_names, _ in steps]
-        assert len(names) == 5
-        for at, (_, held) in enumerate(steps):
-            assert names[at] <= held <= set().union(*names[at:]), (at, held)
-        # correlate loads each of the five views once; compose, which writes only the plan, loads none
+        assert len(steps) == 5
+        for pair, held in steps:
+            assert held == pair, (pair, held)
+        # correlate loads each pair's two views for that pair; compose, which writes only the plan, loads none
         views = [name for stage, name, _, _ in loaded if stage == "correlate"]
-        assert len(views) == len(set(views)) == 5
+        assert len(views) == 10
+        assert [set(views[at:at + 2]) for at in range(0, 10, 2)] == [pair for pair, _ in steps]
         assert "compose" not in {stage for stage, _, _, _ in loaded}
 
     def test_classify_holds_one_composition_at_a_time(self, tmp_path, monkeypatch, loaded):

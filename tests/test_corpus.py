@@ -1,5 +1,6 @@
 import json
 import re
+from functools import partial
 
 import pytest
 
@@ -45,6 +46,21 @@ MALFORMED_INPUTS = {
     ),
     "tweets-id-with-tab": (load_tweets, "tweets.jsonl", ['{"tweet_id": "t\\t0", "author_id": "u0"}'], 1),
     "tweets-author-with-cr": (load_tweets, "tweets.jsonl", ['{"tweet_id": "t0", "author_id": "u0\\r"}'], 1),
+    # text fields reach preprocess, which needs a string; null keeps meaning "none"
+    "users-description-number": (
+        load_users, "users.jsonl", ['{"user_id": "u0", "name": null}', '{"user_id": "u1", "description": 123}'], 2
+    ),
+    "users-name-list": (load_users, "users.jsonl", ['{"user_id": "u0", "name": ["a"]}'], 1),
+    "users-screen-name-bool": (load_users, "users.jsonl", ['{"user_id": "u0", "screen_name": false}'], 1),
+    "users-image-ref-number": (load_users, "users.jsonl", ['{"user_id": "u0", "profile_image_ref": 7}'], 1),
+    "tweets-text-object": (
+        load_tweets, "tweets.jsonl",
+        ['{"tweet_id": "t0", "author_id": "u0", "raw_text": null}', '{"tweet_id": "t1", "author_id": "u0", "raw_text": {}}'],
+        2,
+    ),
+    "tweets-retweet-of-number": (
+        load_tweets, "tweets.jsonl", ['{"tweet_id": "t0", "author_id": "u0", "retweet_of": 5}'], 1
+    ),
     "interactions": (load_interactions, "interactions.tsv", ["u1\tu2\tmention\t1", "u1\tu2\tmention"], 2),
     "labels": (load_labels, "labels.tsv", ["u1\tP", "", "u2\tX"], 3),
     "lemmas": (load_lemma_table, "lemmas.tsv", ["# token\tlemma", "am\tbe", "were be"], 3),
@@ -56,6 +72,12 @@ MALFORMED_INPUTS = {
     ),
     "text-model": (load_text_model, "model.txt", ["2 2", "foo 1.0 2.0", "bar 1.0 abc"], 3),
     "text-model-duplicate-word": (load_text_model, "model.txt", ["2 2", "foo 1.0 2.0", "foo 3.0 4.0"], 3),
+    # the header is checked before its rows are allocated
+    "text-model-more-rows-than-bytes": (load_text_model, "model.txt", ["100000000000 20", "foo" + " 1.0" * 20], 1),
+    "text-model-rows-past-the-end": (load_text_model, "model.txt", ["3 2", "foo 1.0 2.0"], 1),
+    "text-model-negative-count": (load_text_model, "model.txt", ["-1 2", "foo 1.0 2.0"], 1),
+    "text-model-negative-width": (load_text_model, "model.txt", ["1 -2", "foo"], 1),
+    "text-model-other-width": (partial(load_text_model, dimension=3), "model.txt", ["1 2", "foo 1.0 2.0"], 1),
 }
 
 
@@ -94,6 +116,12 @@ class TestLoadUsers:
             load_users(_write(tmp_path / "users.jsonl", ['{"user_id": "a"}', "{broken"]))
         assert err.value.line_no == 2
 
+    def test_null_text_fields_take_their_defaults(self, tmp_path):
+        keys = ("name", "screen_name", "description", "profile_image_ref")
+        line = json.dumps({"user_id": "u0"} | dict.fromkeys(keys))
+        (user,) = load_users(_write(tmp_path / "users.jsonl", [line]))
+        assert (user.name, user.screen_name, user.description, user.profile_image_ref) == ("", "", "", None)
+
     def test_duplicate_user_id_rejected(self, tmp_path):
         lines = [json.dumps({"user_id": "u0"}), json.dumps({"user_id": "u0"})]
         with pytest.raises(ValidationError):
@@ -118,6 +146,11 @@ class TestLoadTweets:
         tweets = load_tweets(_write(tmp_path / "tweets.jsonl", lines))
         assert tweets[0].retweet_of is None
         assert tweets[1].retweet_of == "u9"
+
+    def test_null_text_fields_take_their_defaults(self, tmp_path):
+        line = json.dumps({"tweet_id": "t1", "author_id": "u1", "raw_text": None, "retweet_of": None})
+        (tweet,) = load_tweets(_write(tmp_path / "tweets.jsonl", [line]))
+        assert (tweet.raw_text, tweet.retweet_of) == ("", None)
 
     def test_duplicate_tweet_id_rejected(self, tmp_path):
         lines = [

@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,6 +27,21 @@ def small_run(tmp_path_factory):
     content, people = pipeline.train_view_models(prepared, config)
     views = pipeline.build_text_views(prepared, content, people, load_emoji_lexicon())
     return dataset, prepared, content, people, views
+
+
+@pytest.fixture(scope="module")
+def one_retail_source():
+    """14 users a class (seed 3) with the interactions of every Retail source but one removed; its views."""
+    profiles = {cls: replace(p, users=14) for cls, p in synth.default_profiles().items()}
+    dataset = synth.generate(synth.SynthConfig(profiles=profiles, seed=3))
+    labels = dataset.labels()
+    retail = sorted({rec.source for rec in dataset.interactions if labels.get(rec.source) is ClassLabel.RETAIL})
+    dataset = replace(dataset, interactions=[rec for rec in dataset.interactions if rec.source not in retail[1:]])
+    prepared = pipeline.prepare_users(dataset, load_stopwords(), load_lemma_table())
+    config = TrainingConfig(dimension=20, epochs=2, min_count=2, subsample_threshold=0, seed=1)
+    views = pipeline.build_text_views(prepared, *pipeline.train_view_models(prepared, config), load_emoji_lexicon())
+    views["Network"], _ = pipeline.build_network_view(dataset, 20, mode="conventional", k=6)
+    return dataset, views
 
 
 class TestPrepare:
@@ -160,11 +176,8 @@ class TestExperiments:
         net_view, _ = pipeline.build_network_view(dataset, 20, mode="conventional", k=6)
         all_views = dict(views)
         all_views["Network"] = net_view
-        cme_sets = {
-            tag: compose.build_cme(all_views, tag) for tag in ("T+D", "T+E", "N+T+E")
-        }
         results = pipeline.run_suites(
-            cme_sets,
+            partial(compose.build_cme, all_views),
             dataset,
             suite_a_tags=("T+D", "T+E"),
             suite_b_tags=("N+T+E",),
@@ -197,7 +210,6 @@ class TestExperiments:
 
     def test_suite_b_tag_that_is_the_baseline_is_scored_once(self, small_run, monkeypatch):
         dataset, _, _, _, views = small_run
-        cme_sets = {tag: compose.build_cme(views, tag) for tag in ("T+D", "T+E")}
         scored = []
         run_experiment = pipeline.run_experiment
 
@@ -207,22 +219,42 @@ class TestExperiments:
 
         monkeypatch.setattr(pipeline, "run_experiment", counting)
         results = pipeline.run_suites(
-            cme_sets, dataset, suite_a_tags=("T+D",), suite_b_tags=("T+D", "T+E"),
+            partial(compose.build_cme, views), dataset, suite_a_tags=("T+D",), suite_b_tags=("T+D", "T+E"),
             classifier_config=ClassifierConfig(epochs=50),
         )
         assert results.best_a_tag == "T+D"
         assert scored == ["T+D", "T+D", "T+E"]
         assert list(results.suite_b) == ["T+D", "T+E"]
 
+    @pytest.mark.parametrize("split_ratio, retail_tested", [(0.8, 0), (0.5, 1)])
+    def test_class_with_one_connected_user_is_scored(self, one_retail_source, split_ratio, retail_tested):
+        # SMOTE used to refuse the lone training row (0.8), and evaluate the class the model never saw (0.5)
+        dataset, views = one_retail_source
+        results = pipeline.run_suites(
+            partial(compose.build_cme, views), dataset, suite_a_tags=("T+D",), suite_b_tags=("N+T+E",),
+            split_ratio=split_ratio, classifier_config=ClassifierConfig(epochs=50),
+        )
+        labels = dataset.labels()
+        assert [labels[u] for u in results.connected_users].count(ClassLabel.RETAIL) == 1
+        assert list(results.suite_b) == ["T+D", "N+T+E"]
+        for res in results.suite_b.values():
+            assert res.report.classes == list(ClassLabel)
+            assert res.report.support[ClassLabel.RETAIL] == retail_tested
+            flag = "never predicted" if retail_tested else "zero support"
+            assert f"class RETAIL: {flag}" in " ".join(res.report.flags)
+        assert list(results.suite_a) == ["T+D"] and results.suite_a["T+D"].report.classes == list(ClassLabel)
+
     def test_unbuilt_tag_rejected(self, small_run):
+        # the builder names what it cannot build; here no Network view was built
         dataset, _, _, _, views = small_run
-        cme_sets = {"T+D": compose.build_cme(views, "T+D")}
-        with pytest.raises(compose.CompositionError):
-            pipeline.run_suites(cme_sets, dataset, suite_a_tags=("T+D", "T+E"), suite_b_tags=())
+        with pytest.raises(compose.CompositionError, match=r"'N\+T\+E' needs views \['Network'\]"):
+            pipeline.run_suites(
+                partial(compose.build_cme, views), dataset, suite_a_tags=("T+D", "N+T+E"), suite_b_tags=(),
+                classifier_config=ClassifierConfig(epochs=50),
+            )
 
     def test_empty_suite_a_rejected(self, small_run):
         # the best suite-A tag is suite B's baseline; with none, max() used to raise ValueError
         dataset, _, _, _, views = small_run
-        cme_sets = {"T+D": compose.build_cme(views, "T+D")}
         with pytest.raises(compose.CompositionError, match="suite A"):
-            pipeline.run_suites(cme_sets, dataset, suite_a_tags=(), suite_b_tags=("T+D",))
+            pipeline.run_suites(partial(compose.build_cme, views), dataset, suite_a_tags=(), suite_b_tags=("T+D",))

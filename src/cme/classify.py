@@ -305,7 +305,9 @@ def evaluate(predicted: Sequence, gold: Sequence, classes: Optional[list] = None
     """Standard per-class precision/recall/F1 with their macro averages, and accuracy.
 
     Zero-support or never-predicted classes report 0 for the undefined
-    rates and are flagged rather than silently averaged away.
+    rates and are flagged. The macro averages run over the classes with
+    test support or predictions (scikit-learn's label set); a class with
+    neither keeps its per-class entry and is flagged as left out of them.
     """
     predicted = list(predicted)
     gold = list(gold)
@@ -330,9 +332,14 @@ def evaluate(predicted: Sequence, gold: Sequence, classes: Optional[list] = None
     flags = [
         f"class {_label_text(cls)}: never predicted; precision reported as 0" if gold_count
         else f"class {_label_text(cls)}: zero support; recall reported as 0"
+        + ("" if predicted_count else "; left out of the macro averages")
         for cls, predicted_count, gold_count in zip(classes, predictions, support)
         if predicted_count == 0 or gold_count == 0
     ]
+    averaged = (predictions > 0) | (support > 0)
+
+    def macro(rates: np.ndarray) -> float:
+        return float(np.mean(rates[averaged])) if averaged.any() else 0.0
 
     accuracy = float(np.trace(confusion)) / max(1, len(gold))
     return EvaluationReport(
@@ -341,9 +348,9 @@ def evaluate(predicted: Sequence, gold: Sequence, classes: Optional[list] = None
         recall=dict(zip(classes, recall.tolist())),
         f1=dict(zip(classes, f1.tolist())),
         support=dict(zip(classes, support.tolist())),
-        macro_precision=float(np.mean(precision)),
-        macro_recall=float(np.mean(recall)),
-        macro_f1=float(np.mean(f1)),
+        macro_precision=macro(precision),
+        macro_recall=macro(recall),
+        macro_f1=macro(f1),
         accuracy=accuracy,
         confusion=confusion,
         flags=flags,
@@ -355,7 +362,11 @@ def _label_text(cls) -> str:
 
 
 def format_report(report: EvaluationReport, title: str = "") -> str:
-    """Human-readable table rendering of an evaluation report."""
+    """Human-readable table rendering of an evaluation report.
+
+    The confusion table's columns are as wide as its longest class label
+    or count, plus a gap, so labels and counts never run together.
+    """
     lines = []
     if title:
         lines.append(title)
@@ -372,11 +383,11 @@ def format_report(report: EvaluationReport, title: str = "") -> str:
     )
     lines.append(f"accuracy {report.accuracy:.4f}")
     lines.append("confusion (rows gold, cols predicted):")
-    header = "        " + "".join(f"{_label_text(c):>10}" for c in report.classes)
-    lines.append(header)
-    for i, cls in enumerate(report.classes):
-        row = "".join(f"{int(v):>10d}" for v in report.confusion[i])
-        lines.append(f"{_label_text(cls):<8}" + row)
+    names = [_label_text(c) for c in report.classes]
+    width = 2 + max(len(text) for text in names + [str(int(report.confusion.max(initial=0)))])
+    lines.append(" " * width + "".join(f"{name:>{width}}" for name in names))
+    for name, row in zip(names, report.confusion):
+        lines.append(f"{name:<{width}}" + "".join(f"{int(v):>{width}d}" for v in row))
     for flag in report.flags:
         lines.append(f"note: {flag}")
     return "\n".join(lines) + "\n"

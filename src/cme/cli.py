@@ -56,14 +56,23 @@ to their width, and the correlate stage pairs only its components.
 
 The config file is flat INI with one section per stage. CONFIG_KEYS lists
 every key with the type its value is parsed with; any other section or key
-is an error. RunContext reads the file in one pass: it parses every key,
-range-checks every stage's settings and reads the input files the config
-names, so an unusable value fails before the first stage runs. The run
-directory is made by the first stage that writes to it, so a config that
-fails leaves none behind. A key the file leaves out takes the default of the
-setting it feeds (TrainingConfig, SMOTEConfig, ClassifierConfig, ...), so
-a minimal config can be empty. Values are taken literally: "%" is not
-an interpolation marker.
+is an error. The keys are the paths (out_dir, the corpus directory, the
+stopword, lemma, emoji lexicon, background model and image tag files), the
+seed, and the settings some caller sets: the benchmark workloads'
+dimension, profile_images, k and split_ratio, and the acceptance configs'
+class sizes, both epochs, min_count, subsample_threshold, network mode and
+suites. The skip-gram window, negatives and learning rate, the image tag
+confidence threshold, the screen's alpha, SMOTE's k and the L2 penalty are
+library defaults (TrainingConfig, imagetags.CONFIDENCE_THRESHOLD,
+compose.ALPHA, SMOTEConfig, ClassifierConfig) that code may pass and a
+config may not set. RunContext reads the file in one pass: it parses every
+key, range-checks every stage's settings and reads the input files the
+config names, so an unusable value fails before the first stage runs. The
+run directory is made by the first stage that writes to it, so a config
+that fails leaves none behind. A key the file leaves out takes the default
+of the setting it feeds (TrainingConfig, ClassifierConfig, ...), so a
+minimal config can be empty. Values are taken literally: "%" is not an
+interpolation marker.
 """
 
 from __future__ import annotations
@@ -81,7 +90,7 @@ import numpy as np
 
 from . import classify, compose, corpus, netembed, pipeline, synth, wemodel
 from .emoji import load_emoji_lexicon
-from .imagetags import CONFIDENCE_THRESHOLD, MissingImageTagsError, load_image_tags
+from .imagetags import MissingImageTagsError, load_image_tags
 from .preprocess import load_lemma_table, load_stopwords
 
 
@@ -110,20 +119,10 @@ CONFIG_KEYS = {
     "corpus": {"directory": str},
     "synth": {"users_per_class": _counts},
     "preprocess": {"stopwords": str, "lemmas": str},
-    "train_we": {
-        "dimension": int, "window": int, "negatives": int, "epochs": int, "learning_rate": float,
-        "min_count": int, "subsample_threshold": float,
-    },
-    "views": {
-        "emoji_lexicon": str, "emoji_background_model": str, "profile_images": _bool,
-        "image_fixture": str, "image_confidence_threshold": float,
-    },
+    "train_we": {"dimension": int, "epochs": int, "min_count": int, "subsample_threshold": float},
+    "views": {"emoji_lexicon": str, "emoji_background_model": str, "profile_images": _bool, "image_fixture": str},
     "netembed": {"mode": str, "k": int},
-    "correlate": {"alpha": float},
-    "classify": {
-        "suite_a_tags": _list, "suite_b_tags": _list, "smote_k": int, "l2_penalty": float,
-        "epochs": int, "split_ratio": float,
-    },
+    "classify": {"suite_a_tags": _list, "suite_b_tags": _list, "epochs": int, "split_ratio": float},
 }
 
 
@@ -177,16 +176,10 @@ class RunContext:
         self.profile_images = self.get("views", "profile_images", False)
         fixture = self.get("views", "image_fixture")
         self.image_tags = Path(fixture or self.corpus_dir / "image_tags.tsv")
-        self.image_threshold = self.get("views", "image_confidence_threshold", CONFIDENCE_THRESHOLD)
-        if not 0.0 <= self.image_threshold <= 1.0:
-            raise CLIError(f"views.image_confidence_threshold must be in [0, 1], got {self.image_threshold}")
         # synth writes the default tag file; any other must exist before the first stage
         if self.profile_images and (fixture or directory) and not self.image_tags.is_file():
             raise CLIError(f"image tag file not found: {self.image_tags} (set [views] image_fixture)")
         self.net_mode, self.net_k = _netembed_settings(self)
-        self.alpha = self.get("correlate", "alpha", compose.ALPHA)
-        if not 0.0 < self.alpha < 1.0:
-            raise CLIError(f"correlate.alpha must be in (0, 1), got {self.alpha}")
         self.suite_a, self.suite_b, self.tags = _suite_tags(self)
         self.smote, self.classifier, self.split_ratio = _classify_settings(self)
 
@@ -222,11 +215,10 @@ class RunContext:
         value = self._read(section, key)
         return default if value is None else value
 
-    def given(self, section: str, *keys: str, **renamed: str) -> dict:
-        """{field: value} for the keys the file sets; renamed maps a field to a differently named key."""
-        fields = {key: key for key in keys} | renamed
-        values = {field: self._read(section, key) for field, key in fields.items()}
-        return {field: value for field, value in values.items() if value is not None}
+    def given(self, section: str, *keys: str) -> dict:
+        """{key: value} for the keys the file sets, to pass as the fields of the same names."""
+        values = {key: self._read(section, key) for key in keys}
+        return {key: value for key, value in values.items() if value is not None}
 
     def _load(self, section: str, key: str, load):
         """load(path the key names, or None for the packaged default); a bad file is a CLIError."""
@@ -395,7 +387,7 @@ def _load_models(ctx: RunContext) -> tuple[wemodel.WEModel, wemodel.WEModel]:
 
 def _load_image_tags(ctx: RunContext) -> dict[str, list[str]]:
     try:
-        return load_image_tags(ctx.image_tags, ctx.image_threshold)
+        return load_image_tags(ctx.image_tags)
     except OSError as exc:
         raise CLIError(f"cannot read the image tag file: {exc} (set [views] image_fixture)") from None
 
@@ -462,7 +454,7 @@ def cmd_correlate(ctx: RunContext) -> None:
     results = []
     for name_a, name_b in pairs.values():
         try:
-            res = compose.correlate_views(_load_view(ctx, name_a), _load_view(ctx, name_b), alpha=ctx.alpha)
+            res = compose.correlate_views(_load_view(ctx, name_a), _load_view(ctx, name_b))
         except compose.UndefinedCorrelationError as exc:
             res = compose.CorrelationResult(
                 rho=float("nan"), p_value=float("nan"), n=0, decision=f"undefined: {exc}"
@@ -509,12 +501,9 @@ def _classify_settings(
     ctx: RunContext,
 ) -> tuple[classify.SMOTEConfig, classify.ClassifierConfig, float]:
     """(SMOTE config, classifier config, split ratio); the SMOTE seed is the split seed."""
+    smote_config = classify.SMOTEConfig(seed=ctx.seed)
     try:
-        smote_config = classify.SMOTEConfig(seed=ctx.seed, **ctx.given("classify", k_neighbors="smote_k"))
-    except ValueError as exc:
-        raise CLIError(f"classify.smote_k: {exc}") from None
-    try:
-        classifier_config = classify.ClassifierConfig(**ctx.given("classify", "l2_penalty", "epochs"))
+        classifier_config = classify.ClassifierConfig(**ctx.given("classify", "epochs"))
     except ValueError as exc:
         # ClassifierConfig's messages start with the field name, which is also the key
         raise CLIError(f"classify.{exc}") from None

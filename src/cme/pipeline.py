@@ -276,7 +276,8 @@ def run_suites(
     compositions over all labeled users. Suite B runs network compositions
     over the interaction-connected subset, and records the best suite-A
     setting re-run on that subset as suite_b[best_a_tag], their baseline; a
-    suite-B tag that is that setting is scored once. Nothing here compares:
+    suite-B tag that adds the same views, however it is spelled, is that
+    setting, scored once under best_a_tag. Nothing here compares:
     the report stage derives each tag's delta against the baseline. Suite A
     must name at least one composition; suite B may name none.
     """
@@ -296,7 +297,9 @@ def run_suites(
     )
     suite_b: dict[str, ExperimentResult] = {}
     if connected and suite_b_tags:
-        for tag in dict.fromkeys([best_a_tag, *suite_b_tags]):
+        baseline = set(compose.resolve_tag(best_a_tag))
+        others = [tag for tag in suite_b_tags if set(compose.resolve_tag(tag)) != baseline]
+        for tag in dict.fromkeys([best_a_tag, *others]):
             suite_b[tag] = score(tag, connected)
     return SuiteResults(
         suite_a=suite_a,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -256,7 +258,8 @@ def _hand_counted(predicted, gold, classes):
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         figures[cls] = (precision, recall, f1, held)
         if held == 0:
-            flags.append(f"class {name}: zero support; recall reported as 0")
+            left_out = "" if shown else "; left out of the macro averages"
+            flags.append(f"class {name}: zero support; recall reported as 0{left_out}")
         elif shown == 0:
             flags.append(f"class {name}: never predicted; precision reported as 0")
     return figures, flags
@@ -279,7 +282,8 @@ class TestEvaluate:
     )
     def test_matches_hand_counted_figures(self, seed, held, shown, classes, order):
         # gold draws from `held` and predictions from `shown`: a held class not shown is
-        # never predicted, and a class not held (shown, or given in neither) has zero support
+        # never predicted, and a class not held (shown, or given in neither) has zero support;
+        # the macro averages leave out a class given in neither
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 60))
         gold = [held[i] for i in rng.integers(len(held), size=n)]
@@ -289,7 +293,8 @@ class TestEvaluate:
         assert report.classes == order
         for field, column in (("precision", 0), ("recall", 1), ("f1", 2), ("support", 3)):
             assert getattr(report, field) == {cls: row[column] for cls, row in figures.items()}, field
-        assert report.macro_f1 == sum(row[2] for row in figures.values()) / len(order)
+        averaged = [figures[cls][2] for cls in order if cls in gold or cls in predicted]
+        assert report.macro_f1 == sum(averaged) / len(averaged)
         assert report.flags == flags
         assert any("never predicted" in f for f in flags) and any("zero support" in f for f in flags)
         cells = [[sum(g == a and p == b for g, p in zip(gold, predicted)) for b in order] for a in order]
@@ -308,6 +313,20 @@ class TestEvaluate:
         assert report.precision["a"] == pytest.approx(0.5)
         assert report.recall["a"] == pytest.approx(1.0)
         assert report.f1["a"] == pytest.approx(2 / 3)
+
+    def test_class_with_no_test_user_and_no_prediction_is_left_out_of_the_macro_averages(self):
+        # a Retail class the split left out of the test fold used to cap macro-F1 at 2/3
+        report = evaluate([PER, PER, INF], [PER, PER, INF], classes=[PER, INF, RET])
+        assert (report.macro_precision, report.macro_recall, report.macro_f1) == (1.0, 1.0, 1.0)
+        assert (report.f1[RET], report.support[RET]) == (0.0, 0)
+        assert report.flags == ["class RETAIL: zero support; recall reported as 0; left out of the macro averages"]
+
+    def test_predicted_class_with_no_test_user_stays_in_the_macro_averages(self):
+        report = evaluate([PER, RET, INF], [PER, PER, INF], classes=[PER, INF, RET])
+        assert (report.precision[RET], report.f1[RET]) == (0.0, 0.0)
+        assert report.macro_precision == pytest.approx((1.0 + 1.0 + 0.0) / 3)
+        assert report.macro_f1 == pytest.approx((2 / 3 + 1.0 + 0.0) / 3)
+        assert report.flags == ["class RETAIL: zero support; recall reported as 0"]
 
     def test_never_predicted_class_flagged(self):
         report = evaluate(["a", "a", "a"], ["a", "a", "b"])
@@ -329,6 +348,20 @@ class TestEvaluate:
         report = evaluate(["a", "b"], ["a", "b"])
         text = format_report(report, title="demo")
         assert "macro" in text and "confusion" in text
+
+    def test_confusion_table_keeps_labels_and_counts_apart(self):
+        # INFORMED_AGENCY filled its 10-wide column, so the header read "PERSONALINFORMED_AGENCY"
+        gold = [PER] * 120 + [INF, INF, RET]
+        predicted = [PER] * 119 + [INF, INF, PER, RET]
+        text = format_report(evaluate(predicted, gold))
+        table = text.split("confusion (rows gold, cols predicted):\n")[1].splitlines()
+        names = ["PERSONAL", "INFORMED_AGENCY", "RETAIL"]
+        assert table[0].split() == names
+        ends = [m.end() for m in re.finditer(r"\S+", table[0])]
+        for name, line, counts in zip(names, table[1:], evaluate(predicted, gold).confusion.tolist()):
+            label, *cells = line.split()
+            assert (label, [int(cell) for cell in cells]) == (name, counts)
+            assert [m.end() for m in re.finditer(r"\S+", line)][1:] == ends
 
     def test_to_dict_roundtrips_thru_json(self):
         import json

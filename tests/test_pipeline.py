@@ -208,7 +208,9 @@ class TestExperiments:
         assert (res.n_train, res.n_test) == (len(train), len(test))
         assert res.synthetic == len(per_class) * max(per_class.values()) - len(train) > 0
 
-    def test_suite_b_tag_that_is_the_baseline_is_scored_once(self, small_run, monkeypatch):
+    @staticmethod
+    def _scored(small_run, monkeypatch, suite_b_tags):
+        """(the composition of each experiment, the results) of suite A T+D and the given suite B."""
         dataset, _, _, _, views = small_run
         scored = []
         run_experiment = pipeline.run_experiment
@@ -219,10 +221,20 @@ class TestExperiments:
 
         monkeypatch.setattr(pipeline, "run_experiment", counting)
         results = pipeline.run_suites(
-            partial(compose.build_cme, views), dataset, suite_a_tags=("T+D",), suite_b_tags=("T+D", "T+E"),
+            partial(compose.build_cme, views), dataset, suite_a_tags=("T+D",), suite_b_tags=suite_b_tags,
             classifier_config=ClassifierConfig(epochs=50),
         )
         assert results.best_a_tag == "T+D"
+        return scored, results
+
+    def test_suite_b_tag_that_is_the_baseline_is_scored_once(self, small_run, monkeypatch):
+        scored, results = self._scored(small_run, monkeypatch, ("T+D", "T+E"))
+        assert scored == ["T+D", "T+D", "T+E"]
+        assert list(results.suite_b) == ["T+D", "T+E"]
+
+    def test_suite_b_tag_spelling_the_baseline_is_scored_once(self, small_run, monkeypatch):
+        # Description+Tweet used to be fitted beside T+D on the same users and reported +0.0000 against it
+        scored, results = self._scored(small_run, monkeypatch, ("Description+Tweet", "T+E"))
         assert scored == ["T+D", "T+D", "T+E"]
         assert list(results.suite_b) == ["T+D", "T+E"]
 
@@ -243,6 +255,17 @@ class TestExperiments:
             flag = "never predicted" if retail_tested else "zero support"
             assert f"class RETAIL: {flag}" in " ".join(res.report.flags)
         assert list(results.suite_a) == ["T+D"] and results.suite_a["T+D"].report.classes == list(ClassLabel)
+
+    def test_class_left_out_of_the_test_fold_does_not_cap_macro_f1(self, one_retail_source):
+        # with its lone connected user in the training fold, RETAIL used to hold macro-F1 at 2/3
+        dataset, views = one_retail_source
+        results = pipeline.run_suites(
+            partial(compose.build_cme, views), dataset, suite_a_tags=("T+E",), suite_b_tags=("N+T+E",),
+            split_ratio=0.8, classifier_config=ClassifierConfig(epochs=50),
+        )
+        report = results.suite_b["T+E"].report
+        assert (report.accuracy, report.macro_f1) == (1.0, 1.0)
+        assert report.flags == ["class RETAIL: zero support; recall reported as 0; left out of the macro averages"]
 
     def test_unbuilt_tag_rejected(self, small_run):
         # the builder names what it cannot build; here no Network view was built

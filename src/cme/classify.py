@@ -31,8 +31,6 @@ class ClassifierError(Exception):
 TOLERANCE = 1e-9
 # curvature pairs the L-BFGS two-loop recursion keeps
 MEMORY = 10
-# SMOTE computes within-class distances in row blocks whose difference tensor fits in this
-_SMOTE_BLOCK_BYTES = 2**20
 
 
 @dataclass
@@ -89,6 +87,10 @@ def smote(
     Euclidean distance. Original rows are preserved verbatim, in their
     original order, ahead of the synthetics. A class with one row has no
     neighbor to interpolate toward and is kept as it is.
+
+    A class's distances are taken one member at a time, so besides the
+    n x n distance matrix the scratch is one n x d difference block;
+    the n x n x d difference tensor is never formed.
     """
     config = config or SMOTEConfig()
     feats = np.asarray(features, dtype=np.float64)
@@ -110,7 +112,9 @@ def smote(
         idx = np.array([i for i, lbl in enumerate(labels) if lbl == cls])
         members = feats[idx]
 
-        dists = _pairwise_distances(members)
+        dists = np.empty((len(idx), len(idx)))
+        for i, row in enumerate(members):
+            dists[i] = np.sqrt(((members - row) ** 2).sum(axis=1))
         np.fill_diagonal(dists, np.inf)  # self is not a neighbor
         k = min(config.k_neighbors, len(idx) - 1)
         neighbor_ids = np.argsort(dists, axis=1, kind="stable")[:, :k]
@@ -125,21 +129,6 @@ def smote(
         new_labels.extend([cls] * need)
 
     return np.vstack(new_rows), new_labels
-
-
-def _pairwise_distances(members: np.ndarray) -> np.ndarray:
-    """Euclidean distances between rows, one block of rows at a time.
-
-    Each block forms the same differences and sums them along the same axis
-    as the whole n x n x d tensor would, so the result is bit-identical.
-    """
-    n, d = members.shape
-    rows = max(1, _SMOTE_BLOCK_BYTES // (8 * n * max(d, 1)))
-    dists = np.empty((n, n), dtype=np.float64)
-    for a in range(0, n, rows):
-        diffs = members[a:a + rows, None, :] - members[None, :, :]
-        dists[a:a + rows] = np.sqrt((diffs * diffs).sum(axis=2))
-    return dists
 
 
 def _augment(features: np.ndarray) -> np.ndarray:
@@ -393,56 +382,27 @@ def format_report(report: EvaluationReport, title: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def stratified_split(
-    labels: Sequence,
-    ratio: Optional[float] = None,
-    folds: Optional[int] = None,
-    seed: int = 0,
-):
-    """Class-proportional splits, deterministic given the seed.
+def stratified_split(labels: Sequence, ratio: float, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(train_indices, test_indices), class-proportional and deterministic given the seed.
 
-    ratio mode returns (train_indices, test_indices); folds mode returns a
-    list of (train_indices, test_indices) pairs, one per fold. Per-class
-    proportions are preserved within one sample per split.
+    Each class puts round(ratio * size) of its rows, shuffled, in the
+    training split, but always at least one row in each split when it has
+    two or more; a one-row class goes where the rounding puts it. Both
+    index arrays are sorted.
     """
     labels = list(labels)
-    if (ratio is None) == (folds is None):
-        raise ValueError("pass exactly one of ratio or folds")
+    if not 0.0 < ratio < 1.0:
+        raise ValueError("ratio must be in (0, 1)")
     rng = np.random.default_rng(seed)
     by_class: dict = {}
     for i, lbl in enumerate(labels):
         by_class.setdefault(lbl, []).append(i)
-
-    if ratio is not None:
-        if not 0.0 < ratio < 1.0:
-            raise ValueError("ratio must be in (0, 1)")
-        train, test = [], []
-        for cls in _class_order(labels):
-            idx = np.array(by_class[cls])
-            rng.shuffle(idx)
-            cut = int(round(ratio * len(idx)))
-            cut = min(max(cut, 1), len(idx) - 1) if len(idx) >= 2 else cut
-            train.extend(idx[:cut].tolist())
-            test.extend(idx[cut:].tolist())
-        return np.array(sorted(train)), np.array(sorted(test))
-
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    small = [cls for cls, idx in by_class.items() if len(idx) < folds]
-    if small:
-        raise ValueError(
-            f"classes smaller than the fold count {folds}: "
-            + ", ".join(_label_text(c) for c in small)
-        )
-    assignments: list[list[int]] = [[] for _ in range(folds)]
+    train, test = [], []
     for cls in _class_order(labels):
         idx = np.array(by_class[cls])
         rng.shuffle(idx)
-        for f in range(folds):
-            assignments[f].extend(idx[f::folds].tolist())
-    splits = []
-    for f in range(folds):
-        test = np.array(sorted(assignments[f]))
-        train = np.array(sorted(set(range(len(labels))) - set(assignments[f])))
-        splits.append((train, test))
-    return splits
+        cut = int(round(ratio * len(idx)))
+        cut = min(max(cut, 1), len(idx) - 1) if len(idx) >= 2 else cut
+        train.extend(idx[:cut].tolist())
+        test.extend(idx[cut:].tolist())
+    return np.array(sorted(train)), np.array(sorted(test))

@@ -181,7 +181,7 @@ class RunContext:
             raise CLIError(f"image tag file not found: {self.image_tags} (set [views] image_fixture)")
         self.net_mode, self.net_k = _netembed_settings(self)
         self.suite_a, self.suite_b, self.tags = _suite_tags(self)
-        self.smote, self.classifier, self.split_ratio = _classify_settings(self)
+        self.classifier, self.split_ratio = _classify_settings(self)
 
     def _check_keys(self) -> None:
         unknown = [f"DEFAULT.{key}" for key in self.parser.defaults()]
@@ -497,11 +497,8 @@ def cmd_compose(ctx: RunContext) -> None:
     print(f"[compose] planned {', '.join(ctx.tags)}")
 
 
-def _classify_settings(
-    ctx: RunContext,
-) -> tuple[classify.SMOTEConfig, classify.ClassifierConfig, float]:
-    """(SMOTE config, classifier config, split ratio); the SMOTE seed is the split seed."""
-    smote_config = classify.SMOTEConfig(seed=ctx.seed)
+def _classify_settings(ctx: RunContext) -> tuple[classify.ClassifierConfig, float]:
+    """(classifier config, split ratio); SMOTE takes its defaults and the run seed, as the split does."""
     try:
         classifier_config = classify.ClassifierConfig(**ctx.given("classify", "epochs"))
     except ValueError as exc:
@@ -510,12 +507,11 @@ def _classify_settings(
     split_ratio = ctx.get("classify", "split_ratio", pipeline.SPLIT_RATIO)
     if not 0.0 < split_ratio < 1.0:
         raise CLIError(f"classify.split_ratio must be in (0, 1), got {split_ratio}")
-    return smote_config, classifier_config, split_ratio
+    return classifier_config, split_ratio
 
 
 def cmd_classify(ctx: RunContext) -> None:
     dataset = _load_corpus(ctx)
-    split_seed = ctx.smote.seed
 
     def build(tag: str) -> compose.ViewEmbeddingSet:
         # from the saved views, keeping neither them nor the composition
@@ -527,17 +523,16 @@ def cmd_classify(ctx: RunContext) -> None:
         suite_a_tags=ctx.suite_a,
         suite_b_tags=ctx.suite_b,
         split_ratio=ctx.split_ratio,
-        seed=split_seed,
-        smote_config=ctx.smote,
+        seed=ctx.seed,
         classifier_config=ctx.classifier,
     )
-    ctx.log_seed("classify", split_seed)
+    ctx.log_seed("classify", ctx.seed)
 
     out = ctx.stage_dir("classify")
     payload = {
         "best_suite_a_tag": results.best_a_tag,
         "connected_users": len(results.connected_users),
-        "seed": split_seed,
+        "seed": ctx.seed,
     }
     lines = []
     for name, users, suite in (("A", "all users", results.suite_a), ("B", "connected subset", results.suite_b)):

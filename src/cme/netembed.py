@@ -74,17 +74,12 @@ class CoordMatrix:
         dense[self.rows, self.cols] = self.data
         return dense
 
-    def sum(self) -> float:
-        return float(self.data.sum())
-
 
 @dataclass
 class InteractionMatrix:
-    """Coordinate-form count matrix; rows are source users, columns target users."""
+    """Coordinate-form count matrix; rows are source users, columns target users, in the caller's order."""
 
     matrix: CoordMatrix
-    row_ids: list[str]
-    col_ids: list[str]
     skipped: int = 0
 
     @property
@@ -97,7 +92,6 @@ class CosineMatrix:
     """Dense symmetric user-user similarity, entries in [0, 1] for count input."""
 
     values: np.ndarray
-    row_ids: list[str]
     zero_rows: list[int] = field(default_factory=list)
 
     @property
@@ -117,7 +111,6 @@ class SVDFactors:
 class NetworkEmbedding:
     matrix: np.ndarray
     row_ids: list[str]
-    mode: str
 
     @property
     def k(self) -> int:
@@ -175,7 +168,7 @@ def build_adjacency(
         data=_bincount(inverse, np.asarray(data, dtype=np.float64), cells.size),
         shape=(len(rows), width),
     )
-    return InteractionMatrix(matrix=matrix, row_ids=rows, col_ids=cols, skipped=skipped)
+    return InteractionMatrix(matrix=matrix, skipped=skipped)
 
 
 def row_normalize(im: InteractionMatrix) -> InteractionMatrix:
@@ -211,7 +204,7 @@ def cosine_similarity_matrix(im: InteractionMatrix) -> CosineMatrix:
     values[nonzero, nonzero] = 1.0
     nonnegative = mat.nnz == 0 or mat.data.min() >= 0
     np.clip(values, 0.0 if nonnegative else -1.0, 1.0, out=values)
-    return CosineMatrix(values=values, row_ids=im.row_ids, zero_rows=zero_rows)
+    return CosineMatrix(values=values, zero_rows=zero_rows)
 
 
 def _canonical_signs(u: np.ndarray) -> np.ndarray:
@@ -279,4 +272,4 @@ def network_embedding(
     else:
         matrix = factors.u * sigma
     ids = list(row_ids) if row_ids is not None else [str(i) for i in range(matrix.shape[0])]
-    return NetworkEmbedding(matrix=matrix, row_ids=ids, mode=mode)
+    return NetworkEmbedding(matrix=matrix, row_ids=ids)

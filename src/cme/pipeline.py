@@ -52,6 +52,10 @@ def prepare_users(
 
     Tokens are lemmatize(clean_tokens(...)) of each text's residual; the
     cleaner memoises per distinct raw token for the length of this call.
+    Each author's tweets are taken in tweet_id order (ties by text), so a
+    PreparedUser, and the skip-gram training that walks its sentences,
+    does not depend on the order of lines in the tweet file. The result
+    is keyed in dataset.users order.
     """
     clean = token_cleaner(stopwords, lemma_table)
     prepared: dict[str, PreparedUser] = {}
@@ -59,7 +63,8 @@ def prepare_users(
         rec = PreparedUser(user_id=user.user_id)
         rec.desc_emoji, residual = extract_entities(user.description)
         rec.desc_tokens = clean(residual)
-        for tweet in dataset.tweets_by_author.get(user.user_id, []):
+        tweets = dataset.tweets_by_author.get(user.user_id, [])
+        for tweet in sorted(tweets, key=lambda t: (t.tweet_id, t.raw_text)):
             t_emoji, t_residual = extract_entities(tweet.raw_text)
             tokens = clean(t_residual)
             if tokens:
@@ -166,7 +171,7 @@ def build_network_view(
     sources = {rec.source for rec in dataset.interactions}
     present = np.array([uid in sources for uid in users], dtype=bool)
     rows = [uid for uid in users if uid in sources]
-    embedding = netembed.NetworkEmbedding(matrix=np.zeros((0, 0)), row_ids=[], mode=mode)
+    embedding = netembed.NetworkEmbedding(matrix=np.zeros((0, 0)), row_ids=[])
     if rows:  # every source row has a target, so cols is empty only when rows is
         cols = sorted({rec.target for rec in dataset.interactions})
         adjacency = netembed.row_normalize(netembed.build_adjacency(dataset.interactions, rows, cols))
@@ -265,7 +270,6 @@ def run_suites(
     suite_b_tags: Sequence[str] = SUITE_B_TAGS,
     split_ratio: float = SPLIT_RATIO,
     seed: int = 0,
-    smote_config: Optional[classify.SMOTEConfig] = None,
     classifier_config: Optional[classify.ClassifierConfig] = None,
 ) -> SuiteResults:
     """The two experiment suites; build(tag) gives the tag's composition, once per experiment.
@@ -279,7 +283,9 @@ def run_suites(
     suite-B tag that adds the same views, however it is spelled, is that
     setting, scored once under best_a_tag. Nothing here compares:
     the report stage derives each tag's delta against the baseline. Suite A
-    must name at least one composition; suite B may name none.
+    must name at least one composition; suite B may name none. Every
+    experiment splits and oversamples with the one seed, as
+    run_experiment's default SMOTEConfig(seed=seed).
     """
     labels = dataset.labels()
     all_users = sorted(labels)
@@ -287,7 +293,7 @@ def run_suites(
         raise compose.CompositionError("suite A needs at least one composition")
 
     def score(tag: str, users: list[str]) -> ExperimentResult:
-        return run_experiment(build(tag), labels, users, split_ratio, seed, smote_config, classifier_config)
+        return run_experiment(build(tag), labels, users, split_ratio, seed, classifier_config=classifier_config)
 
     suite_a = {tag: score(tag, all_users) for tag in suite_a_tags}
     best_a_tag = max(suite_a, key=lambda t: suite_a[t].report.macro_f1)

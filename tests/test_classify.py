@@ -1,9 +1,9 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cme import classify
 from cme.classify import (
     ClassifierConfig,
     ClassifierError,
@@ -95,17 +95,42 @@ class TestSmote:
         for row in X2[28:]:
             assert on_some_segment(row, minority)
 
-    def test_blocked_distances_match_one_block(self, monkeypatch):
+    def test_duplicated_rows_match_the_whole_tensor_oracle(self):
         rng = np.random.default_rng(17)
         X = rng.standard_normal((60, 7))
         X[10:20] = X[:10]  # duplicated rows make exact distance ties
+        X[20:22] = 0.0  # two zero rows, at distance 0 from each other
         y = ["min"] * 25 + ["maj"] * 35
         config = SMOTEConfig(k_neighbors=4, seed=5)
-        whole_rows, whole_labels = smote(X, y, config)
-        monkeypatch.setattr(classify, "_SMOTE_BLOCK_BYTES", 8 * 25 * 7 * 3)  # 3 rows per block
-        blocked_rows, blocked_labels = smote(X, y, config)
-        assert np.array_equal(blocked_rows, whole_rows)
-        assert blocked_labels == whole_labels
+        rows, labels = smote(X, y, config)
+
+        # oracle: neighbour lists from the whole n x n x d difference tensor, stable argsort
+        members = X[:25]
+        diffs = members[:, None, :] - members[None, :, :]
+        dists = np.sqrt((diffs * diffs).sum(axis=2))
+        np.fill_diagonal(dists, np.inf)
+        neighbor_ids = np.argsort(dists, axis=1, kind="stable")[:, :4]
+        draw = np.random.default_rng(5)
+        expected = []
+        for _ in range(10):
+            i = int(draw.integers(25))
+            nn = int(neighbor_ids[i, int(draw.integers(4))])
+            expected.append(members[i] + draw.random() * (members[nn] - members[i]))
+        assert np.array_equal(rows, np.vstack([X, expected]))
+        assert labels == y + ["min"] * 10
+
+    def test_wide_class_never_forms_the_difference_tensor(self):
+        # a 400-row, 300-wide minority: its whole n x n x d tensor would be 384 MB
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((801, 300))
+        y = ["min"] * 400 + ["maj"] * 401
+        tracemalloc.start()
+        try:
+            smote(X, y, SMOTEConfig(seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_explicit_target_reached(self):
         # every class is oversampled to the majority count, and the majority gains nothing
@@ -384,25 +409,6 @@ class TestStratifiedSplit:
         first = stratified_split(labels, ratio=0.7, seed=42)
         second = stratified_split(labels, ratio=0.7, seed=42)
         assert np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
-
-    def test_class_smaller_than_folds_rejected(self):
-        labels = ["a"] * 10 + ["b"]
-        with pytest.raises(ValueError):
-            stratified_split(labels, folds=5)
-
-    def test_fold_proportions_within_one(self):
-        labels = ["a"] * 11 + ["b"] * 7 + ["c"] * 5
-        splits = stratified_split(labels, folds=3, seed=1)
-        assert len(splits) == 3
-        for train, test in splits:
-            assert len(train) + len(test) == len(labels)
-            for cls, total in (("a", 11), ("b", 7), ("c", 5)):
-                got = sum(1 for i in test if labels[i] == cls)
-                assert abs(got - total / 3) <= 1.0
-
-    def test_exactly_one_mode_required(self):
-        with pytest.raises(ValueError):
-            stratified_split(["a", "b"], ratio=0.5, folds=2)
 
 
 class TestFeatureMatrix:

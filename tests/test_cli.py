@@ -95,6 +95,14 @@ def _run_dir(tmp_path, sub="out"):
     return runs[0]
 
 
+def _assert_same_files(first, second):
+    """The two directory trees hold the same file names with the same bytes."""
+    files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+    for name in files:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 class TestFullChain:
     def test_chain_produces_report(self, tmp_path, capsys):
         cfg = _config(tmp_path)
@@ -354,8 +362,20 @@ class TestFullChain:
         cfg.write_text("", encoding="utf-8")
         ctx = RunContext(str(cfg), None, str(tmp_path / "out"))
         assert ctx.training == TrainingConfig(seed=7)
-        assert ctx.smote == SMOTEConfig(seed=7)
         assert ctx.classifier == ClassifierConfig()
+
+    def test_experiments_oversample_with_the_config_seed(self, tmp_path, monkeypatch):
+        configs = []
+        smote = classify.smote
+
+        def recording_smote(features, labels, config=None):
+            configs.append(config)
+            return smote(features, labels, config)
+
+        monkeypatch.setattr(classify, "smote", recording_smote)
+        assert main(["run", "--config", _config(tmp_path, seed=13)]) == 0
+        assert len(configs) == 4  # T+D and T+E in suite A, the baseline and N+T+E in suite B
+        assert all(config == SMOTEConfig(seed=13) for config in configs)
 
     def test_suite_b_may_repeat_a_suite_a_tag(self, tmp_path):
         cfg = _config(tmp_path)
@@ -488,11 +508,7 @@ class TestFullChain:
         for stage in STAGE_ORDER:
             assert main([stage, "--config", cfg, "--out", str(tmp_path / "staged")]) == 0
         assert len(loads) == 5  # preprocess, views, netembed and classify parse it again
-        whole, staged = _run_dir(tmp_path, "whole"), _run_dir(tmp_path, "staged")
-        files = sorted(p.relative_to(whole) for p in whole.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(staged) for p in staged.rglob("*") if p.is_file())
-        for name in files:
-            assert (whole / name).read_bytes() == (staged / name).read_bytes(), name
+        _assert_same_files(_run_dir(tmp_path, "whole"), _run_dir(tmp_path, "staged"))
 
 
 class TestViewArtifacts:
@@ -585,6 +601,21 @@ class TestDeterminismAndAddressing:
             assert any(name.endswith(".npy") for name in names)
             for name in names:
                 assert (first / stage / name).read_bytes() == (second / stage / name).read_bytes(), name
+
+    def test_corpus_line_order_does_not_matter(self, tmp_path):
+        # two spellings of one corpus: every file's lines, shuffled, give the same run
+        assert main(["synth", "--config", _config(tmp_path)]) == 0
+        corpus_dir = _run_dir(tmp_path) / "synth"
+        cfg = _config(tmp_path, extra=f"[corpus]\ndirectory = {corpus_dir}\n[views]\nprofile_images = true\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        rng = np.random.default_rng(5)
+        for path in sorted([*corpus_dir.glob("*.jsonl"), *corpus_dir.glob("*.tsv")]):
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(lines[i] for i in rng.permutation(len(lines))), encoding="utf-8")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        first, second = _run_dir(tmp_path, "a"), _run_dir(tmp_path, "b")
+        assert first.name == second.name
+        _assert_same_files(first, second)
 
     def test_different_seed_different_run_dir(self, tmp_path):
         cfg = _config(tmp_path)

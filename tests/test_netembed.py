@@ -37,7 +37,7 @@ class TestBuildAdjacency:
         records = [_rec("u1", "u2", "mention", 1), _rec("zz", "u2", "mention", 5)]
         im = build_adjacency(records, ["u1"], ["u2"])
         assert im.skipped == 1
-        assert im.matrix.sum() == 1.0
+        assert im.matrix.data.sum() == 1.0
 
     def test_duplicate_index_lists_rejected(self):
         with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ class TestChainAgainstDenseReference:
             im = build_adjacency(records, [f"s{i}" for i in range(m)], [f"t{j}" for j in range(n)])
             assert np.array_equal(im.matrix.toarray(), dense)  # integer counts sum exactly
             assert im.matrix.nnz == np.count_nonzero(dense)
-            assert im.matrix.sum() == dense.sum()
+            assert im.matrix.data.sum() == dense.sum()
 
             sums = dense.sum(axis=1, keepdims=True)
             unit = np.divide(dense, sums, out=np.zeros_like(dense), where=sums > 0)
@@ -238,7 +238,7 @@ class TestTruncatedSVD:
         assert np.linalg.norm(recon - m) < 1e-8
 
     def test_accepts_cosine_matrix_wrapper(self):
-        cos = CosineMatrix(values=np.eye(2), row_ids=["a", "b"])
+        cos = CosineMatrix(values=np.eye(2))
         f = truncated_svd(cos, 2)
         np.testing.assert_allclose(f.sigma, [1.0, 1.0], atol=1e-12)
 

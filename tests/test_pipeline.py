@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cme import compose, pipeline, synth
-from cme.classify import ClassifierConfig, ClassifierError, SMOTEConfig, stratified_split
+from cme.classify import ClassifierConfig, ClassifierError, stratified_split
 from cme.corpus import ClassLabel
 from cme.emoji import load_emoji_lexicon
 from cme.imagetags import MissingImageTagsError, load_image_tags
@@ -182,7 +182,6 @@ class TestExperiments:
             suite_a_tags=("T+D", "T+E"),
             suite_b_tags=("N+T+E",),
             seed=2,
-            smote_config=SMOTEConfig(seed=2),
             classifier_config=ClassifierConfig(epochs=150),
         )
         assert results.best_a_tag in ("T+D", "T+E")

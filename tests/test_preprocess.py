@@ -197,10 +197,11 @@ class TestFastPaths:
     @staticmethod
     def _check_prepared(texts):
         stop, table = load_stopwords(), load_lemma_table()
-        # two users share every text, so the memo is hit as well as filled
+        # two users share every text, so the memo is hit as well as filled; tweet ids
+        # ascend in list order, the order prepare_users takes each author's tweets in
         users = [UserRecord(f"u{i}", description=texts[i % len(texts)]) for i in range(2)]
         tweets = {
-            u.user_id: [TweetRecord(f"{u.user_id}t{j}", u.user_id, t) for j, t in enumerate(texts)]
+            u.user_id: [TweetRecord(f"{u.user_id}t{j:03d}", u.user_id, t) for j, t in enumerate(texts)]
             for u in users
         }
         dataset = LabeledDataset(users=users, tweets_by_author=tweets, interactions=[])

@@ -21,7 +21,8 @@ the row labels, so the next stage reads back exactly the bits that were
 written. A view is saved as its present rows under their user ids (0 x its
 width if it has no vector) and loads with every row present. The Network
 view is as wide as its kept components (netembed/meta.json "components"),
-so 0 x 0 without a graph. Each stage also writes a meta.json summary. The
+so 0 x 0 without a graph; its "skipped" counts the interactions whose
+source is not a listed user. Each stage also writes a meta.json summary. The
 one text model the CLI reads is an optional external [views]
 emoji_background_model in word2vec text layout.
 
@@ -73,6 +74,9 @@ that fails leaves none behind. A key the file leaves out takes the default
 of the setting it feeds (TrainingConfig, ClassifierConfig, ...), so a
 minimal config can be empty. Values are taken literally: "%" is not an
 interpolation marker.
+
+Warnings the stages log (the cme loggers) print to stderr as one
+"warning: <message>" line each.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ import configparser
 import hashlib
 import itertools
 import json
+import logging
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -440,6 +445,7 @@ def cmd_netembed(ctx: RunContext) -> None:
             "mode": mode,
             "rows": len(embedding.row_ids),
             "components": embedding.k,
+            "skipped": embedding.skipped,
         },
     )
     print(f"[netembed] embedded {len(embedding.row_ids)} users, {embedding.k} components, mode={mode}")
@@ -609,6 +615,16 @@ def cmd_run(ctx: RunContext) -> None:
             COMMANDS[stage](ctx)
 
 
+class _StderrHandler(logging.Handler):
+    """One "<level>: <message>" line on the sys.stderr of the moment."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        print(f"{record.levelname.lower()}: {record.getMessage()}", file=sys.stderr)
+
+
+_STDERR_HANDLER = _StderrHandler()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cme",
@@ -619,6 +635,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override [global] seed")
     parser.add_argument("--out", default=None, help="override [global] out_dir")
     args = parser.parse_args(argv)
+    logging.getLogger("cme").addHandler(_STDERR_HANDLER)  # a no-op once added
 
     try:
         ctx = RunContext(args.config, args.seed, args.out)

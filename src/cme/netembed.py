@@ -111,6 +111,7 @@ class SVDFactors:
 class NetworkEmbedding:
     matrix: np.ndarray
     row_ids: list[str]
+    skipped: int = 0  # interactions build_adjacency left out
 
     @property
     def k(self) -> int:

@@ -163,7 +163,8 @@ def build_network_view(
     the singular values at or below netembed.sigma_floor are dropped before
     the division so the fold-back stays finite. The view is as wide as the
     kept components, 0 wide without a graph; every user that is not a
-    source is a sentinel.
+    source is a sentinel. The embedding's skipped counts the interactions
+    whose source is not a listed user.
     """
     if k > dimension:
         raise ValueError(f"k must be <= dimension ({dimension}), got {k}")
@@ -174,13 +175,14 @@ def build_network_view(
     embedding = netembed.NetworkEmbedding(matrix=np.zeros((0, 0)), row_ids=[])
     if rows:  # every source row has a target, so cols is empty only when rows is
         cols = sorted({rec.target for rec in dataset.interactions})
-        adjacency = netembed.row_normalize(netembed.build_adjacency(dataset.interactions, rows, cols))
-        cosine = netembed.cosine_similarity_matrix(adjacency)
+        counts = netembed.build_adjacency(dataset.interactions, rows, cols)
+        cosine = netembed.cosine_similarity_matrix(netembed.row_normalize(counts))
         factors = netembed.truncated_svd(cosine, min(k or dimension, len(rows)))
         if mode == "paper":
             keep = factors.sigma > netembed.sigma_floor(factors.sigma)
             factors = netembed.SVDFactors(u=factors.u[:, keep], sigma=factors.sigma[keep])
         embedding = netembed.network_embedding(factors, mode=mode, row_ids=rows)
+        embedding.skipped = counts.skipped
 
     matrix = np.zeros((len(users), embedding.k))
     matrix[present] = embedding.matrix
@@ -206,6 +208,7 @@ class ExperimentResult:
     zero_filled: int
     epochs: int
     converged: bool
+    final_loss: float  # the fit's last training loss
 
 
 def run_experiment(
@@ -252,6 +255,7 @@ def run_experiment(
         zero_filled=int((~present).sum()),
         epochs=model.epochs,
         converged=model.converged,
+        final_loss=model.loss_history[-1],
     )
 
 

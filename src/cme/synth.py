@@ -6,6 +6,11 @@ end. Text is drawn from class-indicative word pools mixed with a shared
 pool; interactions are aimed at class-preferred hub accounts so the
 network view carries its own signal.
 
+What each class writes and whom it engages lives in one table, _STYLES,
+one row per class: id prefix, word, emoji, image-tag and name pools, and
+the interaction-target mix. The per-class sizes and rates a caller may
+change live in ClassProfile.
+
 Interaction volumes follow the configured per-class means exactly: the
 class total is fixed at round(users * rate) and distributed over users
 multinomially, which is a Poisson count model conditioned on its expected
@@ -38,38 +43,10 @@ SHARED_WORDS = (
     "maybe still around every always good great look need want know make person"
 ).split()
 
-PERSONAL_WORDS = (
-    "chill relax tonight friend vibe happy love laugh session weekend music "
-    "party fun sleepy hungry cookie couch movie homie blunt joint giggle mood "
-    "dream late night honestly literally tired bored excited weird crazy funny "
-    "joy peace smile heart selfie"
-).split()
-
-AGENCY_WORDS = (
-    "news report update headline article policy law legalization state senate "
-    "bill vote regulation research study health public official industry market "
-    "analysis coverage breaking committee hearing license program medical "
-    "patient journalist editor source data media"
-).split()
-
-RETAIL_WORDS = (
-    "sale deal discount shop store order ship delivery price premium edible "
-    "flower concentrate cartridge menu stock fresh quality brand customer "
-    "service open special bundle gram ounce wax topical tincture online "
-    "licensed local finest selection trusted"
-).split()
-
-PERSONAL_EMOJI = ["😂", "❤️", "😍", "🤣", "😎", "🌿", "💨", "😴", "😋"]
-AGENCY_EMOJI = ["📰", "📢", "📊", "🗞️", "📈", "⚖️", "🗳️", "🏥"]
-RETAIL_EMOJI = ["💰", "🛒", "🔥", "🌿", "📦", "💵", "🏷️", "🆕", "🚚"]
-
-PERSONAL_IMAGE_TAGS = ["person", "smile", "selfie", "face", "outdoor"]
-AGENCY_IMAGE_TAGS = ["logo", "text", "banner", "studio", "microphone"]
-RETAIL_IMAGE_TAGS = ["storefront", "product", "logo", "package", "display"]
-
 MEDIA_HUBS = [f"hub_media_{i:02d}" for i in range(10)]
 RETAIL_HUBS = [f"hub_retail_{i:02d}" for i in range(10)]
 CELEBRITY_HUBS = [f"hub_celebrity_{i:02d}" for i in range(8)]
+ALL_HUBS = MEDIA_HUBS + RETAIL_HUBS + CELEBRITY_HUBS
 
 
 @dataclass
@@ -127,37 +104,82 @@ class SynthConfig:
     seed: int = 7
 
 
-_CLASS_WORDS = {
-    ClassLabel.PERSONAL: PERSONAL_WORDS,
-    ClassLabel.INFORMED_AGENCY: AGENCY_WORDS,
-    ClassLabel.RETAIL: RETAIL_WORDS,
-}
-_CLASS_EMOJI = {
-    ClassLabel.PERSONAL: PERSONAL_EMOJI,
-    ClassLabel.INFORMED_AGENCY: AGENCY_EMOJI,
-    ClassLabel.RETAIL: RETAIL_EMOJI,
-}
-_CLASS_IMAGE_TAGS = {
-    ClassLabel.PERSONAL: PERSONAL_IMAGE_TAGS,
-    ClassLabel.INFORMED_AGENCY: AGENCY_IMAGE_TAGS,
-    ClassLabel.RETAIL: RETAIL_IMAGE_TAGS,
-}
-_CLASS_PREFIX = {
-    ClassLabel.PERSONAL: "p",
-    ClassLabel.INFORMED_AGENCY: "i",
-    ClassLabel.RETAIL: "r",
+@dataclass(frozen=True)
+class _ClassStyle:
+    """What one class writes and whom it engages.
+
+    targets lists (bound, pool) pairs in roll order: an interaction rolls
+    once and draws from the first pool whose bound the roll is under. A
+    pool of None stands for the class's own users; a user that draws
+    itself draws from hubs instead.
+    """
+
+    prefix: str
+    words: list[str]
+    emoji: list[str]
+    image_tags: list[str]
+    name_parts: tuple[list[str], list[str]]
+    targets: tuple[tuple[float, list[str] | None], ...]
+    hubs: list[str]
+
+
+_STYLES = {
+    ClassLabel.PERSONAL: _ClassStyle(
+        prefix="p",
+        words=(
+            "chill relax tonight friend vibe happy love laugh session weekend music "
+            "party fun sleepy hungry cookie couch movie homie blunt joint giggle mood "
+            "dream late night honestly literally tired bored excited weird crazy funny "
+            "joy peace smile heart selfie"
+        ).split(),
+        emoji=["😂", "❤️", "😍", "🤣", "😎", "🌿", "💨", "😴", "😋"],
+        image_tags=["person", "smile", "selfie", "face", "outdoor"],
+        name_parts=(
+            "james john mary patricia robert jennifer michael linda david sarah".split(),
+            "smith johnson williams brown jones garcia miller davis wilson moore".split(),
+        ),
+        targets=((0.55, None), (0.90, CELEBRITY_HUBS), (1.0, ALL_HUBS)),
+        hubs=CELEBRITY_HUBS,
+    ),
+    ClassLabel.INFORMED_AGENCY: _ClassStyle(
+        prefix="i",
+        words=(
+            "news report update headline article policy law legalization state senate "
+            "bill vote regulation research study health public official industry market "
+            "analysis coverage breaking committee hearing license program medical "
+            "patient journalist editor source data media"
+        ).split(),
+        emoji=["📰", "📢", "📊", "🗞️", "📈", "⚖️", "🗳️", "🏥"],
+        image_tags=["logo", "text", "banner", "studio", "microphone"],
+        name_parts=(
+            ["daily", "herald", "tribune", "public", "health", "capital"],
+            ["news", "report", "journal", "network", "wire", "watch"],
+        ),
+        targets=((0.75, MEDIA_HUBS), (0.90, None), (1.0, ALL_HUBS)),
+        hubs=MEDIA_HUBS,
+    ),
+    ClassLabel.RETAIL: _ClassStyle(
+        prefix="r",
+        words=(
+            "sale deal discount shop store order ship delivery price premium edible "
+            "flower concentrate cartridge menu stock fresh quality brand customer "
+            "service open special bundle gram ounce wax topical tincture online "
+            "licensed local finest selection trusted"
+        ).split(),
+        emoji=["💰", "🛒", "🔥", "🌿", "📦", "💵", "🏷️", "🆕", "🚚"],
+        image_tags=["storefront", "product", "logo", "package", "display"],
+        name_parts=(
+            ["green", "leaf", "golden", "happy", "river", "summit"],
+            ["dispensary", "supply", "collective", "shop", "gardens", "wellness"],
+        ),
+        targets=((0.70, RETAIL_HUBS), (0.90, None), (1.0, ALL_HUBS)),
+        hubs=RETAIL_HUBS,
+    ),
 }
 
-_FIRST_NAMES = "james john mary patricia robert jennifer michael linda david sarah".split()
-_LAST_NAMES = "smith johnson williams brown jones garcia miller davis wilson moore".split()
-_ORG_HEADS = {
-    ClassLabel.INFORMED_AGENCY: ["daily", "herald", "tribune", "public", "health", "capital"],
-    ClassLabel.RETAIL: ["green", "leaf", "golden", "happy", "river", "summit"],
-}
-_ORG_TAILS = {
-    ClassLabel.INFORMED_AGENCY: ["news", "report", "journal", "network", "wire", "watch"],
-    ClassLabel.RETAIL: ["dispensary", "supply", "collective", "shop", "gardens", "wellness"],
-}
+
+def _pick(rng, pool: list[str]) -> str:
+    return pool[int(rng.integers(len(pool)))]
 
 
 def _draw_words(rng, profile: ClassProfile, pool: list[str], length: int) -> list[str]:
@@ -170,16 +192,6 @@ def _draw_words(rng, profile: ClassProfile, pool: list[str], length: int) -> lis
     return out
 
 
-def _make_name(rng, cls: ClassLabel) -> str:
-    if cls is ClassLabel.PERSONAL:
-        first = _FIRST_NAMES[int(rng.integers(len(_FIRST_NAMES)))]
-        last = _LAST_NAMES[int(rng.integers(len(_LAST_NAMES)))]
-        return f"{first.title()} {last.title()}"
-    head = _ORG_HEADS[cls][int(rng.integers(len(_ORG_HEADS[cls])))]
-    tail = _ORG_TAILS[cls][int(rng.integers(len(_ORG_TAILS[cls])))]
-    return f"{head.title()} {tail.title()}"
-
-
 def _make_phone(rng) -> str:
     area = int(rng.integers(200, 990))
     mid = int(rng.integers(100, 999))
@@ -187,33 +199,18 @@ def _make_phone(rng) -> str:
     return f"{area}-{mid}-{end}"
 
 
-def _target_pool(rng, cls: ClassLabel, class_users: dict[ClassLabel, list[str]], own_id: str) -> str:
-    """Pick an interaction target with class-preferred mixing."""
+def _target(rng, style: _ClassStyle, peers: list[str], own_id: str) -> str:
+    """Pick an interaction target from the class's target mix."""
     roll = rng.random()
-    all_hubs = MEDIA_HUBS + RETAIL_HUBS + CELEBRITY_HUBS
-    if cls is ClassLabel.PERSONAL:
-        if roll < 0.55:
-            peers = class_users[ClassLabel.PERSONAL]
-            pick = peers[int(rng.integers(len(peers)))]
-            return pick if pick != own_id else CELEBRITY_HUBS[int(rng.integers(len(CELEBRITY_HUBS)))]
-        if roll < 0.90:
-            return CELEBRITY_HUBS[int(rng.integers(len(CELEBRITY_HUBS)))]
-        return all_hubs[int(rng.integers(len(all_hubs)))]
-    if cls is ClassLabel.INFORMED_AGENCY:
-        if roll < 0.75:
-            return MEDIA_HUBS[int(rng.integers(len(MEDIA_HUBS)))]
-        if roll < 0.90:
-            peers = class_users[ClassLabel.INFORMED_AGENCY]
-            pick = peers[int(rng.integers(len(peers)))]
-            return pick if pick != own_id else MEDIA_HUBS[int(rng.integers(len(MEDIA_HUBS)))]
-        return all_hubs[int(rng.integers(len(all_hubs)))]
-    if roll < 0.70:
-        return RETAIL_HUBS[int(rng.integers(len(RETAIL_HUBS)))]
-    if roll < 0.90:
-        peers = class_users[ClassLabel.RETAIL]
-        pick = peers[int(rng.integers(len(peers)))]
-        return pick if pick != own_id else RETAIL_HUBS[int(rng.integers(len(RETAIL_HUBS)))]
-    return all_hubs[int(rng.integers(len(all_hubs)))]
+    for bound, pool in style.targets:
+        if roll < bound:
+            break
+    if pool is None:
+        pick = _pick(rng, peers)
+        if pick != own_id:
+            return pick
+        pool = style.hubs
+    return _pick(rng, pool)
 
 
 def generate(config: "SynthConfig | None" = None) -> LabeledDataset:
@@ -224,35 +221,30 @@ def generate(config: "SynthConfig | None" = None) -> LabeledDataset:
     users: list[UserRecord] = []
     tweets: list[TweetRecord] = []
     labels: dict[str, ClassLabel] = {}
-    class_users: dict[ClassLabel, list[str]] = {cls: [] for cls in ClassLabel}
-
-    for cls in ClassLabel:
-        profile = config.profiles[cls]
-        prefix = _CLASS_PREFIX[cls]
-        for i in range(profile.users):
-            class_users[cls].append(f"{prefix}{i:04d}")
+    class_users = {
+        cls: [f"{_STYLES[cls].prefix}{i:04d}" for i in range(config.profiles[cls].users)]
+        for cls in ClassLabel
+    }
 
     tweet_no = 0
     for cls in ClassLabel:
         profile = config.profiles[cls]
-        pool = _CLASS_WORDS[cls]
-        emoji_pool = _CLASS_EMOJI[cls]
+        style = _STYLES[cls]
         for uid in class_users[cls]:
             desc_len = int(rng.integers(profile.desc_len_min, profile.desc_len_max + 1))
-            desc_words = _draw_words(rng, profile, pool, desc_len)
-            description = " ".join(desc_words)
+            description = " ".join(_draw_words(rng, profile, style.words, desc_len))
             if rng.random() < profile.contact_prob:
                 if rng.random() < 0.5:
                     description += f" call {_make_phone(rng)}"
                 else:
                     description += f" visit www.{uid}-shop.example"
             if rng.random() < profile.emoji_per_tweet:
-                description += " " + emoji_pool[int(rng.integers(len(emoji_pool)))]
+                description += " " + _pick(rng, style.emoji)
 
             users.append(
                 UserRecord(
                     user_id=uid,
-                    name=_make_name(rng, cls),
+                    name=" ".join(_pick(rng, part).title() for part in style.name_parts),
                     screen_name=uid,
                     description=description,
                     profile_image_ref=f"img://{uid}",
@@ -263,13 +255,12 @@ def generate(config: "SynthConfig | None" = None) -> LabeledDataset:
             n_tweets = int(rng.integers(profile.tweets_min, profile.tweets_max + 1))
             for _ in range(n_tweets):
                 length = int(rng.integers(profile.tweet_len_min, profile.tweet_len_max + 1))
-                words = _draw_words(rng, profile, pool, length)
-                text = " ".join(words)
+                text = " ".join(_draw_words(rng, profile, style.words, length))
                 if rng.random() < profile.url_prob:
                     text += f" https://links.example/{tweet_no}"
                 n_emoji = int(rng.poisson(profile.emoji_per_tweet))
                 for _e in range(min(n_emoji, 3)):
-                    text += " " + emoji_pool[int(rng.integers(len(emoji_pool)))]
+                    text += " " + _pick(rng, style.emoji)
                 tweets.append(
                     TweetRecord(tweet_id=f"t{tweet_no:06d}", author_id=uid, raw_text=text)
                 )
@@ -278,6 +269,7 @@ def generate(config: "SynthConfig | None" = None) -> LabeledDataset:
     interactions: list[InteractionRecord] = []
     for cls in ClassLabel:
         profile = config.profiles[cls]
+        style = _STYLES[cls]
         uids = class_users[cls]
         for kind, rate in (
             (InteractionKind.RETWEET, profile.retweet_rate),
@@ -290,7 +282,7 @@ def generate(config: "SynthConfig | None" = None) -> LabeledDataset:
             for uid, events in zip(uids, per_user):
                 counts: dict[str, int] = {}
                 for _ in range(int(events)):
-                    target = _target_pool(rng, cls, class_users, uid)
+                    target = _target(rng, style, uids, uid)
                     counts[target] = counts.get(target, 0) + 1
                 for target in sorted(counts):
                     interactions.append(
@@ -307,7 +299,7 @@ def write_image_fixture(dataset: LabeledDataset, path, seed: int = 0) -> None:
     for user in dataset.users:
         if user.profile_image_ref is None or user.label is None:
             continue
-        pool = _CLASS_IMAGE_TAGS[user.label]
+        pool = _STYLES[user.label].image_tags
         n = int(rng.integers(2, len(pool) + 1))
         picks = list(rng.choice(pool, size=n, replace=False))
         confidences = [f"{0.55 + 0.4 * rng.random():.2f}" for _ in picks]

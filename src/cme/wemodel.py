@@ -39,7 +39,9 @@ as an emoji background model; the pipeline never writes that layout.
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -138,10 +140,7 @@ def view_embedding(tokens: Sequence[str], model: WEModel) -> Optional[np.ndarray
 
 
 def _build_vocabulary(sentences, min_count):
-    counts: dict[str, int] = {}
-    for sentence in sentences:
-        for tok in sentence:
-            counts[tok] = counts.get(tok, 0) + 1
+    counts = Counter(itertools.chain.from_iterable(sentences))
     kept = [(w, c) for w, c in counts.items() if c >= min_count]
     # deterministic order: by descending count, ties alphabetical
     kept.sort(key=lambda wc: (-wc[1], wc[0]))

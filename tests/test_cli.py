@@ -493,6 +493,22 @@ class TestFullChain:
             assert row[4] == "0" and row[5].startswith("undefined: ")
         assert json.loads((run_dir / "report" / "report.json").read_text())["suite_b_macro_f1"] == {}
 
+    def test_interaction_from_a_non_user_is_counted_and_warned_once(self, tmp_path, capsys):
+        assert main(["synth", "--config", _config(tmp_path)]) == 0
+        corpus_dir = _run_dir(tmp_path) / "synth"
+        with open(corpus_dir / "interactions.tsv", "a", encoding="utf-8") as fh:
+            fh.write("ghost\tp0000\tretweet\t1\n")
+        cfg = _config(tmp_path, extra=f"[corpus]\ndirectory = {corpus_dir}\n")
+        warning = "warning: build_adjacency: skipped 1 interactions outside the index lists\n"
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "ghost")]) == 0
+        assert capsys.readouterr().err == warning
+        meta = _run_dir(tmp_path, "ghost") / "netembed" / "meta.json"
+        assert json.loads(meta.read_text())["skipped"] == 1
+        # a second call in the same process adds no second handler
+        assert main(["netembed", "--config", cfg, "--out", str(tmp_path / "ghost")]) == 0
+        assert capsys.readouterr().err == warning
+
     def test_run_parses_corpus_once_and_matches_stage_by_stage(self, tmp_path, monkeypatch):
         loads = []
         load_dataset = corpus.load_dataset
@@ -760,7 +776,10 @@ class TestArtifacts:
         for res in [*results["suite_a"].values(), *results["suite_b"].values()]:
             assert isinstance(res["converged"], bool)
             assert 1 <= res["epochs"] <= 150
-        assert set(json.loads((run_dir / "netembed" / "meta.json").read_text())) == {"mode", "rows", "components"}
+            assert res["final_loss"] > 0
+        assert set(json.loads((run_dir / "netembed" / "meta.json").read_text())) == {
+            "mode", "rows", "components", "skipped",
+        }
         plan = json.loads((run_dir / "compose" / "meta.json").read_text())
         assert plan == {"T+D": ["Tweet", "Description"], "T+E": ["Tweet", "TweetEmoji"],
                         "N+T+E": ["Network", "Tweet", "TweetEmoji"]}

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from cme import compose, pipeline, synth
+from cme import classify, compose, pipeline, synth
 from cme.classify import ClassifierConfig, ClassifierError, stratified_split
 from cme.corpus import ClassLabel
 from cme.emoji import load_emoji_lexicon
@@ -206,6 +206,25 @@ class TestExperiments:
         assert res.n_train + res.n_test == len(users)
         assert (res.n_train, res.n_test) == (len(train), len(test))
         assert res.synthetic == len(per_class) * max(per_class.values()) - len(train) > 0
+
+    def test_result_records_the_fit_s_final_loss(self, small_run, monkeypatch):
+        dataset, _, _, _, views = small_run
+        models = []
+        train = classify.train_classifier
+
+        def recording(*args, **kwargs):
+            models.append(train(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(classify, "train_classifier", recording)
+        labels = dataset.labels()
+        res = pipeline.run_experiment(
+            compose.build_cme(views, "T+D"), labels, sorted(labels),
+            classifier_config=ClassifierConfig(epochs=50),
+        )
+        [model] = models
+        assert res.final_loss == model.loss_history[-1]
+        assert res.epochs == len(model.loss_history) - 1
 
     @staticmethod
     def _scored(small_run, monkeypatch, suite_b_tags):

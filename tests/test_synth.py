@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -119,3 +120,51 @@ class TestStructure:
         lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l]
         assert len(lines) == len(ds.users)
         assert all(len(line.split("\t")) == 3 for line in lines)
+
+
+def _one_user_config():
+    """One user per class at rates that send every class to its own users."""
+    profiles = {
+        cls: replace(p, users=1, retweet_rate=20.0, mention_rate=20.0)
+        for cls, p in default_profiles().items()
+    }
+    return SynthConfig(profiles=profiles, seed=13)
+
+
+class TestPinnedBytes:
+    """The saved corpus and image fixture of fixed configs, byte for byte.
+
+    Every benchmark corpus and acceptance corpus comes from generate, so a
+    change that reorders a single draw moves them all. The digests are
+    sha256 over the file names and bytes in name order.
+    """
+
+    @pytest.mark.parametrize(
+        "make_config, digest",
+        [
+            pytest.param(
+                SynthConfig,
+                "7fa3433c377c03f6c109b9ad9d4739c434cdd261e5cebcd4c5148f9bf288332c",
+                id="cme-synth-defaults",
+            ),
+            pytest.param(
+                lambda: _small_config(seed=5, contact_prob=1.0, url_prob=1.0, emoji_per_tweet=6.0),
+                "4cfd19b9aa49b04f85ee35d534dd22894930efeacd764959c066069777f02ee3",
+                id="every-contact-branch-and-emoji-cap",
+            ),
+            pytest.param(
+                _one_user_config,
+                "c1cc2bc93b8b13ada5d7ae8b1dbaec6f37c5e092761d2ea4760c8eb25365e2ae",
+                id="one-user-classes-pick-themselves",
+            ),
+        ],
+    )
+    def test_corpus_digest(self, tmp_path, make_config, digest):
+        config = make_config()
+        dataset = generate(config)
+        save_dataset(dataset, tmp_path)
+        write_image_fixture(dataset, tmp_path / "image_tags.tsv", seed=config.seed)
+        sha = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            sha.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+        assert sha.hexdigest() == digest

@@ -20,9 +20,14 @@ as binary pairs: "<name>.npy" holds the float64 matrix and "<name>.words"
 the row labels, so the next stage reads back exactly the bits that were
 written. A view is saved as its present rows under their user ids (0 x its
 width if it has no vector) and loads with every row present. The Network
-view is as wide as its kept components (netembed/meta.json "components"),
-so 0 x 0 without a graph; its "skipped" counts the interactions whose
-source is not a listed user. Each stage also writes a meta.json summary. The
+view is as wide as its kept components (netembed/meta.json "components"):
+at most k, and no more than the graph's rank, the singular values above
+netembed.sigma_floor; so 0 x 0 without a graph. netembed/meta.json also
+records "skipped", the interactions whose source is not a listed user,
+the co-target graph's "graph_components" and "largest_component" (source
+rows), "tied_columns" (kept columns whose basis the tie rule fixed) and
+the kept singular values' "sigma_max" and "sigma_min" (null when none is
+kept). Each stage also writes a meta.json summary. The
 one text model the CLI reads is an optional external [views]
 emoji_background_model in word2vec text layout.
 
@@ -50,10 +55,11 @@ tags, then suite B's). A tag naming ProfileImage needs [views]
 profile_images on.
 
 [netembed] k is an upper bound on the Network view's components: the
-netembed stage takes min(k, source rows), and k = 0 (the default) means
-[train_we] dimension, the largest k accepted, since N is added to the
-word-vector views, not concatenated. A composition zero-extends the view
-to their width, and the correlate stage pairs only its components.
+netembed stage takes at most min(k, source rows), fewer where the graph's
+rank is lower, and k = 0 (the default) means [train_we] dimension, the
+largest k accepted, since N is added to the word-vector views, not
+concatenated. A composition zero-extends the view to their width, and the
+correlate stage pairs only its components.
 
 The config file is flat INI with one section per stage. CONFIG_KEYS lists
 every key with the type its value is parsed with; any other section or key
@@ -446,6 +452,11 @@ def cmd_netembed(ctx: RunContext) -> None:
             "rows": len(embedding.row_ids),
             "components": embedding.k,
             "skipped": embedding.skipped,
+            "graph_components": embedding.graph.components,
+            "largest_component": embedding.graph.largest,
+            "tied_columns": embedding.graph.tied_columns,
+            "sigma_max": float(embedding.sigma.max()) if embedding.k else None,
+            "sigma_min": float(embedding.sigma.min()) if embedding.k else None,
         },
     )
     print(f"[netembed] embedded {len(embedding.row_ids)} users, {embedding.k} components, mode={mode}")

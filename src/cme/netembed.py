@@ -12,30 +12,66 @@ which whitens the components) or the singular values themselves (mode
 "conventional", which weights by importance). Both ship; "paper" is the
 default.
 
-The factorization is one LAPACK symmetric eigendecomposition
-(numpy.linalg.eigh) of the dense cosine matrix, truncated to the top k
-eigenpairs; for a symmetric PSD matrix these are its singular triples.
-Column signs are canonicalized so output is deterministic.
+The run path (factor_graph) never forms the m x m cosine. The cosine is
+B.B^T, where B is the adjacency with L2-normalized rows, so it is
+block-diagonal over the connected components of the co-target graph
+(sources joined through the targets they share). factor_graph finds the
+components from the coordinate arrays and factors each on its own:
+
+- a singleton (one source) is its indicator column with sigma exactly 1.0,
+  cosine_similarity_matrix's diagonal rule, and is not factored;
+- any other component takes one dense eigendecomposition (truncated_svd)
+  of the Gram on its smaller side: B_c.B_c^T when it has no more sources
+  than targets, otherwise B_c^T.B_c, whose eigenvectors v give the
+  source-side columns B_c.v normalized (the eigenvalues are the same).
+
+The columns of every component are merged, largest sigma first, and the
+top k kept. k is capped at the rank: the count of sigma above sigma_floor,
+in both modes, so no column is kept that "paper" mode could not divide by
+or that carries nothing in "conventional" mode.
+
+Ties: sigma values whose neighbours in the sorted list lie within
+sigma_floor (1e-10 * max(1, sigma_max)) form one group; singletons and
+repeated identical components give such groups. An eigensolver may
+return any basis of a group's eigenspace, and rounding or the BLAS thread
+count picks one, so each group gets the basis its eigenspace alone fixes:
+its projector's columns orthonormalized in source order (Gram-Schmidt,
+skipping a column already in the span of those before it). Where k cuts
+inside a group, its first columns by the same rule are kept; each
+component first gives only its top k + 1 pairs, and one whose last pair
+falls in that group gives all of them, so the group is whole. Every other
+column has its sign canonicalized. So the Network view is a function of
+the graph, to rounding.
+
+cosine_similarity_matrix and truncated_svd over the whole cosine are the
+reference chain: the acceptance oracles and the tests check the run path
+against them, and the run path sends each component's Gram through
+truncated_svd, one full LAPACK symmetric eigendecomposition
+(numpy.linalg.eigh) truncated to the top eigenpairs; for a symmetric PSD
+matrix these are its singular triples.
 
 Where each rule of the Network view's shape is decided:
 
-- k: pipeline.build_network_view takes min(k or dimension, source rows)
-  components; truncated_svd only checks 1 <= k <= rows.
+- k: pipeline.build_network_view asks for min(k or dimension, source rows)
+  components; factor_graph keeps at most that many, and no more than the
+  rank; truncated_svd only checks 1 <= k <= rows.
 - width: the view is as wide as the kept components (0 without a graph);
   compose.build_cme zero-extends it where it is added to wider views.
-- the sigma floor: sigma_floor; "paper" mode keeps, and divides by, only
-  the singular values above it.
+- the sigma floor: sigma_floor; factor_graph keeps only the singular
+  values above it, and network_embedding's "paper" mode refuses the others.
 - symmetry: cosine_similarity_matrix's output is exactly symmetric by
   construction (the Gram product is symmetric, and dividing by the outer
-  product of the norms, writing the diagonal and clipping keep it so), so
-  truncated_svd checks only a plain array and factors its input as given.
+  product of the norms, writing the diagonal and clipping keep it so), as
+  is a component's Gram (x @ x.T or x.T @ x); both go to truncated_svd as
+  a CosineMatrix, which it factors as given without the symmetry check it
+  runs on a plain array.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,7 +125,11 @@ class InteractionMatrix:
 
 @dataclass
 class CosineMatrix:
-    """Dense symmetric user-user similarity, entries in [0, 1] for count input."""
+    """Dense, exactly symmetric PSD matrix: the user-user cosine, entries in [0, 1] for count input.
+
+    factor_graph also wraps each component's Gram in one, since x @ x.T and
+    x.T @ x are exactly symmetric too.
+    """
 
     values: np.ndarray
     zero_rows: list[int] = field(default_factory=list)
@@ -107,11 +147,22 @@ class SVDFactors:
     sigma: np.ndarray
 
 
+@dataclass(frozen=True)
+class GraphSummary:
+    """What factor_graph saw: the co-target graph's components and the kept columns' ties."""
+
+    components: int = 0  # connected components of the source rows
+    largest: int = 0  # source rows in the largest component
+    tied_columns: int = 0  # kept columns whose basis the tie rule fixed
+
+
 @dataclass
 class NetworkEmbedding:
     matrix: np.ndarray
     row_ids: list[str]
+    sigma: np.ndarray = field(default_factory=lambda: np.zeros(0))  # the folded singular values
     skipped: int = 0  # interactions build_adjacency left out
+    graph: GraphSummary = GraphSummary()
 
     @property
     def k(self) -> int:
@@ -187,7 +238,8 @@ def cosine_similarity_matrix(im: InteractionMatrix) -> CosineMatrix:
     so 0/0 never occurs. For nonnegative input the entries land in [0, 1]
     and the diagonal of every nonzero row is exactly 1. The Gram matrix is
     one dense product of the rows, divided in place; the result is m x m
-    dense anyway, and exactly symmetric.
+    dense anyway, and exactly symmetric. This is the reference chain's
+    cosine; the run path (factor_graph) never forms it.
     """
     mat = im.matrix
     norms = np.sqrt(_bincount(mat.rows, mat.data * mat.data, mat.shape[0]))
@@ -209,8 +261,15 @@ def cosine_similarity_matrix(im: InteractionMatrix) -> CosineMatrix:
 
 
 def _canonical_signs(u: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
-    lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    """Flip each column so its leading entry is positive.
+
+    The leading entry is the first, in row order, within 1e-8 of the
+    column's largest magnitude, so entries of equal magnitude (a symmetric
+    component's +a and -a) are not told apart by rounding.
+    """
+    magnitude = np.abs(u)
+    first = np.argmax(magnitude >= magnitude.max(axis=0, initial=0.0) - 1e-8, axis=0)
+    lead = u[first, np.arange(u.shape[1])]
     return np.where(lead < 0, -u, u)
 
 
@@ -221,9 +280,11 @@ def truncated_svd(cosine, k: int) -> SVDFactors:
     is symmetric PSD, left and right factors coincide (up to sign) and the
     singular values are the eigenvalues; tiny negative eigenvalues from
     rounding are clamped to zero. The caller picks k in [1, rows]. A plain
-    array is checked to be symmetric within rounding; a CosineMatrix is
-    exactly symmetric by construction. The input is factored as given
-    (eigh reads its lower triangle).
+    array is checked to be symmetric within rounding, which costs about
+    three temporaries of its size; a CosineMatrix (the cosine, or a Gram
+    product from factor_graph) is exactly symmetric by construction and
+    skips the check. The input is factored as given (eigh reads its lower
+    triangle).
 
     One full LAPACK symmetric eigendecomposition (numpy.linalg.eigh) is
     taken and its top k kept. scipy's subset-only eigh raised the network
@@ -245,6 +306,166 @@ def truncated_svd(cosine, k: int) -> SVDFactors:
     sigma = np.maximum(evals[::-1][:k], 0.0)
     u = _canonical_signs(evecs[:, ::-1][:, :k])
     return SVDFactors(u=u, sigma=sigma)
+
+
+def _source_components(mat: CoordMatrix) -> np.ndarray:
+    """Each source row's component: the smallest source row it reaches through shared targets.
+
+    Sources and targets are the nodes of one graph (targets numbered after
+    the sources) and each nonzero cell an edge. Each round hooks every root
+    to the smaller root across each edge, then points every node at its
+    root, until no edge joins two roots. A root stays the smallest node of
+    its tree, so a component's label is its first source row, and a row
+    with no nonzero cell is a component of its own.
+    """
+    m = mat.shape[0]
+    live = mat.data != 0
+    ends = (mat.rows[live], m + mat.cols[live])
+    root = np.arange(m + mat.shape[1])
+    while True:
+        left, right = root[ends[0]], root[ends[1]]
+        if np.array_equal(left, right):
+            return root[:m]
+        low = np.minimum(left, right)
+        np.minimum.at(root, left, low)
+        np.minimum.at(root, right, low)
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+
+
+class _Component(NamedTuple):
+    """One component's candidate columns: sigma, u on its rows, its rows and its cells."""
+
+    sigma: np.ndarray
+    u: np.ndarray
+    rows: np.ndarray
+    cells: np.ndarray
+    complete: bool  # every nonzero sigma is here
+
+
+def _factor_component(mat: CoordMatrix, unit: np.ndarray, rows: np.ndarray, cells: np.ndarray,
+                      k: Optional[int]) -> _Component:
+    """Top-k eigenpairs (all with k None) of a component's cosine, from the Gram on its smaller side.
+
+    unit holds every cell's L2-normalized value. With more rows than
+    targets, the eigenvectors v of B^T.B give the row-side columns B.v,
+    normalized; the nonzero eigenvalues are the same.
+    """
+    # return_inverse also keeps np.unique from importing numpy.ma (about 10 ms) on its first call
+    targets, local = np.unique(mat.cols[cells], return_inverse=True)
+    block = np.zeros((rows.size, targets.size))
+    block[np.searchsorted(rows, mat.rows[cells]), local] = unit[cells]
+    side = min(block.shape)
+    count = side if k is None else min(side, k)
+    if block.shape[0] <= block.shape[1]:
+        factors = truncated_svd(CosineMatrix(values=block @ block.T), count)
+        u = factors.u
+    else:
+        factors = truncated_svd(CosineMatrix(values=block.T @ block), count)
+        u = block @ factors.u
+        norms = np.linalg.norm(u, axis=0)
+        u = np.divide(u, norms, out=np.zeros_like(u), where=norms > 0)
+    return _Component(factors.sigma, u, rows, cells, count == side)
+
+
+def _echelon_basis(basis: np.ndarray, count: int) -> np.ndarray:
+    """The first count vectors of Gram-Schmidt over basis's rows, in row order.
+
+    basis has orthonormal columns spanning an eigenspace, one row per
+    source. Row i holds the coordinates of P.e_i, the projector's column i,
+    so basis @ result is P's columns orthonormalized in row order, whatever
+    basis of the space basis was. A row within 1e-6 of the span of those
+    before it adds nothing; some row always reaches further, since each
+    direction of the space has squared length 1 summed over the rows.
+    """
+    q = np.zeros((basis.shape[1], count))
+    found = 0
+    for row in basis:
+        for _ in range(2):  # twice is enough for orthogonality to rounding
+            row = row - q[:, :found] @ (q[:, :found].T @ row)
+        norm = np.linalg.norm(row)
+        if norm > 1e-6:
+            q[:, found] = row / norm
+            found += 1
+            if found == count:
+                break
+    return basis @ q
+
+
+def factor_graph(im: InteractionMatrix, k: int) -> tuple[SVDFactors, GraphSummary]:
+    """Top singular triples of the interaction matrix's cosine, one component at a time.
+
+    The same triples as truncated_svd(cosine_similarity_matrix(im), k) to
+    rounding (see the module notes for the rules), without forming the
+    cosine, and with at most k columns, none at or below sigma_floor.
+    Tied columns get the basis their eigenspace fixes, the others
+    canonical signs. The caller picks k in [1, rows].
+    """
+    mat = im.matrix
+    m = mat.shape[0]
+    if not 1 <= k <= m:
+        raise ValueError(f"k must be in [1, {m}], got {k}")
+    norms = np.sqrt(_bincount(mat.rows, mat.data * mat.data, m))
+    row_norms = norms[mat.rows]
+    unit = np.divide(mat.data, row_norms, out=np.zeros_like(mat.data), where=row_norms > 0)
+    labels = _source_components(mat)
+    firsts, sizes = np.unique(labels, return_counts=True)
+
+    # every component's top k + 1 columns, enough to see whether its k-th ties with the rest
+    components: list[_Component] = []
+    cell_labels = labels[mat.rows]
+    cells = np.argsort(cell_labels, kind="stable")  # row-major within each component
+    bounds = np.searchsorted(cell_labels[cells], np.append(firsts, m))
+    for first, size, lo, hi in zip(firsts, sizes, bounds[:-1], bounds[1:]):
+        if size == 1:
+            sigma = np.array([1.0 if norms[first] > 0 else 0.0])
+            components.append(_Component(sigma, np.ones((1, 1)), np.array([first]), cells[lo:hi], True))
+        else:
+            components.append(_factor_component(mat, unit, np.flatnonzero(labels == first), cells[lo:hi], k + 1))
+
+    while True:
+        sigma = np.concatenate([c.sigma for c in components])
+        owner = np.repeat(np.arange(len(components)), [c.sigma.size for c in components])
+        column = np.concatenate([np.arange(c.sigma.size) for c in components])
+        order = np.argsort(-sigma, kind="stable")
+        sigma, owner, column = sigma[order], owner[order], column[order]
+        floor = sigma_floor(sigma)
+        rank = int(np.count_nonzero(sigma > floor))
+        keep = min(k, rank)
+        # tie groups: runs of the sorted sigma above the floor whose steps are within it
+        edges = [0, *(np.flatnonzero(np.diff(sigma[:rank]) < -floor) + 1), rank]
+        # a component whose last column is in the group k cuts may hold more of that group
+        cut = next((lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi >= keep) if keep else (0, 0)
+        short = {
+            int(o) for o, c in zip(owner[cut[0] : cut[1]], column[cut[0] : cut[1]])
+            if not components[o].complete and c == components[o].sigma.size - 1
+        }
+        if not short:
+            break
+        for o in short:
+            components[o] = _factor_component(mat, unit, components[o].rows, components[o].cells, None)
+
+    u = np.zeros((m, keep))
+    tied = np.zeros(keep, dtype=bool)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if lo >= keep:
+            break
+        members = [(components[o], c) for o, c in zip(owner[lo:hi], column[lo:hi])]
+        if hi - lo == 1:
+            part, c = members[0]
+            u[part.rows, lo] = part.u[:, c]
+            continue
+        rows = np.sort(np.concatenate([components[o].rows for o in dict.fromkeys(owner[lo:hi])]))
+        basis = np.zeros((rows.size, hi - lo))
+        for j, (part, c) in enumerate(members):
+            basis[np.searchsorted(rows, part.rows), j] = part.u[:, c]
+        count = min(hi, keep) - lo
+        u[rows, lo : lo + count] = _echelon_basis(basis, count)
+        tied[lo : lo + count] = True
+    u[:, ~tied] = _canonical_signs(u[:, ~tied])
+    summary = GraphSummary(components=int(firsts.size), largest=int(sizes.max()), tied_columns=int(tied.sum()))
+    return SVDFactors(u=u, sigma=sigma[:keep]), summary
 
 
 def network_embedding(
@@ -273,4 +494,4 @@ def network_embedding(
     else:
         matrix = factors.u * sigma
     ids = list(row_ids) if row_ids is not None else [str(i) for i in range(matrix.shape[0])]
-    return NetworkEmbedding(matrix=matrix, row_ids=ids)
+    return NetworkEmbedding(matrix=matrix, row_ids=ids, sigma=sigma)

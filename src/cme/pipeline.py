@@ -157,14 +157,16 @@ def build_network_view(
 
     Rows are labeled users that act as interaction sources; columns are
     every distinct target. This is where the number of components is
-    decided: min(k or dimension, rows), so k is an upper bound and a k
-    above dimension is a ValueError (N is added to the word-vector views,
-    not concatenated, so it is no wider than they are). In "paper" mode
-    the singular values at or below netembed.sigma_floor are dropped before
-    the division so the fold-back stays finite. The view is as wide as the
-    kept components, 0 wide without a graph; every user that is not a
-    source is a sentinel. The embedding's skipped counts the interactions
-    whose source is not a listed user.
+    decided: at most min(k or dimension, rows), so k is an upper bound and
+    a k above dimension is a ValueError (N is added to the word-vector
+    views, not concatenated, so it is no wider than they are).
+    netembed.factor_graph factors the graph one connected component at a
+    time and keeps no singular value at or below netembed.sigma_floor, in
+    either mode, so the "paper" fold-back stays finite and the view is at
+    most as wide as the graph's rank. The view is as wide as the kept
+    components, 0 wide without a graph; every user that is not a source is
+    a sentinel. The embedding's skipped counts the interactions whose
+    source is not a listed user, and its graph summarizes the components.
     """
     if k > dimension:
         raise ValueError(f"k must be <= dimension ({dimension}), got {k}")
@@ -176,13 +178,10 @@ def build_network_view(
     if rows:  # every source row has a target, so cols is empty only when rows is
         cols = sorted({rec.target for rec in dataset.interactions})
         counts = netembed.build_adjacency(dataset.interactions, rows, cols)
-        cosine = netembed.cosine_similarity_matrix(netembed.row_normalize(counts))
-        factors = netembed.truncated_svd(cosine, min(k or dimension, len(rows)))
-        if mode == "paper":
-            keep = factors.sigma > netembed.sigma_floor(factors.sigma)
-            factors = netembed.SVDFactors(u=factors.u[:, keep], sigma=factors.sigma[keep])
+        factors, graph = netembed.factor_graph(netembed.row_normalize(counts), min(k or dimension, len(rows)))
         embedding = netembed.network_embedding(factors, mode=mode, row_ids=rows)
         embedding.skipped = counts.skipped
+        embedding.graph = graph
 
     matrix = np.zeros((len(users), embedding.k))
     matrix[present] = embedding.matrix

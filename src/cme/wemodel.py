@@ -22,7 +22,9 @@ one-step-per-centre trainer. Dividing each row's summed update by its count
 measured worse at every batch size.
 
 The draws follow a fixed order, so a fixed seed gives bit-identical
-vectors across runs.
+vectors across runs at one BLAS thread count. The batch products round
+differently at another thread count (1 and 2 threads differ in the last
+bit), so the vectors, and everything built on them, may too.
 
 A trained model is a vocabulary plus a |V| x d float64 matrix. Averaging
 those rows over a token list gives the view embedding used everywhere

@@ -465,6 +465,20 @@ class TestFullChain:
         ).stderr
         assert err.strip() == "[]"
 
+    def test_run_loads_no_masked_arrays(self, tmp_path):
+        # np.unique without return_index/inverse/counts imports numpy.ma on its first call,
+        # about 10 ms of every run's start-up
+        code = (
+            "import sys, cme.cli; "
+            f"assert cme.cli.main(['run', '--config', {_config(tmp_path)!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']), file=sys.stderr)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cme.__file__).parents[1])}
+        err = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stderr
+        assert err.strip() == "[]"
+
     def test_synth_import_loads_only_the_corpus_model(self):
         # perfbench/workloads.py imports cme.synth, and its set-up time is a benchmark metric
         code = (
@@ -778,7 +792,8 @@ class TestArtifacts:
             assert 1 <= res["epochs"] <= 150
             assert res["final_loss"] > 0
         assert set(json.loads((run_dir / "netembed" / "meta.json").read_text())) == {
-            "mode", "rows", "components", "skipped",
+            "mode", "rows", "components", "skipped", "graph_components", "largest_component",
+            "tied_columns", "sigma_max", "sigma_min",
         }
         plan = json.loads((run_dir / "compose" / "meta.json").read_text())
         assert plan == {"T+D": ["Tweet", "Description"], "T+E": ["Tweet", "TweetEmoji"],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from cme.netembed import (
     CosineMatrix,
     build_adjacency,
     cosine_similarity_matrix,
+    factor_graph,
     SVDFactors,
     network_embedding,
     row_normalize,
@@ -250,6 +253,154 @@ class TestTruncatedSVD:
         for m in (b @ b.T, rows @ rows.T):
             f1, f2 = truncated_svd(m, 6), truncated_svd(m, 6)
             assert np.array_equal(f1.u, f2.u) and np.array_equal(f1.sigma, f2.sigma)
+
+
+def _tied_graph(rng):
+    """Records, rows and cols of a graph with singletons, repeated identical components and a random one.
+
+    Source and target names are shuffled, so the components interleave in
+    source order.
+    """
+    edges = []  # (source, target, count) on fresh integer ids
+    sources, targets = 0, 0
+
+    def component(m, n, density, counts):
+        nonlocal sources, targets
+        for i in range(m):
+            hit = [j for j in range(n) if counts[i, j] and rng.random() < density] or [i % n]
+            edges.extend((sources + i, targets + j, int(counts[i, j]) or 1) for j in hit)
+        sources, targets = sources + m, targets + n
+
+    for _ in range(int(rng.integers(3, 8))):  # singletons, some with several targets
+        component(1, int(rng.integers(1, 4)), 1.0, rng.integers(1, 5, (1, 4)))
+    pattern = rng.integers(0, 4, (3, 4))
+    for _ in range(int(rng.integers(2, 5))):  # one small component, repeated
+        component(3, 4, 1.0, pattern)
+    component(int(rng.integers(15, 40)), int(rng.integers(8, 30)), 0.25, rng.integers(1, 6, (40, 30)))
+    names = rng.permutation(sources)
+    records = [_rec(f"s{names[i]:03d}", f"t{j:03d}", "retweet", c) for i, j, c in edges]
+    return records, sorted(f"s{i:03d}" for i in range(sources)), sorted(f"t{j:03d}" for j in range(targets))
+
+
+def _tie_groups(sigma, floor):
+    """[lo, hi) runs of the descending sigma whose steps are within floor."""
+    edges = [0, *(np.flatnonzero(np.diff(sigma) < -floor) + 1), sigma.size]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+class TestFactorGraph:
+    def test_matches_the_dense_reference(self):
+        # sigma to 1e-8 of the dense eigh of the cosine at every k; where k cuts no tie
+        # group, the kept span is the dense one; where it cuts one, the kept columns
+        # are still orthonormal eigenvectors
+        rng = np.random.default_rng(28)
+        for trial in range(8):
+            records, rows, cols = _tied_graph(rng)
+            im = row_normalize(build_adjacency(records, rows, cols))
+            cos = cosine_similarity_matrix(im)
+            ref = truncated_svd(cos, len(rows))
+            floor = sigma_floor(ref.sigma)
+            rank = int(np.count_nonzero(ref.sigma > floor))
+            groups = _tie_groups(ref.sigma[:rank], floor)
+            assert any(hi - lo > 1 for lo, hi in groups), trial
+            cuts = {hi for _, hi in groups} | {lo + 1 for lo, hi in groups if hi - lo > 1} | {len(rows)}
+            for k in sorted(cuts):
+                factors, graph = factor_graph(im, k)
+                kept = factors.sigma.size
+                assert kept == min(k, rank)
+                assert np.abs(factors.sigma - ref.sigma[:kept]).max() <= 1e-8 * ref.sigma[0]
+                u = factors.u
+                np.testing.assert_allclose(u.T @ u, np.eye(kept), atol=1e-10)
+                np.testing.assert_allclose(cos.values @ u, u * factors.sigma, atol=1e-10)
+                if kept in {hi for _, hi in groups}:
+                    span = ref.u[:, :kept] @ ref.u[:, :kept].T
+                    np.testing.assert_allclose(u @ u.T, span, atol=1e-8)
+
+    def test_singletons_are_indicators_and_ties_take_the_first_sources(self):
+        # three lone sources and a pair: sigma 2 (the pair, identical rows), then 1 three times
+        records = [_rec(s, t, "retweet", 1) for s, t in
+                   [("a", "x"), ("b", "y"), ("b", "z"), ("c", "x"), ("d", "w"), ("e", "v")]]
+        im = row_normalize(build_adjacency(records, list("abcde"), list("vwxyz")))
+        factors, graph = factor_graph(im, 3)
+        np.testing.assert_allclose(factors.sigma, [2.0, 1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(factors.u[:, 0], [2 ** -0.5, 0, 2 ** -0.5, 0, 0], atol=1e-12)
+        # the tie group {b, d, e} is cut at two: the first two in source order
+        assert np.array_equal(factors.u[:, 1:], np.eye(5)[:, [1, 3]])
+        assert graph.components == 4 and graph.largest == 2 and graph.tied_columns == 2
+
+    def test_components_match_a_union_find(self):
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            m, n = int(rng.integers(5, 60)), int(rng.integers(5, 60))
+            records = [_rec(f"s{i}", f"t{j}", "mention", 1)
+                       for i in range(m) for j in range(n) if rng.random() < 1.5 / n]
+            parent = list(range(m + n))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for rec in records:
+                a, b = find(int(rec.source[1:])), find(m + int(rec.target[1:]))
+                parent[max(a, b)] = min(a, b)
+            roots = [find(i) for i in range(m)]
+            im = build_adjacency(records, [f"s{i}" for i in range(m)], [f"t{j}" for j in range(n)])
+            graph = factor_graph(row_normalize(im), m)[1]
+            assert graph.components == len(set(roots))
+            assert graph.largest == max(roots.count(r) for r in set(roots))
+
+    def test_rounding_level_scaling_keeps_the_factors(self):
+        rng = np.random.default_rng(15)
+        for _ in range(4):
+            records, rows, cols = _tied_graph(rng)
+            im = row_normalize(build_adjacency(records, rows, cols))
+            mat = im.matrix
+            scaled = replace(im, matrix=replace(mat, data=mat.data * (1 + 1e-15 * rng.standard_normal(mat.nnz))))
+            for k in (3, 7, len(rows)):
+                a = network_embedding(factor_graph(im, k)[0], mode="paper")
+                b = network_embedding(factor_graph(scaled, k)[0], mode="paper")
+                assert a.matrix.shape == b.matrix.shape
+                np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-8)
+
+    def test_mirror_image_sources_keep_their_signs(self):
+        # a -> x, y and b -> x, z with the same counts: the second column is (1, -1) / sqrt(2),
+        # whose two entries tie in magnitude, so rounding must not pick its sign
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            c1, c2 = (int(c) for c in rng.integers(1, 9, 2))
+            records = [_rec("a", "x", "retweet", c1), _rec("a", "y", "retweet", c2),
+                       _rec("b", "x", "retweet", c1), _rec("b", "z", "retweet", c2)]
+            im = row_normalize(build_adjacency(records, ["a", "b"], ["x", "y", "z"]))
+            mat = im.matrix
+            scaled = replace(im, matrix=replace(mat, data=mat.data * (1 + 1e-15 * rng.standard_normal(mat.nnz))))
+            u = factor_graph(im, 2)[0].u
+            np.testing.assert_allclose(u[:, 1], [2 ** -0.5, -(2 ** -0.5)], atol=1e-12)
+            np.testing.assert_allclose(factor_graph(scaled, 2)[0].u, u, atol=1e-8)
+
+    def test_a_tie_past_k_inside_one_component_is_taken_whole(self):
+        # four sources sharing a hub, each with a target of its own at the same count: the
+        # cosine is 0.5 * (I + J), so sigma 2.5 once, then 0.5 three times; k = 2 cuts the
+        # three, and the kept column is the projector's first column, (3, -1, -1, -1) / sqrt(12)
+        records = [_rec(s, t, "mention", 2) for s in "abcd" for t in ("hub", f"own-{s}")]
+        im = row_normalize(build_adjacency(records, list("abcd"), ["hub", *(f"own-{s}" for s in "abcd")]))
+        factors, graph = factor_graph(im, 2)
+        np.testing.assert_allclose(factors.sigma, [2.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(factors.u[:, 1], np.array([3.0, -1, -1, -1]) / np.sqrt(12), atol=1e-12)
+        assert graph.tied_columns == 1
+
+    def test_conventional_mode_keeps_nothing_at_or_below_the_floor(self):
+        # two sources with one shared target: the cosine is all ones, rank 1
+        records = [_rec("a", "x", "retweet", 1), _rec("b", "x", "mention", 3)]
+        factors, _ = factor_graph(row_normalize(build_adjacency(records, ["a", "b"], ["x"])), 2)
+        np.testing.assert_allclose(factors.sigma, [2.0], atol=1e-12)
+        assert network_embedding(factors, mode="conventional").k == 1
+
+    def test_k_out_of_range_rejected(self):
+        im = row_normalize(build_adjacency([_rec("a", "x", "retweet", 1)], ["a"], ["x"]))
+        for k in (0, 2):
+            with pytest.raises(ValueError, match="k must be in"):
+                factor_graph(im, k)
 
 
 class TestNetworkEmbedding:

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cme import classify, compose, pipeline, synth
+import cme
+from cme import classify, compose, netembed, pipeline, synth
 from cme.classify import ClassifierConfig, ClassifierError, stratified_split
 from cme.corpus import ClassLabel
 from cme.emoji import load_emoji_lexicon
@@ -102,6 +107,64 @@ class TestViews:
             assert len(view.vectors) == len(view.user_ids), view.name
             assert not view.matrix[~view.present].any(), view.name
         assert any(view.sentinel_count for view in built)
+
+
+def network_shaped(seed: int):
+    """A corpus of the benchmark's `network` shape: 330/165/110 users, 1-3 short tweets, default rates."""
+    profiles = synth.default_profiles()
+    for cls, users in zip((ClassLabel.PERSONAL, ClassLabel.INFORMED_AGENCY, ClassLabel.RETAIL), (330, 165, 110)):
+        profiles[cls] = replace(
+            profiles[cls], users=users, tweets_min=1, tweets_max=3, tweet_len_min=6, tweet_len_max=12
+        )
+    return synth.generate(synth.SynthConfig(profiles=profiles, seed=seed))
+
+
+class TestNetworkViewIsAFunctionOfTheGraph:
+    """About 480 sources, 40-odd of them lone, so k = 100 cuts inside the group of sigma = 1."""
+
+    def test_rounding_level_scaling_keeps_the_view(self, monkeypatch):
+        dataset = network_shaped(1)
+        view, embedding = pipeline.build_network_view(dataset, 100, k=100)
+        normalize = netembed.row_normalize
+        rng = np.random.default_rng(0)
+
+        def scaled(im):
+            out = normalize(im)
+            mat = out.matrix
+            return replace(out, matrix=replace(mat, data=mat.data * (1 + 1e-15 * rng.standard_normal(mat.nnz))))
+
+        monkeypatch.setattr(netembed, "row_normalize", scaled)
+        again, _ = pipeline.build_network_view(dataset, 100, k=100)
+        assert again.matrix.shape == view.matrix.shape
+        np.testing.assert_allclose(again.matrix, view.matrix, atol=1e-8)
+        assert 0 < embedding.graph.tied_columns < embedding.k
+
+    def test_same_view_at_one_and_two_blas_threads(self, tmp_path):
+        code = (
+            f"import sys, numpy as np; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            "from test_pipeline import network_shaped; from cme import pipeline; "
+            "np.save(sys.argv[1], pipeline.build_network_view(network_shaped(2), 100, k=100)[0].matrix)"
+        )
+        saved = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(cme.__file__).parents[1]), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            path = tmp_path / f"network-{threads}.npy"
+            subprocess.run([sys.executable, "-c", code, str(path)], check=True, env=env, timeout=120)
+            saved.append(np.load(path))
+        assert saved[0].shape == saved[1].shape
+        np.testing.assert_allclose(saved[0], saved[1], atol=1e-8)
+
+    def test_conventional_mode_keeps_no_null_column(self):
+        # sources with the same targets make the cosine rank-deficient; each conventional
+        # column is u * sigma, so its norm is its sigma
+        dataset = network_shaped(3)
+        rows = len({rec.source for rec in dataset.interactions})
+        _, embedding = pipeline.build_network_view(dataset, rows, mode="conventional", k=rows)
+        assert embedding.k < rows
+        norms = np.linalg.norm(embedding.matrix, axis=0)
+        assert np.all(norms > netembed.sigma_floor(norms))
+        np.testing.assert_allclose(norms, embedding.sigma, rtol=1e-12)
 
 
 class TestNetworkView:

@@ -68,17 +68,20 @@ stopword, lemma, emoji lexicon, background model and image tag files), the
 seed, and the settings some caller sets: the benchmark workloads'
 dimension, profile_images, k and split_ratio, and the acceptance configs'
 class sizes, both epochs, min_count, subsample_threshold, network mode and
-suites. The skip-gram window, negatives and learning rate, the image tag
-confidence threshold, the screen's alpha, SMOTE's k and the L2 penalty are
-library defaults (TrainingConfig, imagetags.CONFIDENCE_THRESHOLD,
-compose.ALPHA, SMOTEConfig, ClassifierConfig) that code may pass and a
-config may not set. RunContext reads the file in one pass: it parses every
-key, range-checks every stage's settings and reads the input files the
-config names, so an unusable value fails before the first stage runs. The
-run directory is made by the first stage that writes to it, so a config
-that fails leaves none behind. A key the file leaves out takes the default
-of the setting it feeds (TrainingConfig, ClassifierConfig, ...), so a
-minimal config can be empty. Values are taken literally: "%" is not an
+suites. The skip-gram window and negatives, SMOTE's k and the L2 penalty
+are library parameters (TrainingConfig, SMOTEConfig, ClassifierConfig)
+that code may pass and a config may not set: tests pass the first three,
+and a search over the L2 penalty would pass it. The skip-gram learning
+rates (wemodel.LEARNING_RATE, MIN_LEARNING_RATE), the image tag confidence
+threshold (imagetags.CONFIDENCE_THRESHOLD) and the screen's alpha
+(compose.ALPHA) are constants: no caller uses another value.
+RunContext reads the file in one pass: it parses every key, range-checks
+every stage's settings and reads the input files the config names, so an
+unusable value fails before the first stage runs. The run directory is
+made by the first stage that writes to it, so a config that fails leaves
+none behind. A key the file leaves out takes the default of the setting
+it feeds (TrainingConfig, ClassifierConfig, ...), so a minimal config can
+be empty. Values are taken literally: "%" is not an
 interpolation marker.
 
 Warnings the stages log (the cme loggers) print to stderr as one

@@ -20,8 +20,9 @@ A caller loads only the views a step names, when the step runs: a screen
 holds its pair, a build its tag's constituents.
 
 The screen's decision names its test and what it found: a p-value below
-alpha rejects rho = 0, so the views are correlated; otherwise there is no
-evidence of correlation. It chooses no operator; composition always adds.
+ALPHA, one fixed level, rejects rho = 0, so the views are correlated;
+otherwise there is no evidence of correlation. It chooses no operator;
+composition always adds.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ class CorrelationResult:
 
 @dataclass
 class CMEVector:
-    tag: str
     vector: Optional[np.ndarray]
 
 
@@ -202,7 +202,7 @@ def _t_two_sided_p(t: float, df: float) -> float:
     return 1.0 - math.exp(log_front) * _beta_continued_fraction(b, a, y) / b
 
 
-def spearman(x: Sequence[float], y: Sequence[float], alpha: float = ALPHA) -> CorrelationResult:
+def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Spearman rank correlation with a two-sided large-n p-value.
 
     rho is the Pearson correlation of the rank-transformed samples (average
@@ -215,10 +215,10 @@ def spearman(x: Sequence[float], y: Sequence[float], alpha: float = ALPHA) -> Co
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D and the same length")
-    return _rank_correlation(_average_ranks(x), _average_ranks(y), alpha)
+    return _rank_correlation(_average_ranks(x), _average_ranks(y))
 
 
-def _rank_correlation(rx: np.ndarray, ry: np.ndarray, alpha: float) -> CorrelationResult:
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> CorrelationResult:
     """spearman's rho, p-value and decision from the average ranks of the paired samples; overwrites both."""
     n = int(rx.size)
     if n < 3:
@@ -231,18 +231,14 @@ def _rank_correlation(rx: np.ndarray, ry: np.ndarray, alpha: float) -> Correlati
     rho = min(1.0, max(-1.0, float((rx @ ry) / np.sqrt(var_x * var_y))))
     p_value = 0.0 if abs(rho) >= 1.0 else _t_two_sided_p(float(rho * np.sqrt((n - 2) / (1.0 - rho * rho))), n - 2)
 
-    if p_value < alpha:
-        decision = f"rho = 0 rejected (p={p_value:.3g} < {alpha:g}): views correlated"
+    if p_value < ALPHA:
+        decision = f"rho = 0 rejected (p={p_value:.3g} < {ALPHA:g}): views correlated"
     else:
-        decision = f"rho = 0 not rejected (p={p_value:.3g} >= {alpha:g}): no evidence of correlation"
+        decision = f"rho = 0 not rejected (p={p_value:.3g} >= {ALPHA:g}): no evidence of correlation"
     return CorrelationResult(rho=rho, p_value=p_value, n=n, decision=decision)
 
 
-def correlate_views(
-    a: ViewEmbeddingSet,
-    b: ViewEmbeddingSet,
-    alpha: float = ALPHA,
-) -> CorrelationResult:
+def correlate_views(a: ViewEmbeddingSet, b: ViewEmbeddingSet) -> CorrelationResult:
     """Spearman correlation between two views over their shared users.
 
     Every (user, component) value of one view is paired with the same
@@ -258,9 +254,7 @@ def correlate_views(
         )
     width = min(a.dimension, b.dimension)
     rows_a, rows_b = rows_a[shared], rows_b[shared]
-    return _rank_correlation(
-        _average_ranks(a.matrix[rows_a, :width]), _average_ranks(b.matrix[rows_b, :width]), alpha
-    )
+    return _rank_correlation(_average_ranks(a.matrix[rows_a, :width]), _average_ranks(b.matrix[rows_b, :width]))
 
 
 def _masked_sum(stack: np.ndarray, present: np.ndarray) -> np.ndarray:
@@ -295,7 +289,7 @@ def _masked_sum(stack: np.ndarray, present: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose_add(vectors: Sequence[Optional[np.ndarray]], tag: str = "custom") -> CMEVector:
+def compose_add(vectors: Sequence[Optional[np.ndarray]]) -> CMEVector:
     """Component-wise sum by the zero-extension and summation rules (one user's row of build_cme).
 
     Sentinel (None) constituents contribute nothing; if every constituent
@@ -303,11 +297,11 @@ def compose_add(vectors: Sequence[Optional[np.ndarray]], tag: str = "custom") ->
     """
     rows = [np.asarray(v, dtype=np.float64) for v in vectors if v is not None]
     if not rows:
-        return CMEVector(tag=tag, vector=None)
+        return CMEVector(vector=None)
     stack = np.zeros((len(rows), 1, max(len(row) for row in rows)))
     for extended, row in zip(stack, rows):
         extended[0, : len(row)] = row
-    return CMEVector(tag=tag, vector=_masked_sum(stack, np.ones((len(rows), 1), bool))[0])
+    return CMEVector(vector=_masked_sum(stack, np.ones((len(rows), 1), bool))[0])
 
 
 def resolve_tag(tag: str) -> tuple[str, ...]:

@@ -49,14 +49,6 @@ def load_emoji_lexicon(path=None) -> dict[str, EmojiSenseEntry]:
     return lexicon
 
 
-def lookup_senses(emoji: str, lexicon: dict[str, EmojiSenseEntry]) -> list[str]:
-    """Keywords for an emoji, or [] when it is not in the lexicon."""
-    entry = lexicon.get(emoji)
-    if entry is None:
-        return []
-    return list(entry.keywords)
-
-
 def emoji_embedding(
     emoji_list: Sequence[str],
     lexicon: dict[str, EmojiSenseEntry],
@@ -67,7 +59,5 @@ def emoji_embedding(
     Unknown emoji contribute nothing; out-of-vocabulary keywords are
     skipped. Returns None (empty-view sentinel) when nothing is left.
     """
-    keywords: list[str] = []
-    for emoji in emoji_list:
-        keywords.extend(lookup_senses(emoji, lexicon))
+    keywords = [word for emoji in emoji_list if emoji in lexicon for word in lexicon[emoji].keywords]
     return view_embedding(keywords, background_model)

@@ -17,8 +17,8 @@ class MissingImageTagsError(Exception):
     """A user's profile_image_ref has no line in the tag file."""
 
 
-def load_image_tags(path, confidence_threshold: float = CONFIDENCE_THRESHOLD) -> dict[str, list[str]]:
-    """Tags per image ref, without the tags whose confidence is below the threshold.
+def load_image_tags(path) -> dict[str, list[str]]:
+    """Tags per image ref, without the tags whose confidence is below CONFIDENCE_THRESHOLD.
 
     A line is image_ref TAB tag,tag,... [TAB confidence,confidence,...]; one
     with no confidence column keeps all its tags. A line with fewer than two
@@ -41,6 +41,6 @@ def load_image_tags(path, confidence_threshold: float = CONFIDENCE_THRESHOLD) ->
                 raise ParseError(path, line_no, f"confidences must be numbers, got {parts[2]!r}") from None
             if len(confidences) != len(tags):
                 raise ParseError(path, line_no, "confidences must align one-to-one with tags")
-            tags = [t for t, c in zip(tags, confidences) if c >= confidence_threshold]
+            tags = [t for t, c in zip(tags, confidences) if c >= CONFIDENCE_THRESHOLD]
         tags_by_ref[parts[0]] = tags
     return tags_by_ref

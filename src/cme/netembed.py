@@ -1,10 +1,12 @@
 """Interaction-network embeddings: adjacency -> cosine -> truncated SVD.
 
 The chain: a coordinate-form source x target count matrix (numpy arrays
-of row, column and value for each nonzero cell), row-stochastic
-normalization, a square pairwise cosine-similarity matrix between source
-users, then a rank-k factorization whose row space is the network
-embedding.
+of row, column and value for each nonzero cell), a square pairwise
+cosine-similarity matrix between source users, then a rank-k
+factorization whose row space is the network embedding. A cosine does not
+change when a row is scaled, so the run path takes the counts as they are;
+the reference chain row-normalizes them first (row_normalize), to the
+same cosine up to rounding.
 
 Two scaling modes exist for the final step because the factorization can
 be folded back with either the inverse singular values (mode "paper",

@@ -178,7 +178,7 @@ def build_network_view(
     if rows:  # every source row has a target, so cols is empty only when rows is
         cols = sorted({rec.target for rec in dataset.interactions})
         counts = netembed.build_adjacency(dataset.interactions, rows, cols)
-        factors, graph = netembed.factor_graph(netembed.row_normalize(counts), min(k or dimension, len(rows)))
+        factors, graph = netembed.factor_graph(counts, min(k or dimension, len(rows)))
         embedding = netembed.network_embedding(factors, mode=mode, row_ids=rows)
         embedding.skipped = counts.skipped
         embedding.graph = graph

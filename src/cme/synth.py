@@ -9,7 +9,8 @@ network view carries its own signal.
 What each class writes and whom it engages lives in one table, _STYLES,
 one row per class: id prefix, word, emoji, image-tag and name pools, and
 the interaction-target mix. The per-class sizes and rates a caller may
-change live in ClassProfile.
+change live in ClassProfile; what no caller changes is a module constant,
+such as DESCRIPTION_WORDS.
 
 Interaction volumes follow the configured per-class means exactly: the
 class total is fixed at round(users * rate) and distributed over users
@@ -47,6 +48,8 @@ MEDIA_HUBS = [f"hub_media_{i:02d}" for i in range(10)]
 RETAIL_HUBS = [f"hub_retail_{i:02d}" for i in range(10)]
 CELEBRITY_HUBS = [f"hub_celebrity_{i:02d}" for i in range(8)]
 ALL_HUBS = MEDIA_HUBS + RETAIL_HUBS + CELEBRITY_HUBS
+# a description's word count, drawn alike for every class: 6 to 12 (half-open range)
+DESCRIPTION_WORDS = (6, 13)
 
 
 @dataclass
@@ -65,8 +68,6 @@ class ClassProfile:
     tweets_max: int = 9
     tweet_len_min: int = 6
     tweet_len_max: int = 12
-    desc_len_min: int = 6
-    desc_len_max: int = 12
     emoji_per_tweet: float = 0.5
     class_word_prob: float = 0.35
     contact_prob: float = 0.0
@@ -231,7 +232,7 @@ def generate(config: "SynthConfig | None" = None) -> LabeledDataset:
         profile = config.profiles[cls]
         style = _STYLES[cls]
         for uid in class_users[cls]:
-            desc_len = int(rng.integers(profile.desc_len_min, profile.desc_len_max + 1))
+            desc_len = int(rng.integers(*DESCRIPTION_WORDS))
             description = " ".join(_draw_words(rng, profile, style.words, desc_len))
             if rng.random() < profile.contact_prob:
                 if rng.random() < 0.5:

@@ -11,7 +11,8 @@ learning rate of its sentence. The pairs are then taken BATCH_PAIRS at a
 time. A batch draws its noise words, computes every score and gradient
 from the matrices as they were before the batch, and adds the summed
 updates (_batch_step); a row that several pairs touch gets the sum of
-their updates.
+their updates. The learning rate falls linearly by corpus words processed
+from LEARNING_RATE to MIN_LEARNING_RATE, word2vec's fixed values.
 
 BATCH_PAIRS is 64 because a larger batch computes more of its updates from
 stale rows. Measured with the frozen tests: at 128 the repeated two-word
@@ -55,6 +56,9 @@ from .corpus import ParseError
 
 # (centre, context) pairs per SGD step; see the module docstring for why 64
 BATCH_PAIRS = 64
+# the learning rate at the first corpus word, and the floor its decay stops at
+LEARNING_RATE = 0.025
+MIN_LEARNING_RATE = 1e-4
 
 
 class TrainingError(Exception):
@@ -67,8 +71,6 @@ class TrainingConfig:
     window: int = 5
     negatives: int = 10
     epochs: int = 5
-    learning_rate: float = 0.025
-    min_learning_rate: float = 1e-4
     min_count: int = 5
     subsample_threshold: float = 1e-4
     seed: int = 1
@@ -82,15 +84,6 @@ class TrainingConfig:
             raise ValueError("negatives must be >= 1")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.min_learning_rate > 0:
-            raise ValueError(f"min_learning_rate must be > 0, got {self.min_learning_rate}")
-        if self.learning_rate < self.min_learning_rate:
-            raise ValueError(
-                f"learning_rate must be >= min_learning_rate ({self.min_learning_rate}), "
-                f"got {self.learning_rate}"
-            )
         if self.min_count < 1:
             raise ValueError(f"min_count must be >= 1, got {self.min_count}")
         if not self.subsample_threshold >= 0:
@@ -233,9 +226,7 @@ def _train_pass(encoded, vecs_in, vecs_out, noise_cdf, keep_prob, rng, config, t
     for epoch in range(config.epochs):
         # linear decay by corpus words processed, fixed per sentence
         processed = epoch * tokens.size + offsets
-        lr_sentence = np.maximum(
-            config.min_learning_rate, config.learning_rate * (1.0 - processed / total_words)
-        )
+        lr_sentence = np.maximum(MIN_LEARNING_RATE, LEARNING_RATE * (1.0 - processed / total_words))
         keep = rng.random(tokens.size) < keep_prob[tokens]
         kept_total += int(keep.sum())
         # a sentence left with fewer than 2 kept tokens has no pair

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cme.emoji import EmojiSenseEntry, emoji_embedding, load_emoji_lexicon, lookup_senses
+from cme.emoji import EmojiSenseEntry, emoji_embedding, load_emoji_lexicon
+from cme.wemodel import view_embedding
 
 
 def _lexicon():
@@ -13,14 +14,15 @@ def _lexicon():
 
 
 class TestLookup:
-    def test_known_emoji(self):
-        assert lookup_senses("🌿", _lexicon()) == ["herb", "plant"]
+    def test_known_emoji(self, toy_model):
+        # a known emoji contributes exactly its lexicon keywords
+        out = emoji_embedding(["🌿"], _lexicon(), toy_model)
+        assert np.array_equal(out, view_embedding(["herb", "plant"], toy_model))
 
-    def test_unknown_emoji_gives_empty(self):
-        assert lookup_senses("🚀", _lexicon()) == []
-
-    def test_singleton_keyword(self):
-        assert lookup_senses("😊", _lexicon()) == ["smile"]
+    def test_unknown_emoji_gives_empty(self, toy_model):
+        # an unknown emoji among known ones contributes nothing
+        out = emoji_embedding(["🚀", "😊", "🛸"], _lexicon(), toy_model)
+        assert np.array_equal(out, emoji_embedding(["😊"], _lexicon(), toy_model))
 
     def test_entry_requires_keywords(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cme.corpus import LabeledDataset, UserRecord
-from cme.imagetags import MissingImageTagsError, load_image_tags
+from cme.imagetags import CONFIDENCE_THRESHOLD, MissingImageTagsError, load_image_tags
 from cme.pipeline import build_image_view
 from cme.wemodel import view_embedding
 
@@ -53,12 +53,15 @@ class TestFixtureMode:
         dataset = LabeledDataset(users=[UserRecord("u1")], tweets_by_author={}, interactions=[])
         assert build_image_view(dataset, toy_model, {}).vectors == {"u1": None}
 
-    def test_confidence_threshold_filters(self, fixture_path):
-        assert load_image_tags(fixture_path, confidence_threshold=0.5)["img2"] == ["storefront"]
-        assert load_image_tags(fixture_path, confidence_threshold=0.2)["img2"] == ["storefront", "logo"]
+    def test_confidence_threshold_filters(self, tmp_path):
+        # a confidence equal to the threshold is kept, the next float below it dropped
+        below = float(np.nextafter(CONFIDENCE_THRESHOLD, 0.0))
+        path = tmp_path / "tags.tsv"
+        path.write_text(f"img1\tat,below,above\t{CONFIDENCE_THRESHOLD!r},{below!r},1.0\n", encoding="utf-8")
+        assert load_image_tags(path)["img1"] == ["at", "above"]
 
     def test_no_confidence_column_keeps_all_tags(self, fixture_path):
-        assert load_image_tags(fixture_path, confidence_threshold=0.99)["img1"] == ["person", "smile"]
+        assert load_image_tags(fixture_path)["img1"] == ["person", "smile"]
 
     def test_fixture_mode_requires_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -351,17 +351,21 @@ class TestFactorGraph:
             assert graph.largest == max(roots.count(r) for r in set(roots))
 
     def test_rounding_level_scaling_keeps_the_factors(self):
+        # the raw counts too: the cosine does not change when a row is scaled, so
+        # build_network_view passes them unnormalized
         rng = np.random.default_rng(15)
         for _ in range(4):
             records, rows, cols = _tied_graph(rng)
-            im = row_normalize(build_adjacency(records, rows, cols))
+            counts = build_adjacency(records, rows, cols)
+            im = row_normalize(counts)
             mat = im.matrix
             scaled = replace(im, matrix=replace(mat, data=mat.data * (1 + 1e-15 * rng.standard_normal(mat.nnz))))
             for k in (3, 7, len(rows)):
                 a = network_embedding(factor_graph(im, k)[0], mode="paper")
-                b = network_embedding(factor_graph(scaled, k)[0], mode="paper")
-                assert a.matrix.shape == b.matrix.shape
-                np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-8)
+                for other in (scaled, counts):
+                    b = network_embedding(factor_graph(other, k)[0], mode="paper")
+                    assert a.matrix.shape == b.matrix.shape
+                    np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-8)
 
     def test_mirror_image_sources_keep_their_signs(self):
         # a -> x, y and b -> x, z with the same counts: the second column is (1, -1) / sqrt(2),

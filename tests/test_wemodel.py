@@ -194,17 +194,10 @@ class TestTraining:
         "field, value",
         [
             ("epochs", 0),
-            ("learning_rate", 0.0),
-            ("learning_rate", -0.1),
-            ("min_learning_rate", 0.0),
-            ("learning_rate", 1e-5),
             ("min_count", 0),
             ("subsample_threshold", -1.0),
         ],
-        ids=[
-            "zero-epochs", "zero-rate", "negative-rate", "zero-floor", "rate-below-floor", "zero-min-count",
-            "negative-subsample-threshold",
-        ],
+        ids=["zero-epochs", "zero-min-count", "negative-subsample-threshold"],
     )
     def test_config_range_checked(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):

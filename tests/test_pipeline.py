@@ -125,16 +125,19 @@ class TestNetworkViewIsAFunctionOfTheGraph:
     def test_rounding_level_scaling_keeps_the_view(self, monkeypatch):
         dataset = network_shaped(1)
         view, embedding = pipeline.build_network_view(dataset, 100, k=100)
-        normalize = netembed.row_normalize
+        adjacency = netembed.build_adjacency
         rng = np.random.default_rng(0)
+        calls = []
 
-        def scaled(im):
-            out = normalize(im)
+        def scaled(*args):
+            calls.append(args)
+            out = adjacency(*args)
             mat = out.matrix
             return replace(out, matrix=replace(mat, data=mat.data * (1 + 1e-15 * rng.standard_normal(mat.nnz))))
 
-        monkeypatch.setattr(netembed, "row_normalize", scaled)
+        monkeypatch.setattr(netembed, "build_adjacency", scaled)
         again, _ = pipeline.build_network_view(dataset, 100, k=100)
+        assert len(calls) == 1  # the noise reached factor_graph
         assert again.matrix.shape == view.matrix.shape
         np.testing.assert_allclose(again.matrix, view.matrix, atol=1e-8)
         assert 0 < embedding.graph.tied_columns < embedding.k

@@ -18,18 +18,19 @@ Per-user matrices (the skip-gram models, the text and image views in
 views/, the Network view in netembed/) are written with wemodel.save_model
 as binary pairs: "<name>.npy" holds the float64 matrix and "<name>.words"
 the row labels, so the next stage reads back exactly the bits that were
-written. A view is saved as its present rows under their user ids (0 x its
-width if it has no vector) and loads with every row present. The Network
-view is as wide as its kept components (netembed/meta.json "components"):
-at most k, and no more than the graph's rank, the singular values above
-netembed.sigma_floor; so 0 x 0 without a graph. netembed/meta.json also
-records "skipped", the interactions whose source is not a listed user,
-the co-target graph's "graph_components" and "largest_component" (source
-rows), "tied_columns" (kept columns whose basis the tie rule fixed) and
-the kept singular values' "sigma_max" and "sigma_min" (null when none is
-kept). Each stage also writes a meta.json summary. The
-one text model the CLI reads is an optional external [views]
-emoji_background_model in word2vec text layout.
+written. A view is saved as its rows under their user ids (0 x its width
+if it has no vector) and loads as it was built, less the ids it found no
+vector for; views/meta.json counts those as "sentinel_count", and every
+user looked up as "users". The Network view is as wide as its kept
+components (netembed/meta.json "components"): at most k, and no more than
+the graph's rank, the singular values above netembed.sigma_floor; so
+0 x 0 without a graph. netembed/meta.json also records "skipped", the
+interactions whose source is not a listed user, the co-target graph's
+"graph_components" and "largest_component" (source rows), "tied_columns"
+(kept columns whose basis the tie rule fixed) and the kept singular
+values' "sigma_max" and "sigma_min" (null when none is kept). Each stage
+also writes a meta.json summary. The one text model the CLI reads is an
+optional external [views] emoji_background_model in word2vec text layout.
 
 Past netembed, each stage loads the saved views it names when it uses
 them and keeps none: correlate loads the two views of each pair it
@@ -99,8 +100,6 @@ import logging
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import classify, compose, corpus, netembed, pipeline, synth, wemodel
 from .emoji import load_emoji_lexicon
@@ -265,10 +264,8 @@ def _write_json(path: Path, payload, indent: int | None = 2) -> None:
 
 
 def _save_view(view: compose.ViewEmbeddingSet, out: Path) -> None:
-    """Write the present rows under their user ids in out, named after the view; sentinels are left out."""
-    users = list(itertools.compress(view.user_ids, view.present))
-    rows = view.matrix if len(users) == len(view.user_ids) else view.matrix[view.present]
-    model = wemodel.WEModel(dict(zip(users, itertools.count())), rows, users)
+    """Write the rows under their user ids in out, named after the view."""
+    model = wemodel.WEModel(dict(zip(view.user_ids, itertools.count())), view.matrix, view.user_ids)
     wemodel.save_model(model, out / f"{view.name}.npy")
 
 
@@ -283,11 +280,10 @@ def _load_matrix(ctx: RunContext, path: Path, producer: str) -> wemodel.WEModel:
 
 
 def _load_view(ctx: RunContext, name: str) -> compose.ViewEmbeddingSet:
-    """The saved view named name, every row present: netembed saves Network, views saves the rest."""
+    """The saved view named name: netembed saves Network, views saves the rest."""
     stage = "netembed" if name == "Network" else "views"
     model = _load_matrix(ctx, ctx.run_dir / stage / f"{name}.npy", stage)
-    present = np.ones(len(model.words), dtype=bool)
-    return compose.ViewEmbeddingSet(name, user_ids=model.words, matrix=model.vectors, present=present)
+    return compose.ViewEmbeddingSet(name, user_ids=model.words, matrix=model.vectors)
 
 
 # ---- stage commands -----------------------------------------------------
@@ -349,8 +345,7 @@ def cmd_preprocess(ctx: RunContext) -> None:
     out = ctx.stage_dir("preprocess")
     # compact: no indent lets json use its C encoder
     _write_json(out / "tokens.json", payload, indent=None)
-    # the order _load_prepared reads back: later stages depend on user order
-    ctx.prepared = {uid: prepared[uid] for uid in sorted(prepared)}
+    ctx.prepared = prepared
     print(f"[preprocess] tokenized {len(prepared)} users")
 
 
@@ -419,8 +414,8 @@ def cmd_views(ctx: RunContext) -> None:
     out = ctx.stage_dir("views")
     for view in views.values():
         _save_view(view, out)
-    meta = {name: {"dimension": v.dimension, "users": len(v.user_ids), "sentinel_count": v.sentinel_count}
-            for name, v in views.items()}
+    meta = {name: {"dimension": v.dimension, "users": len(v.user_ids) + v.sentinel_count,
+                   "sentinel_count": v.sentinel_count} for name, v in views.items()}
     _write_json(out / "meta.json", meta)
     print(f"[views] built {', '.join(sorted(views))}")
 

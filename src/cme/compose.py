@@ -1,16 +1,17 @@
 """View correlation analysis and vector-addition composition.
 
-A view is one matrix: sorted user ids, an n x d float64 row per id, and a
-present mask; a user the view has no vector for (the empty-view sentinel)
-is not present and has a zero row. Views may differ in width: the Network
-view is as wide as its kept components. Views are screened pairwise with
-Spearman rank correlation over their leading common columns, then composed
-by component-wise addition over the sorted union of their users.
-Zero-extension rule: a narrower constituent's present row is extended
-with +0.0 to the widest constituent's width. Summation rule: each element
-sorts its present values ascending and adds them pairwise (first half's
-sum plus second half's, so a + (b + c) for three), so constituent order
-never changes a bit and an absent constituent adds nothing.
+A view is one matrix: sorted user ids and an n x d float64 row per id. A
+user the view has no vector for is not among its ids; a builder also names
+the ids it looked up and found no vector for (the empty-view sentinel).
+Views may differ in width: the Network view is as wide as its kept
+components. Views are screened pairwise with Spearman rank correlation over
+their shared users and leading common columns, then composed by
+component-wise addition over the sorted union of their users.
+Zero-extension rule: a narrower constituent's row is extended with +0.0 to
+the widest constituent's width. Summation rule: each element sorts its
+values ascending and adds them pairwise (first half's sum plus second
+half's, so a + (b + c) for three), so constituent order never changes a bit
+and a constituent without the user adds nothing.
 Scratch-memory rule: beyond its inputs a step holds a few view-sized arrays
 at most. The screen ranks one side at a time from its rows; the sum runs in
 place on its stack, sorting one copy of the users with three or more values.
@@ -65,19 +66,21 @@ class CompositionError(Exception):
 
 
 class ViewEmbeddingSet:
-    """One view as user_ids, matrix and present, or made from a user -> vector-or-None mapping."""
+    """One view as user_ids and matrix, or made from a user -> vector-or-None mapping.
+
+    missing names the users a builder looked up and found no vector for;
+    they are not among user_ids.
+    """
 
     def __init__(
         self, name: str, vectors: Optional[Mapping[str, Optional[np.ndarray]]] = None, *,
-        user_ids: Sequence[str] = (), matrix: Optional[np.ndarray] = None, present: Optional[np.ndarray] = None,
+        user_ids: Sequence[str] = (), matrix: Optional[np.ndarray] = None, missing: Sequence[str] = (),
     ):
         if vectors is not None:
-            user_ids = sorted(vectors)
-            present = np.array([vectors[u] is not None for u in user_ids], dtype=bool)
-            rows = [vectors[u] for u in user_ids if vectors[u] is not None]
-            matrix = np.zeros((len(user_ids), len(rows[0]) if rows else 0))
-            matrix[present] = rows
-        self.name, self.user_ids, self.matrix, self.present = name, list(user_ids), matrix, present
+            user_ids = sorted(u for u, v in vectors.items() if v is not None)
+            missing = sorted(u for u, v in vectors.items() if v is None)
+            matrix = np.array([vectors[u] for u in user_ids], dtype=np.float64) if user_ids else np.zeros((0, 0))
+        self.name, self.user_ids, self.matrix, self.missing = name, list(user_ids), matrix, list(missing)
 
     @property
     def dimension(self) -> int:
@@ -85,20 +88,21 @@ class ViewEmbeddingSet:
 
     @property
     def sentinel_count(self) -> int:
-        return int((~self.present).sum())
+        return len(self.missing)
 
     @property
     def vectors(self) -> Mapping[str, Optional[np.ndarray]]:
-        """Read-only user -> row, None for a sentinel."""
+        """Read-only user -> row in id order, None for a missing user."""
         rows = self.matrix.view()
         rows.flags.writeable = False
-        return MappingProxyType({u: r if p else None for u, r, p in zip(self.user_ids, rows, self.present)})
+        found = dict(zip(self.user_ids, rows)) | dict.fromkeys(self.missing)
+        return MappingProxyType({u: found[u] for u in sorted(found)})
 
     def take(self, users: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """(rows, present) of distinct users, in order; a user outside the view is absent, a zero row."""
         rows, present = np.zeros((len(users), self.dimension)), np.zeros(len(users), dtype=bool)
         at, source = _align(users, self.user_ids)
-        rows[at], present[at] = self.matrix[source], self.present[source]
+        rows[at], present[at] = self.matrix[source], True
         return rows, present
 
 
@@ -247,24 +251,23 @@ def correlate_views(a: ViewEmbeddingSet, b: ViewEmbeddingSet) -> CorrelationResu
     n = shared_users * min(a.dimension, b.dimension).
     """
     rows_a, rows_b = _align(a.user_ids, b.user_ids)
-    shared = a.present[rows_a] & b.present[rows_b]
-    if shared.sum() < 3:
+    if len(rows_a) < 3:
         raise UndefinedCorrelationError(
-            f"views {a.name!r} and {b.name!r} share only {shared.sum()} users with vectors"
+            f"views {a.name!r} and {b.name!r} share only {len(rows_a)} users with vectors"
         )
     width = min(a.dimension, b.dimension)
-    rows_a, rows_b = rows_a[shared], rows_b[shared]
     return _rank_correlation(_average_ranks(a.matrix[rows_a, :width]), _average_ranks(b.matrix[rows_b, :width]))
 
 
 def _masked_sum(stack: np.ndarray, present: np.ndarray) -> np.ndarray:
     """The summation rule over a (views, users, d) stack, leaving out absent rows; overwrites stack.
 
-    An absent row is -0.0, which adds nothing exactly, so one pass in view
-    order sums users with one or two present values (two add alike either
-    way round). Users with more are summed first, from their values sorted
-    in one scratch copy per count, and parked in the last view's rows: the
-    in-place view-order pass reads those but never writes them.
+    Every user has a present row in some view. An absent row is -0.0, which
+    adds nothing exactly, so one pass in view order sums users with one or
+    two present values (two add alike either way round). Users with more are
+    summed first, from their values sorted in one scratch copy per count,
+    and parked in the last view's rows: the in-place view-order pass reads
+    those but never writes them.
     """
 
     def pairwise(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -285,7 +288,6 @@ def _masked_sum(stack: np.ndarray, present: np.ndarray) -> np.ndarray:
         del ordered  # before the pass allocates its output
     out = pairwise(stack, np.empty(stack.shape[1:]))
     out[counts >= 3] = stack[-1, counts >= 3]
-    out[counts == 0] = 0.0
     return out
 
 
@@ -329,9 +331,8 @@ def build_cme(
     """Compose the constituents of tag over the sorted union of their users.
 
     The composition is as wide as its widest constituent; a narrower one is
-    zero-extended. A user absent from one constituent view (or present with
-    a sentinel) contributes nothing for that view, and a user no constituent
-    covers is a sentinel of the composition.
+    zero-extended. A user absent from one constituent view contributes
+    nothing for that view.
     """
     names = resolve_tag(tag)
     missing = [name for name in names if name not in views]
@@ -345,8 +346,8 @@ def build_cme(
     present = np.zeros(stack.shape[:2], dtype=bool)
     for part, rows, mask in zip(parts, stack, present):
         at, source = _align(users, part.user_ids)
-        rows[at, : part.dimension], mask[at] = part.matrix[source], part.present[source]
-    return ViewEmbeddingSet(tag, user_ids=users, matrix=_masked_sum(stack, present), present=present.any(axis=0))
+        rows[at, : part.dimension], mask[at] = part.matrix[source], True
+    return ViewEmbeddingSet(tag, user_ids=users, matrix=_masked_sum(stack, present))
 
 
 def write_correlation_report(

@@ -117,12 +117,8 @@ class LabeledDataset:
     """Immutable-after-assembly container shared by every downstream stage."""
 
     users: list[UserRecord]
-    tweets_by_author: dict[str, list[TweetRecord]]
+    tweets: list[TweetRecord]
     interactions: list[InteractionRecord]
-
-    @property
-    def tweets(self) -> list[TweetRecord]:
-        return [t for group in self.tweets_by_author.values() for t in group]
 
     @property
     def class_counts(self) -> dict[ClassLabel, int]:
@@ -261,9 +257,9 @@ def assemble_dataset(
 ) -> LabeledDataset:
     """Join the four record streams into one dataset.
 
-    Labels must refer to loaded users. Tweets are grouped by author in file
-    order; authors absent from the user list still get a tweet group (they
-    may be interaction-only accounts).
+    Labels must refer to loaded users. Tweets are kept in file order,
+    including those whose author is not a listed user (they may be
+    interaction-only accounts).
     """
     known = {u.user_id for u in users}
     unknown = sorted(set(labels) - known)
@@ -271,16 +267,7 @@ def assemble_dataset(
         raise ValidationError(f"labels refer to unknown users: {', '.join(unknown[:5])}")
 
     labeled_users = [replace(u, label=labels.get(u.user_id)) for u in users]
-
-    tweets_by_author: dict[str, list[TweetRecord]] = {}
-    for tweet in tweets:
-        tweets_by_author.setdefault(tweet.author_id, []).append(tweet)
-
-    return LabeledDataset(
-        users=labeled_users,
-        tweets_by_author=tweets_by_author,
-        interactions=list(interactions),
-    )
+    return LabeledDataset(users=labeled_users, tweets=list(tweets), interactions=list(interactions))
 
 
 def load_dataset(directory) -> LabeledDataset:
@@ -312,17 +299,12 @@ def save_dataset(dataset: LabeledDataset, directory) -> None:
                 record["profile_image_ref"] = u.profile_image_ref
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
-    # tweets by listed user in user order; groups whose author is not a listed user come last
-    authors = [u.user_id for u in dataset.users]
-    listed = set(authors)
-    authors += [author_id for author_id in dataset.tweets_by_author if author_id not in listed]
     with open(directory / "tweets.jsonl", "w", encoding="utf-8") as fh:
-        for author_id in authors:
-            for t in dataset.tweets_by_author.get(author_id, []):
-                record = {"tweet_id": t.tweet_id, "author_id": t.author_id, "raw_text": t.raw_text}
-                if t.retweet_of is not None:
-                    record["retweet_of"] = t.retweet_of
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        for t in dataset.tweets:
+            record = {"tweet_id": t.tweet_id, "author_id": t.author_id, "raw_text": t.raw_text}
+            if t.retweet_of is not None:
+                record["retweet_of"] = t.retweet_of
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
     with open(directory / "interactions.tsv", "w", encoding="utf-8") as fh:
         for rec in dataset.interactions:

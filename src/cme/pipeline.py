@@ -7,7 +7,7 @@ that actually interact, next to the best suite-A setting re-run on that
 subset as its baseline. The report stage compares the results.
 
 A view builder fills one compose.ViewEmbeddingSet: a row per sorted user
-id, zero and not present where the view has no vector for the user.
+id it has a vector for, and the ids it has none for as missing.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import classify, compose, netembed
-from .corpus import ClassLabel, LabeledDataset
+from .corpus import ClassLabel, LabeledDataset, TweetRecord
 from .emoji import EmojiSenseEntry, emoji_embedding
 from .imagetags import MissingImageTagsError
 from .preprocess import extract_entities, token_cleaner
@@ -52,19 +52,21 @@ def prepare_users(
 
     Tokens are lemmatize(clean_tokens(...)) of each text's residual; the
     cleaner memoises per distinct raw token for the length of this call.
-    Each author's tweets are taken in tweet_id order (ties by text), so a
-    PreparedUser, and the skip-gram training that walks its sentences,
-    does not depend on the order of lines in the tweet file. The result
-    is keyed in dataset.users order.
+    The result is keyed in sorted user_id order, and each author's tweets
+    are taken in tweet_id order (ties by text), so a PreparedUser, and the
+    skip-gram training that walks the users' sentences, does not depend on
+    the order of lines in the user or tweet file.
     """
     clean = token_cleaner(stopwords, lemma_table)
+    by_author: dict[str, list[TweetRecord]] = {}
+    for tweet in sorted(dataset.tweets, key=lambda t: (t.tweet_id, t.raw_text)):
+        by_author.setdefault(tweet.author_id, []).append(tweet)
     prepared: dict[str, PreparedUser] = {}
-    for user in dataset.users:
+    for user in sorted(dataset.users, key=lambda u: u.user_id):
         rec = PreparedUser(user_id=user.user_id)
         rec.desc_emoji, residual = extract_entities(user.description)
         rec.desc_tokens = clean(residual)
-        tweets = dataset.tweets_by_author.get(user.user_id, [])
-        for tweet in sorted(tweets, key=lambda t: (t.tweet_id, t.raw_text)):
+        for tweet in by_author.get(user.user_id, []):
             t_emoji, t_residual = extract_entities(tweet.raw_text)
             tokens = clean(t_residual)
             if tokens:
@@ -88,13 +90,16 @@ def train_view_models(
 
 
 def _fill_view(name: str, user_ids: list[str], dimension: int, rows: Iterable) -> compose.ViewEmbeddingSet:
-    """The view of one vector-or-None per user id; None is a sentinel."""
+    """The view of one vector-or-None per user id; None is a missing user."""
     matrix = np.zeros((len(user_ids), dimension))
-    present = np.zeros(len(user_ids), dtype=bool)
-    for i, row in enumerate(rows):
-        if row is not None:
-            matrix[i], present[i] = row, True
-    return compose.ViewEmbeddingSet(name, user_ids=user_ids, matrix=matrix, present=present)
+    found, missing = [], []
+    for user, row in zip(user_ids, rows):
+        if row is None:
+            missing.append(user)
+        else:
+            matrix[len(found)] = row
+            found.append(user)
+    return compose.ViewEmbeddingSet(name, user_ids=found, matrix=matrix[: len(found)], missing=missing)
 
 
 def build_text_views(
@@ -165,15 +170,15 @@ def build_network_view(
     either mode, so the "paper" fold-back stays finite and the view is at
     most as wide as the graph's rank. The view is as wide as the kept
     components, 0 wide without a graph; every user that is not a source is
-    a sentinel. The embedding's skipped counts the interactions whose
+    missing. The embedding's skipped counts the interactions whose
     source is not a listed user, and its graph summarizes the components.
     """
     if k > dimension:
         raise ValueError(f"k must be <= dimension ({dimension}), got {k}")
     users = sorted(u.user_id for u in dataset.users)
     sources = {rec.source for rec in dataset.interactions}
-    present = np.array([uid in sources for uid in users], dtype=bool)
     rows = [uid for uid in users if uid in sources]
+    missing = [uid for uid in users if uid not in sources]
     embedding = netembed.NetworkEmbedding(matrix=np.zeros((0, 0)), row_ids=[])
     if rows:  # every source row has a target, so cols is empty only when rows is
         cols = sorted({rec.target for rec in dataset.interactions})
@@ -183,10 +188,7 @@ def build_network_view(
         embedding.skipped = counts.skipped
         embedding.graph = graph
 
-    matrix = np.zeros((len(users), embedding.k))
-    matrix[present] = embedding.matrix
-    view = compose.ViewEmbeddingSet("Network", user_ids=users, matrix=matrix, present=present)
-    return view, embedding
+    return compose.ViewEmbeddingSet("Network", user_ids=rows, matrix=embedding.matrix, missing=missing), embedding
 
 
 def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -359,7 +359,9 @@ def load_text_model(path, dimension: Optional[int] = None) -> WEModel:
 
     The header is checked before the rows are allocated: a row of dim
     values takes at least 2 * dim + 1 bytes, so a header promising more
-    rows than the rest of the file can hold is refused at line 1.
+    rows than the rest of the file can hold is refused at line 1. A row may
+    end in whitespace, as the word2vec C tool writes a space after the last
+    value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -378,7 +380,7 @@ def load_text_model(path, dimension: Optional[int] = None) -> WEModel:
         vectors = np.empty((size, dim), dtype=np.float64)
         # row idx is on line idx + 2, after the header
         for idx in range(size):
-            parts = fh.readline().rstrip("\n").split(" ")
+            parts = fh.readline().rstrip().split(" ")
             if len(parts) != dim + 1:
                 raise ParseError(path, idx + 2, f"{len(parts) - 1} values, expected {dim}")
             if parts[0] in vocab:

@@ -417,6 +417,6 @@ class TestFeatureMatrix:
             "T+D", {"u0": np.array([1.0, 2.0]), "u1": None, "u2": np.array([3.0, 4.0])}
         )
         features, present = view.take(["u0", "u1", "u2"])
-        assert view.user_ids == ["u0", "u1", "u2"]
-        assert features[1].tolist() == [0.0, 0.0]
-        assert [u for u, p in zip(view.user_ids, present) if not p] == ["u1"]
+        assert (view.user_ids, view.missing) == (["u0", "u2"], ["u1"])
+        assert features.tolist() == [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]
+        assert present.tolist() == [True, False, True]

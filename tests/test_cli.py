@@ -552,8 +552,7 @@ class TestViewArtifacts:
         ctx = self._context(tmp_path)
         cli._save_view(view, ctx.stage_dir("views"))
         loaded = cli._load_view(ctx, "Tweet")
-        assert loaded.user_ids == ["u0", "u1", "u2", "u3"]
-        assert loaded.present.all()
+        assert (loaded.user_ids, loaded.missing) == (["u0", "u1", "u2", "u3"], [])
         assert loaded.matrix.tobytes() == rows.tobytes()
 
     def test_sentinel_users_are_not_written(self, tmp_path):
@@ -563,9 +562,7 @@ class TestViewArtifacts:
         assert np.load(tmp_path / "Tweet.npy").tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
     def test_view_without_vectors_round_trips_at_its_width(self, tmp_path):
-        empty = compose.ViewEmbeddingSet(
-            "Network", user_ids=["u0", "u1"], matrix=np.zeros((2, 3)), present=np.zeros(2, dtype=bool)
-        )
+        empty = compose.ViewEmbeddingSet("Network", user_ids=[], matrix=np.zeros((0, 3)), missing=["u0", "u1"])
         ctx = self._context(tmp_path)
         cli._save_view(empty, ctx.stage_dir("netembed"))
         assert np.load(ctx.run_dir / "netembed" / "Network.npy").shape == (0, 3)
@@ -574,7 +571,7 @@ class TestViewArtifacts:
         tweet = compose.ViewEmbeddingSet("Tweet", {"u0": np.array([1.0, 2.0, 3.0]), "u1": None})
         composed = compose.build_cme({"Network": loaded, "Tweet": tweet}, "Network+Tweet")
         assert composed.matrix.tobytes() == tweet.matrix.tobytes()
-        assert (composed.user_ids, composed.present.tolist()) == (["u0", "u1"], [True, False])
+        assert (composed.user_ids, composed.missing) == (["u0"], [])
 
     def test_tag_without_vectors_is_one_line_error(self, tmp_path, capsys):
         # without a graph the Network view has no vector, so a tag of it alone has nothing to fit

@@ -259,9 +259,9 @@ class TestCorrelateViews:
 
 def _random_matrix_view(name, users, dim, seed, absent=0.0):
     rng = np.random.default_rng(seed)
-    present = rng.random(users) >= absent
-    matrix = np.where(present[:, None], rng.standard_normal((users, dim)), 0.0)
-    return ViewEmbeddingSet(name, user_ids=[f"u{i:05d}" for i in range(users)], matrix=matrix, present=present)
+    kept = rng.random(users) >= absent
+    matrix = rng.standard_normal((users, dim))[kept]
+    return ViewEmbeddingSet(name, user_ids=[f"u{i:05d}" for i in np.flatnonzero(kept)], matrix=matrix)
 
 
 def _traced_peak(call) -> int:
@@ -370,10 +370,10 @@ class TestBuildCME:
     def test_user_absent_from_network_flagged(self):
         views = self._views()
         out = build_cme(views, "N+T+E")
-        # u1 has no network vector: Network adds nothing, and the text views keep u1 present
+        # u1 has no network vector: Network adds nothing, and the text views keep u1 in the composition
         assert "u1" not in views["Network"].user_ids
         np.testing.assert_allclose(out.vectors["u1"], [0.0, 1.0], atol=1e-15)
-        assert out.present.tolist() == [True, True]
+        assert (out.user_ids, out.missing) == (["u0", "u1"], [])
 
     def test_missing_view_is_configuration_error(self):
         views = self._views()
@@ -399,12 +399,14 @@ class TestBuildCME:
 
 
 class TestViewEmbeddingSet:
-    def test_mapping_gives_sorted_ids_matrix_and_mask(self):
+    def test_mapping_gives_sorted_ids_matrix_and_missing(self):
         view = _view("Tweet", {"u2": [3.0, 4.0], "u0": [1.0, 2.0], "u1": None})
-        assert view.user_ids == ["u0", "u1", "u2"]
-        assert view.matrix.tolist() == [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]]
-        assert view.present.tolist() == [True, False, True]
+        assert view.user_ids == ["u0", "u2"]
+        assert view.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert view.missing == ["u1"]
         assert (view.dimension, view.sentinel_count) == (2, 1)
+        # vectors lists every user looked up, in id order
+        assert list(view.vectors) == ["u0", "u1", "u2"]
 
     def test_vectors_is_read_only(self):
         view = _view("Tweet", {"u0": [1.0, 2.0], "u1": None})
@@ -432,7 +434,7 @@ def _reference_sum(values):
 
 
 def _random_views(seed, count):
-    """count views with random users, widths (0 to 4), masks and widely scaled values
+    """count views with random users, widths (0 to 4) and widely scaled values
     (signed zeros included), in random tag order."""
     rng = np.random.default_rng(seed)
     names = [str(name) for name in rng.permutation(VIEW_NAMES)[:count]]
@@ -441,12 +443,12 @@ def _random_views(seed, count):
     for name in names:
         dim = int(rng.integers(0, 5))
         users = [u for u in pool if rng.random() < 0.7]
-        present = rng.random(len(users)) < 0.8
+        kept = rng.random(len(users)) < 0.8
         values = rng.standard_normal((len(users), dim)) * 10.0 ** rng.integers(-8, 9, (len(users), dim))
         values[rng.random(values.shape) < 0.15] = 0.0
         values[rng.random(values.shape) < 0.05] = -0.0
-        matrix = np.where(present[:, None], values, 0.0)
-        views[name] = ViewEmbeddingSet(name, user_ids=users, matrix=matrix, present=present)
+        users = [u for u, keep in zip(users, kept) if keep]
+        views[name] = ViewEmbeddingSet(name, user_ids=users, matrix=values[kept])
     return names, views
 
 
@@ -466,15 +468,13 @@ class TestBuildCMEProperties:
         for i, user in enumerate(out.user_ids):
             rows = [views[n].vectors.get(user) for n in names]
             rows = [row for row in rows if row is not None]
-            assert out.present[i] == bool(rows)
+            assert rows  # a user of the union has a row in some constituent
             for j in range(out.dimension):
-                if rows:
-                    # a narrower row is extended with +0.0
-                    expected[i, j] = _reference_sum([float(row[j]) if j < len(row) else 0.0 for row in rows])
-            if rows:
-                # compose_add extends to the widest present row; the composition's width is +0.0 beyond it
-                row = compose_add(rows).vector
-                assert _bits(row).tolist() + [0] * (out.dimension - len(row)) == _bits(out.matrix[i]).tolist()
+                # a narrower row is extended with +0.0
+                expected[i, j] = _reference_sum([float(row[j]) if j < len(row) else 0.0 for row in rows])
+            # compose_add extends to the widest row; the composition's width is +0.0 beyond it
+            row = compose_add(rows).vector
+            assert _bits(row).tolist() + [0] * (out.dimension - len(row)) == _bits(out.matrix[i]).tolist()
         assert _bits(out.matrix).tolist() == _bits(expected).tolist()
 
     @settings(max_examples=100, deadline=None)
@@ -491,7 +491,7 @@ class TestBuildCMEProperties:
         expected = np.where(present_a[:, None], rows_a, rows_b)
         expected[both] = rows_a[both] + rows_b[both]
         assert _bits(out.matrix).tolist() == _bits(expected).tolist()
-        assert out.present.tolist() == (present_a | present_b).tolist()
+        assert (present_a | present_b).all()
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=3))
@@ -499,13 +499,13 @@ class TestBuildCMEProperties:
         names, views = _random_views(seed, count)
         base = build_cme(views, "+".join(names))
         extra = next(name for name in VIEW_NAMES if name not in views)
+        # the builder looked every user up and found no vector
         views[extra] = ViewEmbeddingSet(
-            extra, user_ids=base.user_ids, matrix=np.zeros_like(base.matrix),
-            present=np.zeros(len(base.user_ids), dtype=bool),
+            extra, user_ids=[], matrix=np.zeros((0, base.dimension)), missing=base.user_ids
         )
         out = build_cme(views, "+".join([extra] + names))
         assert _bits(out.matrix).tolist() == _bits(base.matrix).tolist()
-        assert (out.user_ids, out.present.tolist()) == (base.user_ids, base.present.tolist())
+        assert out.user_ids == base.user_ids
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=2))
@@ -514,10 +514,7 @@ class TestBuildCMEProperties:
         names, views = _random_views(seed, count)
         base = build_cme(views, "+".join(names))
         extra = next(name for name in VIEW_NAMES if name not in views)
-        views[extra] = ViewEmbeddingSet(
-            extra, user_ids=base.user_ids, matrix=np.zeros_like(base.matrix),
-            present=np.ones(len(base.user_ids), dtype=bool),
-        )
+        views[extra] = ViewEmbeddingSet(extra, user_ids=base.user_ids, matrix=np.zeros_like(base.matrix))
         out = build_cme(views, "+".join(names + [extra]))
         assert np.array_equal(out.matrix, base.matrix)
         assert out.user_ids == base.user_ids

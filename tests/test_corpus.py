@@ -219,9 +219,8 @@ class TestAssemble:
             TweetRecord(f"t{i}", f"u{i % 2}", f"text {i}") for i in range(7)
         ]
         ds = assemble_dataset(_three_users(), tweets, [], {})
-        assert sum(len(g) for g in ds.tweets_by_author.values()) == 7
-        assert len(ds.tweets_by_author["u0"]) == 4
-        assert len(ds.tweets_by_author["u1"]) == 3
+        # kept whole and in file order; prepare_users groups them by author
+        assert ds.tweets == tweets
 
 
 class TestRoundTrip:

@@ -26,7 +26,7 @@ def fixture_path(tmp_path):
 def _image_vector(tags, model):
     """The ProfileImage vector of one user whose picture carries these tags."""
     dataset = LabeledDataset(
-        users=[UserRecord("u1", profile_image_ref="img://u1")], tweets_by_author={}, interactions=[]
+        users=[UserRecord("u1", profile_image_ref="img://u1")], tweets=[], interactions=[]
     )
     return build_image_view(dataset, model, {"img://u1": tags}).vectors["u1"]
 
@@ -43,14 +43,14 @@ class TestFixtureMode:
     def test_miss_is_an_error(self, toy_model):
         dataset = LabeledDataset(
             users=[UserRecord("u1", profile_image_ref="img1"), UserRecord("u9", profile_image_ref="img9")],
-            tweets_by_author={},
+            tweets=[],
             interactions=[],
         )
         with pytest.raises(MissingImageTagsError, match=re.escape("'img9' (user u9)")):
             build_image_view(dataset, toy_model, {"img1": ["smile"]})
 
     def test_user_without_image_is_sentinel(self, toy_model):
-        dataset = LabeledDataset(users=[UserRecord("u1")], tweets_by_author={}, interactions=[])
+        dataset = LabeledDataset(users=[UserRecord("u1")], tweets=[], interactions=[])
         assert build_image_view(dataset, toy_model, {}).vectors == {"u1": None}
 
     def test_confidence_threshold_filters(self, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import cme
-from cme import classify, compose, netembed, pipeline, synth
+from cme import classify, cli, compose, netembed, pipeline, synth
 from cme.classify import ClassifierConfig, ClassifierError, stratified_split
 from cme.corpus import ClassLabel
 from cme.emoji import load_emoji_lexicon
@@ -66,6 +67,15 @@ class TestPrepare:
         _, prepared, *_ = small_run
         assert any(rec.tweet_emoji for rec in prepared.values())
 
+    def test_order_of_users_and_tweets_is_prepare_users_own(self, small_run):
+        # keyed by sorted user_id, each author's tweets in tweet_id order, whatever the file order
+        dataset, prepared, *_ = small_run
+        tweets = [dataset.tweets[i] for i in np.random.default_rng(4).permutation(len(dataset.tweets))]
+        shuffled = replace(dataset, users=dataset.users[::-1], tweets=tweets)
+        again = pipeline.prepare_users(shuffled, load_stopwords(), load_lemma_table())
+        assert list(again.items()) == list(prepared.items())
+        assert list(prepared) == sorted(prepared)
+
 
 class TestViews:
     def test_view_names_and_dimensions(self, small_run):
@@ -90,23 +100,54 @@ class TestViews:
             pipeline.build_image_view(dataset, people, tags_by_ref)
         assert ref in str(err.value)
 
-    def test_builders_fill_sorted_rows_and_a_present_mask(self, small_run, tmp_path):
-        # perfbench's sentinel rate divides sentinel_count by len(vectors)
+    @staticmethod
+    def _built(small_run, tmp_path):
+        """Every builder's view of the small run: the four text views, ProfileImage and Network."""
         dataset, _, _, people, views = small_run
         fixture = tmp_path / "tags.tsv"
         synth.write_image_fixture(dataset, fixture)
-        built = list(views.values()) + [
+        return list(views.values()) + [
             pipeline.build_image_view(dataset, people, load_image_tags(fixture)),
             pipeline.build_network_view(dataset, 20, mode="conventional", k=5)[0],
         ]
-        users = sorted(u.user_id for u in dataset.users)
+
+    def test_builders_fill_sorted_rows_and_name_missing_users(self, small_run, tmp_path):
+        users = sorted(u.user_id for u in small_run[0].users)
+        built = self._built(small_run, tmp_path)
         for view in built:
-            assert view.user_ids == users, view.name
-            assert view.matrix.shape == (len(users), 5 if view.name == "Network" else 20), view.name
-            assert view.sentinel_count == int((~view.present).sum()), view.name
-            assert len(view.vectors) == len(view.user_ids), view.name
-            assert not view.matrix[~view.present].any(), view.name
+            assert view.user_ids == sorted(view.user_ids) and view.missing == sorted(view.missing), view.name
+            assert sorted(view.user_ids + view.missing) == users, view.name
+            assert view.matrix.shape == (len(view.user_ids), 5 if view.name == "Network" else 20), view.name
+            # perfbench's sentinel rate divides sentinel_count by len(vectors), every user looked up
+            assert len(view.vectors) == len(view.user_ids) + view.sentinel_count, view.name
+            assert [u for u, row in view.vectors.items() if row is None] == view.missing, view.name
         assert any(view.sentinel_count for view in built)
+
+    def _saved(self, small_run, tmp_path):
+        """A run context whose views/ and netembed/ hold every builder's view; those views by name."""
+        (tmp_path / "empty.ini").write_text("", encoding="utf-8")  # every key takes its default
+        ctx = cli.RunContext(str(tmp_path / "empty.ini"), None, str(tmp_path / "out"))
+        built = {view.name: view for view in self._built(small_run, tmp_path)}
+        for view in built.values():
+            cli._save_view(view, ctx.stage_dir("netembed" if view.name == "Network" else "views"))
+        return ctx, built
+
+    def test_saved_then_loaded_view_is_the_built_one(self, small_run, tmp_path):
+        ctx, built = self._saved(small_run, tmp_path)
+        for name, view in built.items():
+            loaded = cli._load_view(ctx, name)
+            assert loaded.user_ids == view.user_ids, name
+            assert loaded.matrix.tobytes() == view.matrix.tobytes(), name
+
+    def test_composition_of_built_views_is_that_of_loaded_views(self, small_run, tmp_path):
+        # the in-memory path (acceptance 07) against `cme run`'s, which builds from the saved views;
+        # the pairs include some that no constituent covers every user of
+        ctx, built = self._saved(small_run, tmp_path)
+        for tag in [*compose.COMPOSITION_TAGS, *map("+".join, itertools.combinations(built, 2))]:
+            loaded = {name: cli._load_view(ctx, name) for name in compose.resolve_tag(tag)}
+            from_built, from_loaded = compose.build_cme(built, tag), compose.build_cme(loaded, tag)
+            assert from_built.user_ids == from_loaded.user_ids, tag
+            assert from_built.matrix.tobytes() == from_loaded.matrix.tobytes(), tag
 
 
 def network_shaped(seed: int):
@@ -176,8 +217,8 @@ class TestNetworkView:
         dataset, *_ = small_run
         view, embedding = pipeline.build_network_view(dataset, 20, mode="conventional", k=5)
         assert embedding.k == view.dimension == 5
-        assert [u for u, p in zip(view.user_ids, view.present) if p] == embedding.row_ids
-        assert view.matrix[view.present].tobytes() == embedding.matrix.tobytes()
+        assert view.user_ids == embedding.row_ids
+        assert view.matrix.tobytes() == embedding.matrix.tobytes()
 
     def test_k_above_dimension_rejected(self, small_run):
         # a k wider than the composition dimension used to be cut to it without a word
@@ -195,8 +236,8 @@ class TestNetworkView:
             assert len(embedding.row_ids) == rows
             assert embedding.k <= rows
             assert view.dimension == embedding.k
-            assert int(view.present.sum()) == rows
-            assert view.matrix[view.present].tobytes() == embedding.matrix.tobytes()
+            assert len(view.user_ids) == rows
+            assert view.matrix.tobytes() == embedding.matrix.tobytes()
 
     def test_k_zero_means_the_dimension(self, small_run):
         dataset, *_ = small_run
@@ -218,10 +259,11 @@ class TestNetworkView:
 
     def test_empty_interactions_give_empty_view(self, small_run):
         dataset, *_ = small_run
-        bare = type(dataset)(users=dataset.users, tweets_by_author={}, interactions=[])
+        bare = type(dataset)(users=dataset.users, tweets=[], interactions=[])
         view, embedding = pipeline.build_network_view(bare, 20)
         assert all(v is None for v in view.vectors.values())
-        assert view.matrix.shape == (len(dataset.users), 0)
+        assert len(view.vectors) == len(dataset.users)
+        assert view.matrix.shape == (0, 0)
         assert embedding.matrix.shape[0] == 0
         assert embedding.k == 0
 
@@ -230,7 +272,7 @@ class TestExperiments:
     def test_composition_without_vectors_is_named_error(self, small_run):
         # an all-sentinel composition used to fit a bias-only model at chance level
         dataset, _, _, _, views = small_run
-        bare = type(dataset)(users=dataset.users, tweets_by_author={}, interactions=[])
+        bare = type(dataset)(users=dataset.users, tweets=[], interactions=[])
         net_view, _ = pipeline.build_network_view(bare, 20)
         assert net_view.dimension == 0
         composed = compose.build_cme({"Network": net_view}, "Network")

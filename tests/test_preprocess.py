@@ -200,11 +200,8 @@ class TestFastPaths:
         # two users share every text, so the memo is hit as well as filled; tweet ids
         # ascend in list order, the order prepare_users takes each author's tweets in
         users = [UserRecord(f"u{i}", description=texts[i % len(texts)]) for i in range(2)]
-        tweets = {
-            u.user_id: [TweetRecord(f"{u.user_id}t{j:03d}", u.user_id, t) for j, t in enumerate(texts)]
-            for u in users
-        }
-        dataset = LabeledDataset(users=users, tweets_by_author=tweets, interactions=[])
+        tweets = [TweetRecord(f"{u.user_id}t{j:03d}", u.user_id, t) for u in users for j, t in enumerate(texts)]
+        dataset = LabeledDataset(users=users, tweets=tweets, interactions=[])
         prepared = prepare_users(dataset, stop, table)
 
         def reference(text):

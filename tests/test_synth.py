@@ -90,11 +90,12 @@ class TestStructure:
 
         ds = generate(_small_config(seed=11))
         counts: dict[ClassLabel, dict[str, int]] = {cls: {} for cls in ClassLabel}
-        for user in ds.users:
-            for tweet in ds.tweets_by_author.get(user.user_id, []):
-                _, residual = extract_entities(tweet.raw_text)
-                for tok in clean_tokens(residual, set()):
-                    counts[user.label][tok] = counts[user.label].get(tok, 0) + 1
+        labels = ds.labels()
+        for tweet in ds.tweets:
+            _, residual = extract_entities(tweet.raw_text)
+            bag = counts[labels[tweet.author_id]]
+            for tok in clean_tokens(residual, set()):
+                bag[tok] = bag.get(tok, 0) + 1
         vocab = sorted({t for bag in counts.values() for t in bag})
         table = np.array(
             [[counts[cls].get(t, 0) for t in vocab] for cls in ClassLabel], dtype=float

@@ -346,6 +346,21 @@ class TestPersistence:
         assert model.vocabulary == {"foo": 0, "bar": 1}
         np.testing.assert_allclose(model.vectors[1], [0.5, 0.25, -1.0])
 
+    @pytest.mark.parametrize("end", [" \n", "\r\n", " \r\n"])
+    def test_loads_rows_ending_in_a_space_or_crlf(self, tmp_path, end):
+        # the word2vec C tool writes a space after each row's last value
+        path = tmp_path / "ext.txt"
+        path.write_bytes(f"2 3{end}herb 0.1 0.2 0.3{end}smile 1.0 -2.0 3.5{end}".encode("utf-8"))
+        model = load_text_model(path, 3)
+        assert model.vocabulary == {"herb": 0, "smile": 1}
+        assert model.vectors.tolist() == [[0.1, 0.2, 0.3], [1.0, -2.0, 3.5]]
+
+    def test_short_row_with_a_trailing_space_names_its_line(self, tmp_path):
+        path = tmp_path / "ext.txt"
+        path.write_text("2 3 \nherb 0.1 0.2 0.3 \nsmile 1.0 2.0 \n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"ext\.txt:3: 2 values, expected 3"):
+            load_text_model(path)
+
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 3\nfoo 1.0 2.0\n", encoding="utf-8")

@@ -46,7 +46,8 @@ each other suite-B tag's macro-F1 delta against that baseline.
 
 With [views] profile_images on, the views stage also reads the image tag
 file ([views] image_fixture, by default <corpus>/image_tags.tsv, which
-synth writes) and builds the ProfileImage view from it.
+synth writes) and the corpus's image refs, and builds the ProfileImage
+view from them; without it, the views stage does not parse the corpus.
 
 The suites are the whole plan. The compose stage plans exactly the tags
 of [classify] suite_a_tags and suite_b_tags, each once; suite A needs a
@@ -62,7 +63,7 @@ largest k accepted, since N is added to the word-vector views, not
 concatenated. A composition zero-extends the view to their width, and the
 correlate stage pairs only its components.
 
-The config file is flat INI with one section per stage. CONFIG_KEYS lists
+The config file is flat UTF-8 INI, one section per stage. CONFIG_KEYS lists
 every key with the type its value is parsed with; any other section or key
 is an error. The keys are the paths (out_dir, the corpus directory, the
 stopword, lemma, emoji lexicon, background model and image tag files), the
@@ -152,14 +153,18 @@ class RunContext:
     def __init__(self, config_path: str, seed: int | None, out_dir: str | None):
         self.parser = configparser.ConfigParser(interpolation=None)
         try:
-            read = self.parser.read(config_path)
-        except configparser.Error as exc:
+            # UTF-8 whatever the locale, with or without a byte-order mark
+            read = self.parser.read(config_path, encoding="utf-8-sig")
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise CLIError(f"malformed config {config_path}: {exc}") from None
         if not read:
             raise CLIError(f"config file not found: {config_path}")
         self._check_keys()
         file_seed = self.get("global", "seed", 7)
         self.seed = file_seed if seed is None else seed
+        if self.seed < 0:
+            # numpy's generators take no negative seed
+            raise CLIError(f"{'global.seed' if seed is None else '--seed'} must be >= 0, got {self.seed}")
         out = out_dir or self.get("global", "out_dir", "cme-out")
         self.run_dir = Path(out) / f"run-{self._fingerprint()}"
         directory = self.get("corpus", "directory")
@@ -386,30 +391,19 @@ def cmd_train_we(ctx: RunContext) -> None:
     )
 
 
-def _load_models(ctx: RunContext) -> tuple[wemodel.WEModel, wemodel.WEModel]:
-    models = ctx.run_dir / "models"
-    return (
-        _load_matrix(ctx, models / "content.npy", "train-we"),
-        _load_matrix(ctx, models / "people.npy", "train-we"),
-    )
-
-
-def _load_image_tags(ctx: RunContext) -> dict[str, list[str]]:
-    try:
-        return load_image_tags(ctx.image_tags)
-    except OSError as exc:
-        raise CLIError(f"cannot read the image tag file: {exc} (set [views] image_fixture)") from None
-
-
 def cmd_views(ctx: RunContext) -> None:
-    dataset = _load_corpus(ctx)
     prepared = _load_prepared(ctx)
-    content, people = _load_models(ctx)
+    content = _load_matrix(ctx, ctx.run_dir / "models" / "content.npy", "train-we")
+    people = _load_matrix(ctx, ctx.run_dir / "models" / "people.npy", "train-we")
 
     views = pipeline.build_text_views(prepared, content, people, ctx.lexicon, ctx.background)
 
     if ctx.profile_images:
-        views["ProfileImage"] = pipeline.build_image_view(dataset, people, _load_image_tags(ctx))
+        try:
+            tags = load_image_tags(ctx.image_tags)
+        except OSError as exc:
+            raise CLIError(f"cannot read the image tag file: {exc} (set [views] image_fixture)") from None
+        views["ProfileImage"] = pipeline.build_image_view(_load_corpus(ctx), people, tags)
 
     out = ctx.stage_dir("views")
     for view in views.values():
@@ -655,6 +649,7 @@ def main(argv=None) -> int:
     except (
         CLIError, corpus.CorpusError, wemodel.TrainingError, MissingImageTagsError,
         compose.CompositionError, classify.ClassifierError,
+        OSError,  # an output path that cannot be made or written
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,11 @@
 """Data model and ingestion for users, tweets, interactions, and labels.
 
-Every input file the pipeline reads is line-oriented UTF-8, and read_lines
-is the one function that splits one into lines. Lines end at "\n" (or
-"\r\n", "\r"), are numbered from 1, and blank lines are skipped. A bad
-line raises ParseError (a ValueError), "<path>:<line>: <reason>"; an
-unreadable file raises OSError, which the CLI names once. The inputs:
+Every input file the pipeline reads is line-oriented UTF-8, a leading
+byte-order mark dropped, and read_lines is the one function that splits
+one into lines. Lines end at "\n" (or "\r\n", "\r"), are numbered from 1,
+and blank lines are skipped. A bad line, or one holding a byte that is
+not UTF-8, raises ParseError (a ValueError), "<path>:<line>: <reason>";
+an unreadable file raises OSError, which the CLI names once. The inputs:
 
 Corpus files (a directory; lines are taken as written, "#" is data):
 
@@ -41,6 +42,7 @@ users.jsonl; they are retained as bare ids.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -133,11 +135,15 @@ class LabeledDataset:
 def read_lines(path, resource: bool = False) -> Iterator[tuple[int, str]]:
     """(line number, line) for each non-blank line of a UTF-8 file, without its newline.
 
-    A resource file also skips "#" comment lines and strips each line.
-    The file is streamed, never held whole.
+    A leading byte-order mark is dropped; a byte that is not UTF-8 is a
+    ParseError at its line. A resource file also skips "#" comment lines
+    and strips each line. The file is streamed, never held whole.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            # surrogateescape decodes a byte b that is not UTF-8 to U+DC00 + b
+            if not line.isascii() and (bad := re.search("[\udc80-\udcff]", line)):
+                raise ParseError(path, line_no, f"byte 0x{ord(bad[0]) - 0xDC00:02X} is not UTF-8")
             if resource:
                 line = line.strip()
                 if line and not line.startswith("#"):

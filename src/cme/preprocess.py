@@ -18,8 +18,9 @@ Preprocessing costs what the vocabulary costs, not what the corpus costs:
 
 - Every whitespace token is cleaned on its own (_clean_token), so
   token_cleaner memoises the cleaned lemma, or None for a dropped token,
-  per casefolded raw token. A corpus cleans each distinct token once.
-  clean_tokens and lemmatize stay as the per-token reference.
+  per casefolded raw token, in an unbounded functools.cache that lives as
+  long as the returned function: a corpus cleans each distinct token
+  once. clean_tokens and lemmatize stay as the per-token reference.
 - extract_entities runs a pattern only when a cheap test that every match
   needs holds on the text at that point, so a skipped pattern is one that
   could not have matched:
@@ -37,6 +38,7 @@ Preprocessing costs what the vocabulary costs, not what the corpus costs:
 
 from __future__ import annotations
 
+import functools
 import re
 import string
 from importlib import resources
@@ -140,8 +142,6 @@ def extract_entities(raw_text: str) -> tuple[list[str], str]:
 def _clean_token(raw: str, stopwords: set[str]) -> Optional[str]:
     """One casefolded whitespace token, edge-stripped, or None when it is dropped."""
     tok = raw.strip(_EDGE_PUNCT)
-    if not tok:
-        return None
     if not any(c.isalpha() for c in tok):
         return None
     if any(c.isdigit() for c in tok):
@@ -171,20 +171,6 @@ def lemmatize(tokens: list[str], lemma_table: Mapping[str, str]) -> list[str]:
     return [lemma_table.get(tok, tok) for tok in tokens]
 
 
-class _LemmaMemo(dict):
-    """Casefolded raw token -> its lemma, or None when the token is dropped."""
-
-    def __init__(self, stopwords: set[str], lemma_table: Mapping[str, str]):
-        super().__init__()
-        self.stopwords = stopwords
-        self.lemma_table = lemma_table
-
-    def __missing__(self, raw: str) -> Optional[str]:
-        tok = _clean_token(raw, self.stopwords)
-        lemma = self[raw] = None if tok is None else self.lemma_table.get(tok, tok)
-        return lemma
-
-
 def token_cleaner(
     stopwords: Iterable[str],
     lemma_table: Mapping[str, str],
@@ -192,11 +178,15 @@ def token_cleaner(
     """A function equal to lemmatize(clean_tokens(text, ...), lemma_table).
 
     It memoises each casefolded raw token's lemma (None when the token is
-    dropped), so a corpus cleans each distinct token once. The memo lives
-    as long as the returned function.
+    dropped) with functools.cache, so a corpus cleans each distinct token
+    once. The memo lives as long as the returned function.
     """
     stopset = stopwords if isinstance(stopwords, (set, frozenset)) else set(stopwords)
-    lemma = _LemmaMemo(stopset, lemma_table).__getitem__
+
+    @functools.cache
+    def lemma(raw: str) -> Optional[str]:
+        tok = _clean_token(raw, stopset)
+        return None if tok is None else lemma_table.get(tok, tok)
 
     def clean(residual_text: str) -> list[str]:
         words = (residual_text or "").casefold().split()

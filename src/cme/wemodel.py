@@ -3,16 +3,19 @@
 The objective is word2vec's skip-gram with negative sampling (Mikolov et
 al. 2013): each true (centre, context) pair is contrasted against noise
 words drawn from the unigram distribution raised to 3/4. The trainer is
-minibatched SGD, in the style of Ji et al. 2016. Each epoch is set up at
-once: every token is subsampled, sentences left with fewer than two tokens
-are dropped, every centre draws its shrinking-window span, and every
-in-sentence pair is listed centre by centre with the linearly decaying
-learning rate of its sentence. The pairs are then taken BATCH_PAIRS at a
-time. A batch draws its noise words, computes every score and gradient
-from the matrices as they were before the batch, and adds the summed
-updates (_batch_step); a row that several pairs touch gets the sum of
-their updates. The learning rate falls linearly by corpus words processed
-from LEARNING_RATE to MIN_LEARNING_RATE, word2vec's fixed values.
+minibatched SGD, in the style of Ji et al. 2016. The corpus is encoded
+once, as one flat array of in-vocabulary tokens and each sentence's count
+of them. Each epoch is set up at once from that array: every token is
+subsampled, sentences left with fewer than two tokens are dropped, every
+centre draws its shrinking-window span, and every in-sentence pair is
+listed centre by centre with the linearly decaying learning rate of its
+sentence, so set-up memory grows with the pairs of one epoch (a few int64
+arrays of that length). The pairs are then taken BATCH_PAIRS at a time. A
+batch draws its noise words, computes every score and gradient from the
+matrices as they were before the batch, and adds the summed updates
+(_batch_step); a row that several pairs touch gets the sum of their
+updates. The learning rate falls linearly by corpus words processed from
+LEARNING_RATE to MIN_LEARNING_RATE, word2vec's fixed values.
 
 BATCH_PAIRS is 64 because a larger batch computes more of its updates from
 stale rows. Measured with the frozen tests: at 128 the repeated two-word
@@ -167,68 +170,36 @@ def train_skipgram(sentences: Sequence[Sequence[str]], config: Optional[Training
             f"no word meets min_count={config.min_count}; effective vocabulary is empty"
         )
 
-    total = freq.sum()
     # noise distribution: unigram frequency ** 3/4
     noise = freq ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
 
     if config.subsample_threshold > 0:
-        ratio = freq / (config.subsample_threshold * total)
+        ratio = freq / (config.subsample_threshold * freq.sum())
         keep_prob = np.minimum(1.0, (np.sqrt(ratio) + 1.0) / ratio)
     else:
         keep_prob = np.ones_like(freq)
 
     rng = np.random.default_rng(config.seed)
-    dim = config.dimension
-    vecs_in = (rng.random((len(vocab), dim)) - 0.5) / dim
-    vecs_out = np.zeros((len(vocab), dim), dtype=np.float64)
+    vecs_in = (rng.random((len(vocab), config.dimension)) - 0.5) / config.dimension
+    vecs_out = np.zeros_like(vecs_in)
 
-    encoded = [
-        np.array([vocab[t] for t in sentence if t in vocab], dtype=np.int64)
-        for sentence in sentences
-    ]
-    encoded = [e for e in encoded if e.size]
-    if not encoded:
-        raise TrainingError("corpus is empty after vocabulary filtering")
-
-    words_per_epoch = sum(int(e.size) for e in encoded)
-    total_words = max(1, words_per_epoch * config.epochs)
-
-    kept, pairs, batches = _train_pass(
-        encoded, vecs_in, vecs_out, noise_cdf, keep_prob, rng, config, total_words
-    )
-
-    if not np.all(np.isfinite(vecs_in)):
-        raise TrainingError("training diverged: non-finite vectors")
-    stats = {
-        "words_per_epoch": words_per_epoch,
-        "keep_rate": kept / (words_per_epoch * config.epochs),
-        "pairs": pairs,
-        "batches": batches,
-    }
-    return WEModel(vocabulary=vocab, vectors=vecs_in, stats=stats)
-
-
-def _train_pass(encoded, vecs_in, vecs_out, noise_cdf, keep_prob, rng, config, total_words):
-    """Run every epoch; return the (kept tokens, pairs, batches) counts.
-
-    An epoch's pairs are listed whole before its first batch, so set-up
-    memory grows with the pairs of one epoch (a few int64 arrays of that
-    length).
-    """
-    tokens = np.concatenate(encoded)
-    lengths = np.array([e.size for e in encoded])
+    # every in-vocabulary token in one flat array, and each sentence's count of them
+    encoded = [[vocab[t] for t in sentence if t in vocab] for sentence in sentences]
+    lengths = np.array([len(e) for e in encoded], dtype=np.int64)
+    tokens = np.fromiter(itertools.chain.from_iterable(encoded), dtype=np.int64, count=int(lengths.sum()))
     sentence_of = np.repeat(np.arange(lengths.size), lengths)
     # corpus words processed before each sentence, within one epoch
     offsets = np.cumsum(lengths) - lengths
-    kept_total = pairs_total = batches_total = 0
+    total_words = tokens.size * config.epochs
+    kept = pairs = batches = 0
 
     for epoch in range(config.epochs):
         # linear decay by corpus words processed, fixed per sentence
         processed = epoch * tokens.size + offsets
         lr_sentence = np.maximum(MIN_LEARNING_RATE, LEARNING_RATE * (1.0 - processed / total_words))
         keep = rng.random(tokens.size) < keep_prob[tokens]
-        kept_total += int(keep.sum())
+        kept += int(keep.sum())
         # a sentence left with fewer than 2 kept tokens has no pair
         keep &= np.bincount(sentence_of[keep], minlength=lengths.size)[sentence_of] >= 2
         words = tokens[keep]
@@ -242,13 +213,15 @@ def _train_pass(encoded, vecs_in, vecs_out, noise_cdf, keep_prob, rng, config, t
         starts = range(0, centres.size, BATCH_PAIRS)
         for start in starts:
             batch = slice(start, start + BATCH_PAIRS)
-            draws = np.searchsorted(
-                noise_cdf, rng.random((centres[batch].size, config.negatives))
-            )
+            draws = np.searchsorted(noise_cdf, rng.random((centres[batch].size, config.negatives)))
             _batch_step(vecs_in, vecs_out, centres[batch], contexts[batch], draws, lr[batch])
-        pairs_total += centres.size
-        batches_total += len(starts)
-    return kept_total, pairs_total, batches_total
+        pairs += centres.size
+        batches += len(starts)
+
+    if not np.all(np.isfinite(vecs_in)):
+        raise TrainingError("training diverged: non-finite vectors")
+    stats = {"words_per_epoch": tokens.size, "keep_rate": kept / total_words, "pairs": pairs, "batches": batches}
+    return WEModel(vocabulary=vocab, vectors=vecs_in, stats=stats)
 
 
 def _window_pairs(sentence, spans, window):

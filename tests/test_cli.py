@@ -418,6 +418,49 @@ class TestFullChain:
         assert main(["run", "--config", cfg]) == 1
         assert "clasify.epochs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, seed, flag, named",
+        [("run", -3, [], "global.seed"), ("synth", 11, ["--seed", "-3"], "--seed")],
+    )
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys, command, seed, flag, named):
+        # numpy's default_rng used to end the command in a traceback
+        cfg = _config(tmp_path, seed=seed)
+        assert main([command, "--config", cfg, *flag]) == 1
+        assert _one_line_error(capsys).startswith(f"error: {named} must be >= 0, got -3")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_is_read_as_utf8_with_or_without_a_bom(self, tmp_path):
+        cfg = Path(_config(tmp_path))
+        text = cfg.read_text(encoding="utf-8")
+        cfg.write_text(f"\ufeff# caf\N{LATIN SMALL LETTER E WITH ACUTE}\n{text}", encoding="utf-8")
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert (_run_dir(tmp_path) / "synth" / "users.jsonl").is_file()
+
+    def test_config_that_is_not_utf8_is_one_line_error(self, tmp_path, capsys):
+        # a Latin-1 byte in a comment used to end the command in a UnicodeDecodeError traceback
+        cfg = Path(_config(tmp_path))
+        cfg.write_bytes(b"# caf\xe9\n" + cfg.read_bytes())
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert _one_line_error(capsys).startswith(f"error: malformed config {cfg}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_is_one_line_error(self, tmp_path, capsys):
+        # creating the run directory used to end the command in a NotADirectoryError traceback
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(["synth", "--config", _config(tmp_path), "--out", str(taken)]) == 1
+        assert str(taken) in _one_line_error(capsys)
+
+    def test_corpus_byte_that_is_not_utf8_is_one_line_error(self, tmp_path, capsys):
+        assert main(["synth", "--config", _config(tmp_path)]) == 0
+        users = _run_dir(tmp_path) / "synth" / "users.jsonl"
+        first, second, *rest = users.read_bytes().splitlines(keepends=True)
+        users.write_bytes(first + second.replace(b'"description": "', b'"description": "caf\xe9 ') + b"".join(rest))
+        cfg = _config(tmp_path, extra=f"[corpus]\ndirectory = {users.parent}\n")
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "latin")]) == 1
+        assert _one_line_error(capsys).startswith(f"error: {users}:2: byte 0xE9 is not UTF-8")
+
     def test_malformed_config_is_error(self, tmp_path, capsys):
         cfg = _config(tmp_path, extra="[netembed]\nk = 3\n")
         assert main(["run", "--config", cfg]) == 1
@@ -523,7 +566,9 @@ class TestFullChain:
         assert main(["netembed", "--config", cfg, "--out", str(tmp_path / "ghost")]) == 0
         assert capsys.readouterr().err == warning
 
-    def test_run_parses_corpus_once_and_matches_stage_by_stage(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _parses_whole_then_staged(tmp_path, monkeypatch, extra=""):
+        """Corpus parses in one `cme run`, then in the stages run one by one; both trees match."""
         loads = []
         load_dataset = corpus.load_dataset
 
@@ -532,13 +577,22 @@ class TestFullChain:
             return load_dataset(directory)
 
         monkeypatch.setattr(corpus, "load_dataset", counting_load)
-        cfg = _config(tmp_path)
+        cfg = _config(tmp_path, extra=extra)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
-        assert len(loads) == 1
+        whole = len(loads)
         for stage in STAGE_ORDER:
             assert main([stage, "--config", cfg, "--out", str(tmp_path / "staged")]) == 0
-        assert len(loads) == 5  # preprocess, views, netembed and classify parse it again
         _assert_same_files(_run_dir(tmp_path, "whole"), _run_dir(tmp_path, "staged"))
+        return whole, len(loads) - whole
+
+    def test_run_parses_corpus_once_and_matches_stage_by_stage(self, tmp_path, monkeypatch):
+        # standalone, preprocess, netembed and classify parse it; views needs it only for ProfileImage
+        assert self._parses_whole_then_staged(tmp_path, monkeypatch) == (1, 3)
+
+    def test_standalone_views_parses_corpus_for_profile_image(self, tmp_path, monkeypatch):
+        extra = "[views]\nprofile_images = true\n"
+        assert self._parses_whole_then_staged(tmp_path, monkeypatch, extra) == (1, 4)
+        assert (_run_dir(tmp_path, "staged") / "views" / "ProfileImage.npy").is_file()
 
 
 class TestViewArtifacts:

@@ -22,7 +22,7 @@ from cme.corpus import (
 )
 from cme.emoji import load_emoji_lexicon
 from cme.imagetags import load_image_tags
-from cme.preprocess import load_lemma_table
+from cme.preprocess import load_lemma_table, load_stopwords
 from cme.wemodel import load_text_model
 
 
@@ -258,3 +258,30 @@ class TestRoundTrip:
         save_dataset(ds, tmp_path)
         reloaded = load_dataset(tmp_path)
         assert reloaded.interactions[0].target == "someone_else"
+
+
+class TestEncoding:
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        # lines end at "\r\n" and a lone "\r" as well; the byte used to raise UnicodeDecodeError
+        path = tmp_path / "users.jsonl"
+        path.write_bytes(b'{"user_id": "u0"}\r\n{"user_id": "u1"}\r\n\n{"user_id": "caf\xe9"}\r')
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:4: byte 0xE9 is not UTF-8$"):
+            load_users(path)
+
+    def test_byte_past_the_first_read_names_its_line(self, tmp_path):
+        path = _write(tmp_path / "stop.txt", ["x" * 20000] + ["word"] * 5000)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:5002: byte 0xFF "):
+            load_stopwords(path)
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # the mark used to stay on the first entry: "\ufeffthe" was no stopword
+        def with_bom(name, lines):
+            path = _write(tmp_path / name, lines)
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            return path
+
+        assert load_stopwords(with_bom("stop.txt", ["the", "and"])) == {"the", "and"}
+        assert list(load_emoji_lexicon(with_bom("senses.tsv", ["\N{HERB}\therb"]))) == ["\N{HERB}"]
+        users = with_bom("users.jsonl", ['{"user_id": "u0"}', '{"user_id": "u1"}'])
+        assert [u.user_id for u in load_users(users)] == ["u0", "u1"]

@@ -216,6 +216,19 @@ class TestFastPaths:
             assert rec.tweet_tokens == [tok for _, tokens in per_tweet for tok in tokens]
             assert rec.tweet_emoji == [e for emoji, _ in per_tweet for e in emoji]
 
+    def test_token_cleaner_cleans_each_distinct_token_once(self, monkeypatch):
+        stop, table = load_stopwords(), load_lemma_table()
+        # more distinct tokens than a bounded cache's default 128 keeps, each seen again
+        words = " ".join(f"word{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(300))
+        texts = [words, words.upper(), "The the Grows grows, GROWS, " + words]
+        expected = [lemmatize(clean_tokens(text, stop), table) for text in texts]
+        calls = []
+        clean_token = preprocess._clean_token
+        monkeypatch.setattr(preprocess, "_clean_token", lambda raw, s: calls.append(raw) or clean_token(raw, s))
+        clean = preprocess.token_cleaner(stop, table)
+        assert [clean(text) for text in texts] == expected
+        assert sorted(calls) == sorted({raw for text in texts for raw in text.casefold().split()})
+
     def test_prepare_users_matches_per_text_reference(self):
         self._check_prepared(EDGE_TEXTS)
 

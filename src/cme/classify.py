@@ -59,13 +59,17 @@ class ClassifierConfig:
 class ClassifierModel:
     classes: list
     weights: np.ndarray  # classes x (d + 1); last column is the bias
-    loss_history: list[float] = field(default_factory=list)
-    epochs: int = 0  # iterations taken
+    loss_history: list[float] = field(default_factory=list)  # the starting loss, then one per iteration
     converged: bool = False  # the loss change met the tolerance before the cap was reached
 
     @property
     def dimension(self) -> int:
         return int(self.weights.shape[1]) - 1
+
+    @property
+    def epochs(self) -> int:
+        """Iterations taken."""
+        return len(self.loss_history) - 1
 
 
 def _class_order(labels) -> list:
@@ -234,13 +238,7 @@ def train_classifier(
 
     if not np.all(np.isfinite(weights)):
         raise ClassifierError("training produced non-finite weights")
-    return ClassifierModel(
-        classes=classes,
-        weights=weights,
-        loss_history=history,
-        epochs=len(history) - 1,
-        converged=converged,
-    )
+    return ClassifierModel(classes=classes, weights=weights, loss_history=history, converged=converged)
 
 
 def predict(model: ClassifierModel, features: np.ndarray) -> list:

@@ -21,16 +21,11 @@ the row labels, so the next stage reads back exactly the bits that were
 written. A view is saved as its rows under their user ids (0 x its width
 if it has no vector) and loads as it was built, less the ids it found no
 vector for; views/meta.json counts those as "sentinel_count", and every
-user looked up as "users". The Network view is as wide as its kept
-components (netembed/meta.json "components"): at most k, and no more than
-the graph's rank, the singular values above netembed.sigma_floor; so
-0 x 0 without a graph. netembed/meta.json also records "skipped", the
-interactions whose source is not a listed user, the co-target graph's
-"graph_components" and "largest_component" (source rows), "tied_columns"
-(kept columns whose basis the tie rule fixed) and the kept singular
-values' "sigma_max" and "sigma_min" (null when none is kept). Each stage
-also writes a meta.json summary. The one text model the CLI reads is an
-optional external [views] emoji_background_model in word2vec text layout.
+user looked up as "users". netembed/meta.json is the record
+pipeline.build_network_view returns, written as it is; that function's
+docstring lists its fields. Each stage also writes a meta.json summary.
+The one text model the CLI reads is an optional external [views]
+emoji_background_model in word2vec text layout.
 
 Past netembed, each stage loads the saved views it names when it uses
 them and keeps none: correlate loads the two views of each pair it
@@ -284,6 +279,15 @@ def _load_matrix(ctx: RunContext, path: Path, producer: str) -> wemodel.WEModel:
         raise CLIError(f"unreadable artifact {path.name}: {exc}") from None
 
 
+def _load_json(ctx: RunContext, path: Path, producer: str):
+    """Parse a stage's JSON artifact; a missing or unparsable file is a CLIError."""
+    ctx.require(path, producer)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CLIError(f"unreadable artifact {path.name}: {exc}") from None
+
+
 def _load_view(ctx: RunContext, name: str) -> compose.ViewEmbeddingSet:
     """The saved view named name: netembed saves Network, views saves the rest."""
     stage = "netembed" if name == "Network" else "views"
@@ -358,8 +362,7 @@ def _load_prepared(ctx: RunContext) -> dict[str, pipeline.PreparedUser]:
     """The prepared users: kept from preprocess in this process, else read from tokens.json."""
     if ctx.prepared is not None:
         return ctx.prepared
-    path = ctx.require(ctx.run_dir / "preprocess" / "tokens.json", "preprocess")
-    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw = _load_json(ctx, ctx.run_dir / "preprocess" / "tokens.json", "preprocess")
     return {
         uid: pipeline.PreparedUser(uid, **{name: rec[name] for name in _TOKEN_FIELDS})
         for uid, rec in raw.items()
@@ -427,31 +430,13 @@ def _netembed_settings(ctx: RunContext) -> tuple[str, int]:
 
 
 def cmd_netembed(ctx: RunContext) -> None:
-    dataset = _load_corpus(ctx)
-    mode = ctx.net_mode
-    try:
-        view, embedding = pipeline.build_network_view(
-            dataset, ctx.training.dimension, mode=mode, k=ctx.net_k
-        )
-    except ValueError as exc:
-        raise CLIError(f"netembed: {exc}") from None
+    view, record = pipeline.build_network_view(
+        _load_corpus(ctx), ctx.training.dimension, mode=ctx.net_mode, k=ctx.net_k
+    )
     out = ctx.stage_dir("netembed")
     _save_view(view, out)
-    _write_json(
-        out / "meta.json",
-        {
-            "mode": mode,
-            "rows": len(embedding.row_ids),
-            "components": embedding.k,
-            "skipped": embedding.skipped,
-            "graph_components": embedding.graph.components,
-            "largest_component": embedding.graph.largest,
-            "tied_columns": embedding.graph.tied_columns,
-            "sigma_max": float(embedding.sigma.max()) if embedding.k else None,
-            "sigma_min": float(embedding.sigma.min()) if embedding.k else None,
-        },
-    )
-    print(f"[netembed] embedded {len(embedding.row_ids)} users, {embedding.k} components, mode={mode}")
+    _write_json(out / "meta.json", record)
+    print(f"[netembed] embedded {record['rows']} users, {record['components']} components, mode={record['mode']}")
 
 
 def cmd_correlate(ctx: RunContext) -> None:
@@ -557,8 +542,7 @@ def cmd_classify(ctx: RunContext) -> None:
 
 
 def cmd_report(ctx: RunContext) -> None:
-    path = ctx.require(ctx.run_dir / "classify" / "results.json", "classify")
-    results = json.loads(path.read_text(encoding="utf-8"))
+    results = _load_json(ctx, ctx.run_dir / "classify" / "results.json", "classify")
     out = ctx.stage_dir("report")
 
     lines = ["composition comparison report", "=" * 30, ""]

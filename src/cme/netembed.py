@@ -57,8 +57,9 @@ Where each rule of the Network view's shape is decided:
 - k: pipeline.build_network_view asks for min(k or dimension, source rows)
   components; factor_graph keeps at most that many, and no more than the
   rank; truncated_svd only checks 1 <= k <= rows.
-- width: the view is as wide as the kept components (0 without a graph);
-  compose.build_cme zero-extends it where it is added to wider views.
+- width: the view is as wide as the kept components (0 x 0 without a
+  source row); compose.build_cme zero-extends it where it is added to
+  wider views.
 - the sigma floor: sigma_floor; factor_graph keeps only the singular
   values above it, and network_embedding's "paper" mode refuses the others.
 - symmetry: cosine_similarity_matrix's output is exactly symmetric by
@@ -67,6 +68,10 @@ Where each rule of the Network view's shape is decided:
   is a component's Gram (x @ x.T or x.T @ x); both go to truncated_svd as
   a CosineMatrix, which it factors as given without the symmetry check it
   runs on a plain array.
+- the record: pipeline.build_network_view assembles netembed/meta.json's
+  fields, once, from what build_adjacency (skipped, on every corpus),
+  factor_graph (the GraphSummary) and network_embedding (the kept sigma)
+  return.
 """
 
 from __future__ import annotations
@@ -162,9 +167,7 @@ class GraphSummary:
 class NetworkEmbedding:
     matrix: np.ndarray
     row_ids: list[str]
-    sigma: np.ndarray = field(default_factory=lambda: np.zeros(0))  # the folded singular values
-    skipped: int = 0  # interactions build_adjacency left out
-    graph: GraphSummary = GraphSummary()
+    sigma: np.ndarray  # the folded singular values
 
     @property
     def k(self) -> int:

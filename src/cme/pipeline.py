@@ -157,8 +157,8 @@ def build_network_view(
     dimension: int,
     mode: str = netembed.DEFAULT_MODE,
     k: int = 0,
-) -> tuple[compose.ViewEmbeddingSet, netembed.NetworkEmbedding]:
-    """Network view over users with outgoing interactions.
+) -> tuple[compose.ViewEmbeddingSet, dict]:
+    """Network view over users with outgoing interactions, and its record.
 
     Rows are labeled users that act as interaction sources; columns are
     every distinct target. This is where the number of components is
@@ -169,9 +169,17 @@ def build_network_view(
     time and keeps no singular value at or below netembed.sigma_floor, in
     either mode, so the "paper" fold-back stays finite and the view is at
     most as wide as the graph's rank. The view is as wide as the kept
-    components, 0 wide without a graph; every user that is not a source is
-    missing. The embedding's skipped counts the interactions whose
-    source is not a listed user, and its graph summarizes the components.
+    components, 0 x 0 without a source row; every user that is not a
+    source is missing.
+
+    The record is what netembed/meta.json holds: the "mode"; the source
+    "rows"; the kept "components", the view's width; "skipped", the
+    interactions whose source is not a listed user, counted on every
+    corpus; the co-target graph's "graph_components" and
+    "largest_component" (source rows); "tied_columns", the kept columns
+    whose basis the tie rule fixed; and the kept singular values'
+    "sigma_max" and "sigma_min" (None, null in the file, when none is
+    kept).
     """
     if k > dimension:
         raise ValueError(f"k must be <= dimension ({dimension}), got {k}")
@@ -179,16 +187,21 @@ def build_network_view(
     sources = {rec.source for rec in dataset.interactions}
     rows = [uid for uid in users if uid in sources]
     missing = [uid for uid in users if uid not in sources]
-    embedding = netembed.NetworkEmbedding(matrix=np.zeros((0, 0)), row_ids=[])
-    if rows:  # every source row has a target, so cols is empty only when rows is
-        cols = sorted({rec.target for rec in dataset.interactions})
-        counts = netembed.build_adjacency(dataset.interactions, rows, cols)
+    cols = sorted({rec.target for rec in dataset.interactions})
+    counts = netembed.build_adjacency(dataset.interactions, rows, cols)
+    matrix, sigma, graph = np.zeros((0, 0)), np.zeros(0), netembed.GraphSummary()
+    if rows:
         factors, graph = netembed.factor_graph(counts, min(k or dimension, len(rows)))
-        embedding = netembed.network_embedding(factors, mode=mode, row_ids=rows)
-        embedding.skipped = counts.skipped
-        embedding.graph = graph
-
-    return compose.ViewEmbeddingSet("Network", user_ids=rows, matrix=embedding.matrix, missing=missing), embedding
+        embedding = netembed.network_embedding(factors, mode=mode)
+        matrix, sigma = embedding.matrix, embedding.sigma
+    record = {
+        "mode": mode, "rows": len(rows), "components": sigma.size, "skipped": counts.skipped,
+        "graph_components": graph.components, "largest_component": graph.largest,
+        "tied_columns": graph.tied_columns,
+        "sigma_max": float(sigma.max()) if sigma.size else None,
+        "sigma_min": float(sigma.min()) if sigma.size else None,
+    }
+    return compose.ViewEmbeddingSet("Network", user_ids=rows, matrix=matrix, missing=missing), record
 
 
 def _standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,6 +240,8 @@ def run_experiment(
     users all fall in the test fold is scored, and flagged as never predicted.
     """
     users = [u for u in users if u in labels_by_user]
+    if not users:
+        raise classify.ClassifierError(f"experiment {feature_view.name!r} has no labeled user to train on")
     features, present = feature_view.take(users)
     if not present.any():
         raise classify.ClassifierError(

@@ -336,7 +336,8 @@ def load_text_model(path, dimension: Optional[int] = None) -> WEModel:
     end in whitespace, as the word2vec C tool writes a space after the last
     value.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    # UTF-8 with or without a byte-order mark, as corpus.read_lines reads every other input
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline()
         try:
             size, dim = map(int, header.split())

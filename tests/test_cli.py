@@ -468,8 +468,13 @@ class TestFullChain:
 
     @pytest.mark.parametrize(
         "stage, artifact",
-        [("classify", "views/TweetEmoji.words"), ("classify", "views/Tweet.npy")],
-        ids=["missing-words", "truncated-npy"],
+        [
+            ("classify", "views/TweetEmoji.words"),
+            ("classify", "views/Tweet.npy"),
+            ("train-we", "preprocess/tokens.json"),
+            ("report", "classify/results.json"),
+        ],
+        ids=["missing-words", "truncated-npy", "truncated-tokens-json", "truncated-results-json"],
     )
     def test_broken_artifact_is_one_line_error(self, tmp_path, capsys, stage, artifact):
         cfg = _config(tmp_path)
@@ -565,6 +570,26 @@ class TestFullChain:
         # a second call in the same process adds no second handler
         assert main(["netembed", "--config", cfg, "--out", str(tmp_path / "ghost")]) == 0
         assert capsys.readouterr().err == warning
+
+        # every interaction from a non-user: no source row, yet each one is counted and warned about
+        (corpus_dir / "interactions.tsv").write_text("ghost\tp0000\tretweet\t1\nspook\tr0000\tmention\t2\n",
+                                                     encoding="utf-8")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "ghosts")]) == 0
+        assert capsys.readouterr().err == warning.replace("skipped 1", "skipped 2")
+        run_dir = _run_dir(tmp_path, "ghosts")
+        meta = json.loads((run_dir / "netembed" / "meta.json").read_text())
+        assert (meta["skipped"], meta["rows"], meta["components"]) == (2, 0, 0)
+        assert json.loads((run_dir / "report" / "report.json").read_text())["suite_b_macro_f1"] == {}
+
+    def test_corpus_without_labels_is_one_line_error(self, tmp_path, capsys):
+        # every stage used to run through compose, and classify blamed the composition's vectors
+        assert main(["synth", "--config", _config(tmp_path)]) == 0
+        corpus_dir = _run_dir(tmp_path) / "synth"
+        (corpus_dir / "labels.tsv").unlink()
+        cfg = _config(tmp_path, extra=f"[corpus]\ndirectory = {corpus_dir}\n")
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "unlabeled")]) == 1
+        assert _one_line_error(capsys) == "error: experiment 'T+D' has no labeled user to train on\n"
 
     @staticmethod
     def _parses_whole_then_staged(tmp_path, monkeypatch, extra=""):
@@ -697,6 +722,31 @@ class TestDeterminismAndAddressing:
         first, second = _run_dir(tmp_path, "a"), _run_dir(tmp_path, "b")
         assert first.name == second.name
         _assert_same_files(first, second)
+
+    # files of the run below that one and two BLAS threads may write differently (the skip-gram
+    # batch products round by thread count); a change may take a name off, never add one
+    THREAD_DEPENDENT = {
+        "models/content.npy", "views/Tweet.npy", "views/TweetEmoji.npy", "views/DescriptionEmoji.npy",
+        "classify/results.json",
+    }
+
+    def test_run_dir_at_one_and_two_blas_threads(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[global]\nseed = 5\n\n[train_we]\ndimension = 300\n", encoding="utf-8")
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(Path(cme.__file__).parents[1]), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run([sys.executable, "-m", "cme.cli", "run", "--config", str(cfg), "--out", str(out)],
+                           check=True, capture_output=True, env=env, timeout=300)
+            runs.append(_run_dir(tmp_path, out.name))
+        first, second = runs
+        assert first.name == second.name
+        files = sorted(p.relative_to(first).as_posix() for p in first.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(second).as_posix() for p in second.rglob("*") if p.is_file())
+        differ = {name for name in files if (first / name).read_bytes() != (second / name).read_bytes()}
+        assert differ <= self.THREAD_DEPENDENT
 
     def test_different_seed_different_run_dir(self, tmp_path):
         cfg = _config(tmp_path)

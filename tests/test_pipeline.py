@@ -165,7 +165,7 @@ class TestNetworkViewIsAFunctionOfTheGraph:
 
     def test_rounding_level_scaling_keeps_the_view(self, monkeypatch):
         dataset = network_shaped(1)
-        view, embedding = pipeline.build_network_view(dataset, 100, k=100)
+        view, record = pipeline.build_network_view(dataset, 100, k=100)
         adjacency = netembed.build_adjacency
         rng = np.random.default_rng(0)
         calls = []
@@ -181,7 +181,7 @@ class TestNetworkViewIsAFunctionOfTheGraph:
         assert len(calls) == 1  # the noise reached factor_graph
         assert again.matrix.shape == view.matrix.shape
         np.testing.assert_allclose(again.matrix, view.matrix, atol=1e-8)
-        assert 0 < embedding.graph.tied_columns < embedding.k
+        assert 0 < record["tied_columns"] < record["components"]
 
     def test_same_view_at_one_and_two_blas_threads(self, tmp_path):
         code = (
@@ -203,22 +203,27 @@ class TestNetworkViewIsAFunctionOfTheGraph:
         # sources with the same targets make the cosine rank-deficient; each conventional
         # column is u * sigma, so its norm is its sigma
         dataset = network_shaped(3)
-        rows = len({rec.source for rec in dataset.interactions})
-        _, embedding = pipeline.build_network_view(dataset, rows, mode="conventional", k=rows)
-        assert embedding.k < rows
-        norms = np.linalg.norm(embedding.matrix, axis=0)
+        rows = sorted({rec.source for rec in dataset.interactions} & {u.user_id for u in dataset.users})
+        view, record = pipeline.build_network_view(dataset, len(rows), mode="conventional", k=len(rows))
+        assert record["components"] < len(rows)
+        norms = np.linalg.norm(view.matrix, axis=0)
         assert np.all(norms > netembed.sigma_floor(norms))
-        np.testing.assert_allclose(norms, embedding.sigma, rtol=1e-12)
+        # every kept sigma, from the factorization of the same adjacency
+        cols = sorted({rec.target for rec in dataset.interactions})
+        factors, _ = netembed.factor_graph(netembed.build_adjacency(dataset.interactions, rows, cols), len(rows))
+        np.testing.assert_allclose(norms, factors.sigma, rtol=1e-12)
+        assert (record["sigma_max"], record["sigma_min"]) == (factors.sigma[0], factors.sigma[-1])
 
 
 class TestNetworkView:
     def test_rows_are_the_kept_components(self, small_run):
         # the view is as wide as the embedding, not padded to the composition dimension
         dataset, *_ = small_run
-        view, embedding = pipeline.build_network_view(dataset, 20, mode="conventional", k=5)
-        assert embedding.k == view.dimension == 5
-        assert view.user_ids == embedding.row_ids
-        assert view.matrix.tobytes() == embedding.matrix.tobytes()
+        view, record = pipeline.build_network_view(dataset, 20, mode="conventional", k=5)
+        assert record["components"] == view.dimension == view.matrix.shape[1] == 5
+        sources = {rec.source for rec in dataset.interactions}
+        assert view.user_ids == sorted(u.user_id for u in dataset.users if u.user_id in sources)
+        assert record["rows"] == len(view.user_ids) == view.matrix.shape[0]
 
     def test_k_above_dimension_rejected(self, small_run):
         # a k wider than the composition dimension used to be cut to it without a word
@@ -232,17 +237,17 @@ class TestNetworkView:
         rows = len({rec.source for rec in dataset.interactions})
         dimension = rows + 10
         for mode in ("conventional", "paper"):
-            view, embedding = pipeline.build_network_view(dataset, dimension, mode=mode, k=dimension)
-            assert len(embedding.row_ids) == rows
-            assert embedding.k <= rows
-            assert view.dimension == embedding.k
+            view, record = pipeline.build_network_view(dataset, dimension, mode=mode, k=dimension)
+            assert record["rows"] == rows
+            assert record["components"] <= rows
+            assert view.dimension == record["components"]
             assert len(view.user_ids) == rows
-            assert view.matrix.tobytes() == embedding.matrix.tobytes()
+            assert view.matrix.shape == (rows, record["components"])
 
     def test_k_zero_means_the_dimension(self, small_run):
         dataset, *_ = small_run
-        _, embedding = pipeline.build_network_view(dataset, 5, mode="conventional", k=0)
-        assert embedding.k == 5
+        view, record = pipeline.build_network_view(dataset, 5, mode="conventional", k=0)
+        assert record["components"] == view.dimension == 5
 
     def test_unconnected_users_are_sentinels(self, small_run):
         dataset, *_ = small_run
@@ -254,18 +259,21 @@ class TestNetworkView:
 
     def test_paper_mode_drops_null_components(self, small_run):
         dataset, *_ = small_run
-        view, embedding = pipeline.build_network_view(dataset, 20, mode="paper")
-        assert np.all(np.isfinite(embedding.matrix))
+        view, record = pipeline.build_network_view(dataset, 20, mode="paper")
+        assert np.all(np.isfinite(view.matrix))
+        assert record["sigma_min"] > netembed.sigma_floor(np.array([record["sigma_max"]]))
 
     def test_empty_interactions_give_empty_view(self, small_run):
         dataset, *_ = small_run
         bare = type(dataset)(users=dataset.users, tweets=[], interactions=[])
-        view, embedding = pipeline.build_network_view(bare, 20)
+        view, record = pipeline.build_network_view(bare, 20)
         assert all(v is None for v in view.vectors.values())
         assert len(view.vectors) == len(dataset.users)
         assert view.matrix.shape == (0, 0)
-        assert embedding.matrix.shape[0] == 0
-        assert embedding.k == 0
+        assert record == {
+            "mode": "paper", "rows": 0, "components": 0, "skipped": 0, "graph_components": 0,
+            "largest_component": 0, "tied_columns": 0, "sigma_max": None, "sigma_min": None,
+        }
 
 
 class TestExperiments:

@@ -355,6 +355,14 @@ class TestPersistence:
         assert model.vocabulary == {"herb": 0, "smile": 1}
         assert model.vectors.tolist() == [[0.1, 0.2, 0.3], [1.0, -2.0, 3.5]]
 
+    def test_loads_a_model_that_starts_with_a_byte_order_mark(self, tmp_path):
+        # the mark used to be read as part of the header, which then did not parse
+        path = tmp_path / "bg.txt"
+        path.write_text("\ufeff1 8\nherb 0 0 0 0 0 0 0 0\n", encoding="utf-8")
+        model = load_text_model(path, 8)
+        assert model.vocabulary == {"herb": 0}
+        assert model.vectors.tolist() == [[0.0] * 8]
+
     def test_short_row_with_a_trailing_space_names_its_line(self, tmp_path):
         path = tmp_path / "ext.txt"
         path.write_text("2 3 \nherb 0.1 0.2 0.3 \nsmile 1.0 2.0 \n", encoding="utf-8")
